@@ -77,11 +77,26 @@ def parse_band(text):
     raise ConfigError(f"cannot parse band {text!r}")
 
 
+def _fields(text, grammar, types, sep=":"):
+    """Split text on sep into one field per entry of types, converted by it."""
+    parts = text.split(sep)
+    try:
+        if len(parts) != len(types):
+            raise ValueError
+        return [t(v) for t, v in zip(types, parts)]
+    except ValueError:
+        raise ConfigError(f"expected {grammar}, got {text!r}") from None
+
+
+def _check_channels(series, channels, flag):
+    """Reject channel indices outside [0, P); a negative one would wrap."""
+    for c in channels:
+        if not 0 <= c < series.n_channels:
+            raise ConfigError(f"{flag}: channel {c} outside [0, {series.n_channels})")
+
+
 def parse_window(text):
-    parts = text.split(":")
-    if len(parts) != 2:
-        raise ConfigError(f"window must be N:step, got {text!r}")
-    return int(parts[0]), int(parts[1])
+    return tuple(_fields(text, "window N:step", (int, int)))
 
 
 def _parse_overrides(pairs):
@@ -184,20 +199,20 @@ def cmd_tvcoh(args):
 
 def cmd_dualfreq(args):
     series = _load(args)
+    fs = series.sample_rate_hz
     pairs = []
     for txt in args.pair:
-        p, fj, q, fk = txt.split(":")
-        pairs.append((int(p), float(fj) / series.sample_rate_hz,
-                      int(q), float(fk) / series.sample_rate_hz))
+        p, fj, q, fk = _fields(txt, "--pair P:FJ_HZ:Q:FK_HZ", (int, float, int, float))
+        _check_channels(series, (p, q), "--pair")
+        pairs.append((p, fj / fs, q, fk / fs))
+    centers = [series.n_samples // 2]
     if args.centers:
-        a, b, c = (int(v) for v in args.centers.split(":"))
-        centers = range(a, b, c)
-    else:
-        centers = [series.n_samples // 2]
-    smoothing = None
-    if args.smooth:
-        h, hop = args.smooth.split(":")
-        smoothing = (int(h), int(hop))
+        a, b, step = _fields(args.centers, "--centers START:STOP:STEP", (int,) * 3)
+        if step == 0:
+            raise ConfigError("--centers STEP must be nonzero")
+        centers = range(a, b, step)
+    smoothing = (_fields(args.smooth, "--smooth HALF:HOP", (int, int))
+                 if args.smooth else None)
     res = df.dualfreq_scan(series, centers, args.window, pairs, smoothing)
     res.to_csv(args.out)
     return 0
@@ -207,14 +222,11 @@ def cmd_pac(args):
     series = _load(args)
     low = [parse_band(b) for b in args.low.split(",")]
     high = [parse_band(b) for b in args.high.split(",")]
-    pairs = None
+    pairs = [(c, c) for c in range(series.n_channels)]
     if args.channels:
-        pairs = []
-        for pr in args.channels.split(";"):
-            a, b = pr.split(",")
-            pairs.append((int(a), int(b)))
-    if pairs is None:
-        pairs = [(c, c) for c in range(series.n_channels)]
+        pairs = [tuple(_fields(pr, "--channels P,Q[;P,Q...]", (int, int), ","))
+                 for pr in args.channels.split(";")]
+        _check_channels(series, sum(pairs, ()), "--channels")
     mi = pacmod.pac_scan(series, low, high, args.bins, pairs, args.filter_order)
     pacmod.mi_table_to_csv(args.out, mi, pairs, low, high)
     return 0
@@ -273,7 +285,11 @@ def cmd_tvpdc(args):
 def cmd_scau(args):
     series = _load(args)
     bands = [parse_band(b) for b in args.bands.split(",")] if args.bands else None
-    channels = [int(c) for c in args.channels.split(",")] if args.channels else None
+    channels = None
+    if args.channels:
+        n = args.channels.count(",") + 1
+        channels = _fields(args.channels, "--channels I[,J...]", (int,) * n, ",")
+        _check_channels(series, channels, "--channels")
     s = varmod.SpectralVarSpec(channels=channels, bands=bands,
                                filter_order=args.filter_order,
                                order=args.order, order_max=args.select_max,

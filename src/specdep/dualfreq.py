@@ -106,7 +106,8 @@ def dualfreq_coherence(data, t, N, p, omega_j, q, omega_k, smoothing=None):
     if pow_j <= 0 or pow_k <= 0:
         raise ValueError("zero local power at one of the (channel, frequency) pairs")
     val = float(np.abs(num) ** 2 / (pow_j * pow_k))
-    assert val <= 1 + 1e-9
+    if not val <= 1 + 1e-9:
+        raise ValueError(f"dual-frequency coherence {val!r} exceeds 1")
     return min(val, 1.0)
 
 
@@ -136,7 +137,8 @@ def band_dualfreq_coherence(series, p, band_1, q, band_2, t, N, filter_order=Non
     if v1 <= 0 or v2 <= 0:
         raise ValueError("zero windowed variance in one of the filtered bands")
     val = float(cross ** 2 / (v1 * v2))
-    assert val <= 1 + 1e-9
+    if not val <= 1 + 1e-9:
+        raise ValueError(f"band dual-frequency coherence {val!r} exceeds 1")
     return min(val, 1.0)
 
 

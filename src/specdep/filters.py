@@ -65,9 +65,6 @@ class FirFilter:
     def order(self):
         return self.coeffs.size - 1
 
-    def as_mode(self, mode):
-        return FirFilter(self.coeffs, mode, self.band, self.sample_rate_hz)
-
     def __repr__(self):
         b = f", band={self.band.name}" if self.band is not None else ""
         return f"FirFilter(order={self.order}, mode={self.mode!r}{b})"

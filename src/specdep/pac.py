@@ -8,10 +8,8 @@ concentrated at a single phase.
 """
 
 import csv
-import json
 
 import numpy as np
-from scipy.signal import hilbert
 
 from .core import ConfigError, MultiChannelSeries
 from .filters import apply_filter, default_order, design_fir_bandpass
@@ -58,7 +56,10 @@ def analytic_signal(x, band=None):
     x = np.asarray(x, dtype=float)
     if x.ndim != 1 or x.size < 16:
         raise ConfigError("analytic_signal expects a 1-D signal with T >= 16")
-    return AnalyticSignal(hilbert(x), band)
+    T = x.size
+    # one-sided weights: DC, doubled positive bins, Nyquist (even T), zeroed negative bins
+    h = np.r_[1.0, np.full((T - 1) // 2, 2.0), np.ones(1 - T % 2), np.zeros((T - 1) // 2)]
+    return AnalyticSignal(np.fft.ifft(np.fft.fft(x) * h), band)
 
 
 class PhaseAmplitudeDistribution:
@@ -158,7 +159,8 @@ def modulation_index(series, channel_phase, band_low, channel_amp, band_high,
     dist = phase_amplitude_distribution(phase, amp, n_bins)
     uniform = np.full(n_bins, 1.0 / n_bins)
     mi = kl_divergence(dist.probs, uniform) / np.log(n_bins)
-    assert -1e-12 <= mi <= 1 + 1e-12
+    if not -1e-12 <= mi <= 1 + 1e-12:
+        raise ValueError(f"modulation index {mi!r} outside [0, 1]")
     return float(min(max(mi, 0.0), 1.0))
 
 
@@ -200,8 +202,3 @@ def distribution_to_json(dist):
         "probs": dist.probs.tolist(),
         "mean_amplitudes": dist.mean_amplitudes.tolist(),
     }
-
-
-def save_distribution_json(dist, path):
-    with open(path, "w") as fh:
-        json.dump(distribution_to_json(dist), fh)

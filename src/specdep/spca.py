@@ -14,7 +14,6 @@ one-sided machinery in :mod:`specdep.var`.
 import json
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from .core import ConfigError, FrequencyGrid, MultiChannelSeries
 
@@ -185,14 +184,9 @@ def spca_fit(spectral_estimate, Q, lag_truncation=None):
         vecs_pos[k] = top
         prev = top
 
-    loadings = np.empty((n, P, Q), dtype=complex)
-    eigenvalues = np.empty((n, Q))
-    for k in range(half + 1):
-        loadings[pos0 + k] = vecs_pos[k]
-        eigenvalues[pos0 + k] = vals_pos[k]
-    for k in range(1, half):  # negative frequency -k/n sits at grid index pos0 - k
-        loadings[pos0 - k] = vecs_pos[k].conj()
-        eigenvalues[pos0 - k] = vals_pos[k]
+    # negative frequency -k/n (k = half-1 .. 1) sits at grid index pos0 - k
+    loadings = np.concatenate([vecs_pos[half - 1:0:-1].conj(), vecs_pos])
+    eigenvalues = np.concatenate([vals_pos[half - 1:0:-1], vals_pos])
 
     # A(l) = (1/n) sum_k A(w_k) e^{+i 2 pi l k / n}: an inverse DFT in FFT order
     fft_ordered = f.grid.to_fft_order(loadings)
@@ -212,19 +206,17 @@ def spca_fit(spectral_estimate, Q, lag_truncation=None):
 
 
 def _apply_lag_filter(x, filters, lag_truncation):
-    """y(t) = sum_l F(l) x(t-l) for a (2L+1, Q, P) filter bank, zero-padded."""
-    T, P = x.shape
-    Q = filters.shape[1]
-    out = np.zeros((T, Q))
-    L = lag_truncation
-    for qq in range(Q):
-        for pp in range(P):
-            kern = filters[:, qq, pp]
-            if not np.any(kern):
-                continue
-            full = fftconvolve(x[:, pp], kern)
-            out[:, qq] += full[L:L + T]
-    return out
+    """y(t) = sum_l F(l) x(t-l) for a (2L+1, Q, P) filter bank, zero-padded.
+
+    One linear convolution of every (q, p) pair at once: the zero-padded
+    spectra multiply bin by bin and sum over p, then one inverse FFT.
+    """
+    T, L = x.shape[0], lag_truncation
+    n = T + 2 * L
+    X = np.fft.rfft(x, n, axis=0)
+    F = np.fft.rfft(filters, n, axis=0)
+    full = np.fft.irfft(np.einsum("kqp,kp->kq", F, X), n, axis=0)
+    return full[L:L + T]
 
 
 def spca_encode(series, sol):

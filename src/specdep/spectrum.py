@@ -68,12 +68,8 @@ class CrossSpectralMatrix:
         return self.values.shape[1]
 
     def validate(self):
-        """Check Hermitian symmetry and positive semi-definiteness."""
+        """Check positive semi-definiteness; the constructor checks Hermitian symmetry."""
         v = self.values
-        herm_err = np.max(np.abs(v - v.conj().transpose(0, 2, 1)))
-        scale = np.max(np.abs(v))
-        if scale > 0 and herm_err > 1e-10 * scale:
-            raise ValueError(f"not Hermitian: asymmetry {herm_err:.3e}")
         ev = np.linalg.eigvalsh(0.5 * (v + v.conj().transpose(0, 2, 1)))
         tr = np.real(np.trace(v, axis1=1, axis2=2))
         floor = -1e-8 * np.maximum(tr, np.max(tr) * 1e-12 if np.max(tr) > 0 else 1.0)
@@ -188,7 +184,7 @@ def fourier_coefficients(series, demeaned=None):
     """
     T = series.n_samples
     if T % 2 != 0:
-        raise ValueError(f"series length must be even, got {T}")
+        raise ConfigError(f"series length must be even, got {T}")
     x = demean(series).samples
     grid = FrequencyGrid(T)
     F = np.fft.fft(x, axis=0)

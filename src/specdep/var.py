@@ -13,7 +13,6 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .core import ConfigError, FrequencyGrid, MultiChannelSeries, demean, standard_bands
 from .filters import apply_filter, design_fir_bandpass
@@ -137,6 +136,7 @@ def simulate_var(model, T, seed, burn_in=None, sample_rate_hz=1.0,
     if L == 0:
         x = w
     elif P == 1:
+        from scipy.signal import lfilter  # lazy: scipy.signal is a slow import
         a = np.concatenate(([1.0], -model.coeffs[:, 0, 0]))
         x = lfilter([1.0], a, w[:, 0])[:, None]
     else:

@@ -1,11 +1,13 @@
 import csv
 import json
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import specdep
 from specdep import cli
 from specdep.core import FrequencyGrid, MultiChannelSeries, band_by_name
 from specdep.pac import modulation_index, pac_scan
@@ -77,6 +79,79 @@ class TestExitCodes:
         cli.write_series_csv(MultiChannelSeries(dup, 128.0), p)
         assert run(["pcoh", "--in", str(p), "--sample-rate", "128",
                     "-o", str(tmp_path / "o.csv")]) == 3
+
+
+def config_error(capsys, args):
+    """Exit code and stderr of a run that must fail as a configuration error."""
+    code = run(args)
+    err = capsys.readouterr().err
+    assert err.startswith("specdep: invalid configuration: ")
+    assert err.count("\n") == 1
+    return code
+
+
+class TestBoundaryValidation:
+    @pytest.mark.parametrize("channels", ["0,9", "-1,0", "0,0;1", "0,x"])
+    def test_pac_channels(self, tmp_path, net_csv, capsys, channels):
+        assert config_error(capsys, [
+            "pac", "--in", str(net_csv), "--sample-rate", "128", "--low", "theta",
+            "--high", "gamma", f"--channels={channels}", "-o", str(tmp_path / "o.csv")]) == 2
+
+    @pytest.mark.parametrize("channels", ["0,4", "-1", "0,,1"])
+    def test_scau_channels(self, tmp_path, net_csv, capsys, channels):
+        assert config_error(capsys, [
+            "scau", "--in", str(net_csv), "--sample-rate", "128", "--bands", "delta",
+            f"--channels={channels}", "-o", str(tmp_path / "o.csv")]) == 2
+
+    @pytest.mark.parametrize("flags", [
+        ["--pair", "0:2:1"], ["--pair", "0:2:x:40"], ["--pair", "0:2:4:40"],
+        ["--pair=-1:2:1:40"], ["--pair", "0:2:1:40", "--centers", "1024:3072"],
+        ["--pair", "0:2:1:40", "--centers", "1024:3072:0"],
+        ["--pair", "0:2:1:40", "--smooth", "4"], ["--pair", "0:2:1:40", "--smooth", "4:x"]])
+    def test_dualfreq_grammar(self, tmp_path, net_csv, capsys, flags):
+        assert config_error(capsys, [
+            "dualfreq", "--in", str(net_csv), "--sample-rate", "128", "--window", "256",
+            *flags, "-o", str(tmp_path / "o.csv")]) == 2
+
+    def test_tvcoh_window_grammar(self, tmp_path, net_csv, capsys):
+        assert config_error(capsys, [
+            "tvcoh", "--in", str(net_csv), "--sample-rate", "128", "--window", "1024:x",
+            "-o", str(tmp_path / "o.csv")]) == 2
+
+    @pytest.mark.parametrize("cmd", ["coherence", "spectrum"])
+    def test_odd_length_series(self, tmp_path, capsys, cmd):
+        p = tmp_path / "odd.csv"
+        x = np.random.default_rng(3).standard_normal((255, 2))
+        cli.write_series_csv(MultiChannelSeries(x, 128.0), p)
+        assert config_error(capsys, [
+            cmd, "--in", str(p), "--sample-rate", "128", "-o", str(tmp_path / "o.csv")]) == 2
+
+
+class TestNoScipyOnImportPath:
+    """scipy.signal is a slow import; only simulate/example may load scipy."""
+
+    def loaded_scipy(self, code):
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(specdep.__file__)))
+        code += "\nimport sys; print([m for m in sys.modules if m.startswith('scipy')])"
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.strip().splitlines()[-1]
+
+    def test_import(self):
+        assert self.loaded_scipy("import specdep, specdep.cli") == "[]"
+
+    def test_coherence_command(self, tmp_path):
+        src, out = tmp_path / "x.csv", tmp_path / "o.csv"
+        assert self.loaded_scipy(
+            "import numpy as np\n"
+            "from specdep import cli\n"
+            "from specdep.core import MultiChannelSeries\n"
+            "x = np.random.default_rng(0).standard_normal((256, 3))\n"
+            f"cli.write_series_csv(MultiChannelSeries(x, 128.0), {str(src)!r})\n"
+            f"assert cli.main(['coherence', '--in', {str(src)!r}, '--sample-rate', '128',"
+            f" '-o', {str(out)!r}]) == 0") == "[]"
+        assert out.exists()
 
 
 class TestFilterCommand:

@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+
+import specdep
 
 from specdep.core import ConfigError, MultiChannelSeries, band_by_name
 from specdep.pac import (analytic_signal, kl_divergence, modulation_index,
@@ -38,6 +44,12 @@ class TestAnalyticSignal:
     def test_too_short(self):
         with pytest.raises(ConfigError):
             analytic_signal(np.zeros(8))
+
+    @pytest.mark.parametrize("T", [8191, 8192, 17, 16])
+    def test_matches_scipy_hilbert(self, T):
+        hilbert = pytest.importorskip("scipy.signal").hilbert
+        x = np.random.default_rng(T).standard_normal(T)
+        assert np.max(np.abs(analytic_signal(x).values - hilbert(x))) < 1e-12
 
 
 class TestPhaseAmplitudeDistribution:
@@ -204,3 +216,24 @@ class TestDistributionExport:
         assert sum(payload["probs"]) == pytest.approx(1.0, abs=1e-12)
         import json
         json.dumps(payload)
+
+
+class TestOptimizedMode:
+    def test_mi_bound_check_survives_python_O(self):
+        # asserts vanish under -O; the [0, 1] bound must still raise
+        code = (
+            "import specdep.pac as m\n"
+            "from specdep.core import band_by_name\n"
+            "from specdep.simulate import example\n"
+            "m.kl_divergence = lambda p, q: 10.0\n"
+            "s, _ = example('pac', 2048, 1)\n"
+            "try:\n"
+            "    m.modulation_index(s, 0, band_by_name('theta'), 0, band_by_name('gamma'))\n"
+            "except ValueError as exc:\n"
+            "    print('raised', exc)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(specdep.__file__)))
+        proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("raised modulation index")

@@ -151,6 +151,28 @@ class TestSpcaEncodeDecode:
                     expect[t] += sol.encode_filters[i] @ x[t - l]
         assert np.max(np.abs(y - expect)) < 1e-10
 
+    def test_matches_per_pair_fftconvolve(self):
+        fftconvolve = pytest.importorskip("scipy.signal").fftconvolve
+
+        def per_pair(x, filters, L):
+            T, P = x.shape
+            out = np.zeros((T, filters.shape[1]))
+            for q in range(filters.shape[1]):
+                for p in range(P):
+                    if np.any(filters[:, q, p]):
+                        out[:, q] += fftconvolve(x[:, p], filters[:, q, p])[L:L + T]
+            return out
+
+        s, _ = example("spca_mix", 8192, 13)
+        sol = spca_fit(estimate_spectrum(s), 2)
+        sol.encode_filters[:, 1, 3] = 0.0  # an all-zero (q, p) kernel
+        L = sol.lag_truncation
+        x = s.samples - s.samples.mean(axis=0)
+        y = spca_encode(s, sol)
+        assert np.max(np.abs(y.samples - per_pair(x, sol.encode_filters, L))) < 1e-12
+        xhat = spca_decode(y, sol).samples
+        assert np.max(np.abs(xhat - per_pair(y.samples, sol.decode_filters, L))) < 1e-12
+
     def test_encoded_components_incoherent(self):
         s, _ = example("spca_mix", 4096, 12)
         sol = spca_fit(estimate_spectrum(s), 3)

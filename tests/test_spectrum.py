@@ -45,6 +45,12 @@ class TestFourierCoefficients:
         with pytest.raises(ValueError):
             fourier_coefficients(s)
 
+    def test_odd_length_is_config_error(self):
+        # a ValueError subclass, so library callers are unaffected; the CLI maps it to exit 2
+        s = series(np.random.default_rng(2).standard_normal((255, 1)))
+        with pytest.raises(ConfigError, match="must be even"):
+            fourier_coefficients(s)
+
 
 class TestPeriodogram:
     def test_zero_input(self):
