@@ -18,7 +18,7 @@ cli       command-line interface
 from .core import (Band, FrequencyGrid, MultiChannelSeries, band_by_name,
                    cross_correlation, cross_covariance, demean,
                    max_lag_sq_correlation, standard_bands)
-from .filters import (FirFilter, apply_filter, decompose_rhythms,
+from .filters import (FirFilter, apply_filter, band_filter, decompose_rhythms,
                       design_fir_bandpass, frequency_response)
 from .spectrum import (Ar2Params, CrossSpectralMatrix, SmoothingKernel,
                        ar2_from_peak, ar2_spectrum, fourier_coefficients,
@@ -32,8 +32,8 @@ from .dualfreq import (band_dualfreq_coherence, dualfreq_coherence,
                        local_dualfreq_periodogram, local_fourier)
 from .pac import (analytic_signal, kl_divergence, modulation_index, pac_scan,
                   phase_amplitude_distribution)
-from .var import (VarModel, fit_lassle, fit_lasso, fit_ols, granger_edges,
-                  pdc, select_order, simulate_var, spectral_var,
+from .var import (VarModel, fit_lassle, fit_lasso, fit_ols, fit_var,
+                  granger_edges, pdc, select_order, simulate_var, spectral_var,
                   transfer_function, tv_pdc)
 from .spca import (band_loadings, pca_decode, pca_encode, pca_fit,
                    reconstruction_error, spca_decode, spca_encode, spca_fit)

@@ -27,17 +27,11 @@ import specdep.var as varmod
 from .coherence import (coherence_matrix, estimate_spectrum, partial_coherence,
                         tv_coherence, tv_partial_coherence)
 from .core import (Band, ConfigError, FrequencyGrid, MalformedInputError,
-                   MultiChannelSeries, band_by_name, standard_bands)
-
-FLOAT_FMT = "{:.17g}"
+                   MultiChannelSeries, band_by_name, table_to_csv)
 
 
 def write_series_csv(series, path):
-    with open(path, "w", newline="") as fh:
-        wr = _csv.writer(fh)
-        wr.writerow(series.channel_labels)
-        for row in series.samples:
-            wr.writerow([FLOAT_FMT.format(v) for v in row])
+    table_to_csv(path, series.channel_labels, series.samples.T)
 
 
 def read_series_csv(path, sample_rate_hz):
@@ -68,13 +62,12 @@ def read_series_csv(path, sample_rate_hz):
 def parse_band(text):
     """'alpha', 'low:high', or 'name:low:high' -> Band."""
     parts = text.split(":")
+    grammar = "band NAME, LOW:HIGH or NAME:LOW:HIGH"
     if len(parts) == 1:
-        return band_by_name(parts[0])
+        return band_by_name(text)
     if len(parts) == 2:
-        return Band(f"{parts[0]}-{parts[1]}Hz", float(parts[0]), float(parts[1]))
-    if len(parts) == 3:
-        return Band(parts[0], float(parts[1]), float(parts[2]))
-    raise ConfigError(f"cannot parse band {text!r}")
+        return Band(f"{parts[0]}-{parts[1]}Hz", *_fields(text, grammar, (float, float)))
+    return Band(*_fields(text, grammar, (str, float, float)))
 
 
 def _fields(text, grammar, types, sep=":"):
@@ -122,22 +115,15 @@ def _load(args):
 
 
 def _write_matrix_csv(path, grid, values, fs, extra=None):
-    """Tidy per-frequency matrix export: [u,] freq, freq_hz, p, q, value."""
-    P = values.shape[-1]
-    with open(path, "w", newline="") as fh:
-        wr = _csv.writer(fh)
-        head = (["u"] if extra is not None else []) + ["freq", "freq_hz", "p", "q", "value"]
-        wr.writerow(head)
-        blocks = values if extra is not None else values[None]
-        us = extra if extra is not None else [None]
-        for u, block in zip(us, blocks):
-            for k, f in enumerate(grid.frequencies):
-                for p in range(P):
-                    for q in range(P):
-                        row = ([] if u is None else [FLOAT_FMT.format(u)]) + [
-                            FLOAT_FMT.format(f), FLOAT_FMT.format(f * fs),
-                            p, q, FLOAT_FMT.format(block[k, p, q])]
-                        wr.writerow(row)
+    """Tidy per-frequency matrix export: [u,] freq, freq_hz, p, q, value.
+
+    ``values`` is (n, P, P), or (len(extra), n, P, P) with one block per u.
+    """
+    f, p, q = grid.pair_index(values.shape[-1])
+    head, cols = ["freq", "freq_hz", "p", "q", "value"], [f, f * fs, p, q, values]
+    if extra is not None:
+        head, cols = ["u"] + head, [np.reshape(extra, (-1, 1, 1, 1))] + cols
+    table_to_csv(path, head, cols)
 
 
 def cmd_simulate(args):
@@ -156,10 +142,9 @@ def _truth_path(out):
 
 def cmd_filter(args):
     series = _load(args)
-    band = parse_band(args.band)
-    order = args.order or flt.default_order(band, series.sample_rate_hz)
-    filt = flt.design_fir_bandpass(band, order, series.sample_rate_hz, args.mode)
-    write_series_csv(flt.apply_filter(filt, series), args.out)
+    y = flt.band_filter(series, range(series.n_channels), parse_band(args.band),
+                        args.order, args.mode)
+    write_series_csv(series.with_samples(y), args.out)
     return 0
 
 
@@ -232,21 +217,11 @@ def cmd_pac(args):
     return 0
 
 
-def _fit(series, args):
-    if args.method == "ols":
-        return varmod.fit_ols(series, args.order)
-    if args.method == "lasso":
-        return varmod.fit_lasso(series, args.order, args.lam)
-    if args.method == "lassle":
-        return varmod.fit_lassle(series, args.order, args.lam)
-    raise ConfigError(f"unknown method {args.method!r}")
-
-
 def cmd_var_fit(args):
     series = _load(args)
     if args.order is None:
         args.order = varmod.select_order(series, args.select_max)
-    model = _fit(series, args)
+    model = varmod.fit_var(series, args.order, args.method, args.lam)
     varmod.save_model_json(model, args.out)
     return 0
 
@@ -255,7 +230,7 @@ def cmd_pdc(args):
     series = _load(args)
     if args.order is None:
         args.order = varmod.select_order(series, args.select_max)
-    model = _fit(series, args)
+    model = varmod.fit_var(series, args.order, args.method, args.lam)
     grid = FrequencyGrid(args.grid_size)
     res = varmod.pdc(model, grid)
     edges = varmod.granger_edges(model, None if args.method == "ols" else 0.0)
@@ -290,6 +265,8 @@ def cmd_scau(args):
         n = args.channels.count(",") + 1
         channels = _fields(args.channels, "--channels I[,J...]", (int,) * n, ",")
         _check_channels(series, channels, "--channels")
+        if len(set(channels)) != n:
+            raise ConfigError(f"--channels: repeated channel in {args.channels!r}")
     s = varmod.SpectralVarSpec(channels=channels, bands=bands,
                                filter_order=args.filter_order,
                                order=args.order, order_max=args.select_max,

@@ -8,13 +8,13 @@ on a single channel through regression residuals of filtered signals.
 Time-varying versions slide a window and repeat the static estimate.
 """
 
-import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigError, MultiChannelSeries, max_lag_sq_correlation
-from .filters import apply_filter, default_order, design_fir_bandpass
+from .core import (ConfigError, MultiChannelSeries, max_lag_sq_correlation,
+                   table_to_csv, window_starts)
+from .filters import band_filter, default_order
 from .spectrum import (CrossSpectralMatrix, SmoothingKernel, default_bandwidth,
                        periodogram, smooth_periodogram)
 
@@ -113,13 +113,11 @@ def band_coherence(series, p, q, band, filter_order=None, max_lag=None):
         max_lag = int(round(fs / band.center_hz))
     if p == q:
         return 1.0, 0
-    filt = design_fir_bandpass(band, filter_order, fs, mode="zero_phase")
-    pair = MultiChannelSeries(series.samples[:, [p, q]], fs,
-                              [series.channel_labels[p], series.channel_labels[q]])
+    y = band_filter(series, [p, q], band, filter_order)
     k = filter_order
     if series.n_samples <= 2 * k + 2 * max_lag:
         raise ValueError("series too short for this filter order and max_lag")
-    y = apply_filter(filt, pair).samples[k:-k]
+    y = y[k:-k]
     return max_lag_sq_correlation(y[:, 0], y[:, 1], max_lag)
 
 
@@ -172,11 +170,8 @@ def partial_coherence_residual(series, p, q, c, band, filter_order=None):
     band.validate_for(fs)
     if filter_order is None:
         filter_order = default_order(band, fs)
-    filt = design_fir_bandpass(band, filter_order, fs, mode="zero_phase")
-    trio = MultiChannelSeries(series.samples[:, [p, q, c]], fs,
-                              [series.channel_labels[i] for i in (p, q, c)])
     k = filter_order
-    y = apply_filter(filt, trio).samples[k:-k]
+    y = band_filter(series, [p, q, c], band, k)[k:-k]
     y = y - y.mean(axis=0, keepdims=True)
     xc = y[:, 2]
     vc = np.dot(xc, xc)
@@ -215,14 +210,6 @@ def estimate_spectrum(series, kernel=None, shrink_order=None):
     return f
 
 
-def _windows(T, N, step):
-    if N % 2 != 0 or N > T:
-        raise ConfigError("window length N must be even and <= T")
-    if step < 1:
-        raise ConfigError("step must be >= 1")
-    return list(range(0, T - N + 1, step))
-
-
 def tv_coherence(series, N, step, kernel=None):
     """Sliding-window coherence: smoothed local periodogram per window.
 
@@ -241,7 +228,7 @@ def tv_partial_coherence(series, N, step, kernel=None, cond_cap=1e10):
 
 def _tv(series, N, step, kernel, partial, cond_cap=1e10):
     T = series.n_samples
-    starts = _windows(T, N, step)
+    starts = window_starts(T, N, step)
     if kernel is None:
         kernel = SmoothingKernel("daniell", default_bandwidth(N))
     if kernel.bandwidth >= N / 4:
@@ -268,14 +255,8 @@ def _tv(series, N, step, kernel, partial, cond_cap=1e10):
 
 def coherence_to_csv(result, path):
     """Long-format CSV of a CoherenceResult: freq, p, q, value."""
-    with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["freq", "p", "q", "value"])
-        for k, f in enumerate(result.grid.frequencies):
-            P = result.values.shape[1]
-            for p in range(P):
-                for q in range(P):
-                    wr.writerow([f"{f:.17g}", p, q, f"{result.values[k, p, q]:.17g}"])
+    f, p, q = result.grid.pair_index(result.values.shape[1])
+    table_to_csv(path, ["freq", "p", "q", "value"], [f, p, q, result.values])
 
 
 def edge_list(series, bands, threshold=0.0, filter_order=None):

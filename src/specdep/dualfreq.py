@@ -7,13 +7,12 @@ local power yields the time-localized dual-frequency coherence.  A filtered
 variant measures the windowed cross-moment of two band-limited signals.
 """
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ConfigError, MultiChannelSeries
-from .filters import apply_filter, default_order, design_fir_bandpass
+from .core import ConfigError, MultiChannelSeries, table_to_csv
+from .filters import band_filter, default_order
 
 __all__ = [
     "DualFreqResult",
@@ -32,7 +31,7 @@ def _window_indices(T, t, N):
     lo = t - (N // 2 - 1)
     hi = t + N // 2
     if lo < 0 or hi >= T:
-        raise ValueError(f"window [{lo}, {hi}] around t={t} leaves [0, {T - 1}]")
+        raise ConfigError(f"window [{lo}, {hi}] around t={t} leaves [0, {T - 1}]")
     return np.arange(lo, hi + 1)
 
 
@@ -125,10 +124,7 @@ def band_dualfreq_coherence(series, p, band_1, q, band_2, t, N, filter_order=Non
         filter_order = max(default_order(band_1, fs), default_order(band_2, fs))
     xs = []
     for ch, band in ((p, band_1), (q, band_2)):
-        filt = design_fir_bandpass(band, filter_order, fs, mode="zero_phase")
-        one = MultiChannelSeries(series.samples[:, [ch]], fs,
-                                 [series.channel_labels[ch]])
-        y = apply_filter(filt, one).samples[:, 0]
+        y = band_filter(series, [ch], band, filter_order)[:, 0]
         xs.append(y - y.mean())
     idx = _window_indices(series.n_samples, t, N)
     x1, x2 = xs[0][idx], xs[1][idx]
@@ -150,12 +146,8 @@ class DualFreqResult:
     entries: list = field(default_factory=list)  # dicts: t, p, freq_j, q, freq_k, value
 
     def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            wr = csv.writer(fh)
-            wr.writerow(["t", "p", "freq_j", "q", "freq_k", "value"])
-            for e in self.entries:
-                wr.writerow([e["t"], e["p"], f"{e['freq_j']:.17g}", e["q"],
-                             f"{e['freq_k']:.17g}", f"{e['value']:.17g}"])
+        keys = ["t", "p", "freq_j", "q", "freq_k", "value"]
+        table_to_csv(path, keys, [[e[k] for e in self.entries] for k in keys])
 
 
 def dualfreq_scan(data, centers, N, pairs, smoothing=None):

@@ -5,21 +5,23 @@ Filters are finite impulse response only.  A filter can be applied in
 for the symmetric designs produced here) or ``zero_phase`` mode (symmetric
 taps centred on the current sample, so in-band sinusoids suffer no phase
 shift).  Causality matters for the lead-lag analyses: zero-phase filtering
-leaks future samples into the present and is rejected by the spectral-VAR
-pipeline.
+leaks future samples into the present, so the spectral-VAR pipeline always
+filters causally.  Every analysis that filters a channel to a band does so
+through :func:`band_filter`.
 """
 
 import warnings
 
 import numpy as np
 
-from .core import Band, ConfigError, MultiChannelSeries, standard_bands
+from .core import Band, ConfigError, standard_bands
 
 __all__ = [
     "FirFilter",
     "design_fir_bandpass",
     "frequency_response",
     "apply_filter",
+    "band_filter",
     "decompose_rhythms",
     "default_order",
     "save_taps",
@@ -141,6 +143,23 @@ def apply_filter(filt, series):
     return series.with_samples(out)
 
 
+def band_filter(series, channels, band, order=None, mode="zero_phase"):
+    """Filter the given channels of a series to one band.
+
+    Designs the band-pass of ``order`` (default :func:`default_order`) and
+    applies it in ``mode`` to the sub-series of those channels.
+
+    Returns
+    -------
+    ndarray, shape (T, len(channels))
+    """
+    fs = series.sample_rate_hz
+    if order is None:
+        order = default_order(band, fs)
+    filt = design_fir_bandpass(band, order, fs, mode)
+    return apply_filter(filt, series.select(channels)).samples
+
+
 def default_order(band, sample_rate_hz):
     """Default decomposition order: 4 ceil(fs/low) rounded even, capped at 512.
 
@@ -172,9 +191,8 @@ def decompose_rhythms(series, order=None, mode="zero_phase"):
         if band.high_hz > nyq:
             warnings.warn(f"band {band.name} clipped at Nyquist ({nyq} Hz)")
             band = Band(band.name, band.low_hz, nyq * 0.999)
-        k = order if order is not None else default_order(band, series.sample_rate_hz)
-        filt = design_fir_bandpass(band, k, series.sample_rate_hz, mode)
-        out[band] = apply_filter(filt, series)
+        out[band] = series.with_samples(
+            band_filter(series, range(series.n_channels), band, order, mode))
     return out
 
 

@@ -7,12 +7,10 @@ from uniform is the modulation index, 0 for no coupling and 1 for amplitude
 concentrated at a single phase.
 """
 
-import csv
-
 import numpy as np
 
-from .core import ConfigError, MultiChannelSeries
-from .filters import apply_filter, default_order, design_fir_bandpass
+from .core import ConfigError, table_to_csv
+from .filters import band_filter, default_order
 
 __all__ = [
     "AnalyticSignal",
@@ -145,10 +143,7 @@ def modulation_index(series, channel_phase, band_low, channel_amp, band_high,
         band.validate_for(fs)
         k = filter_order if filter_order is not None else default_order(band, fs)
         trims.append(max(k, 64))
-        filt = design_fir_bandpass(band, k, fs, mode="zero_phase")
-        one = MultiChannelSeries(series.samples[:, [ch]], fs,
-                                 [series.channel_labels[ch]])
-        y = apply_filter(filt, one).samples[:, 0]
+        y = band_filter(series, [ch], band, k)[:, 0]
         sigs[(ch, band.name)] = analytic_signal(y - y.mean(), band)
     trim = max(trims)
     if series.n_samples <= 2 * trim + n_bins:
@@ -185,13 +180,10 @@ def pac_scan(series, low_bands, high_bands, n_bins=18, pairs=None,
 
 def mi_table_to_csv(path, mi, pairs, low_bands, high_bands):
     """CSV export: low_band, high_band, channel_low, channel_high, MI."""
-    with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["low_band", "high_band", "channel_low", "channel_high", "MI"])
-        for i, (cp, ca) in enumerate(pairs):
-            for j, bl in enumerate(low_bands):
-                for k, bh in enumerate(high_bands):
-                    wr.writerow([bl.name, bh.name, cp, ca, f"{mi[i, j, k]:.17g}"])
+    chan = np.asarray(pairs).reshape(-1, 1, 1, 2)
+    low = np.array([b.name for b in low_bands]).reshape(-1, 1)
+    table_to_csv(path, ["low_band", "high_band", "channel_low", "channel_high", "MI"],
+                 [low, [b.name for b in high_bands], chan[..., 0], chan[..., 1], mi])
 
 
 def distribution_to_json(dist):

@@ -7,13 +7,12 @@ a parametric VAR spectrum, frequency by frequency, according to mean-squared
 error proxies.
 """
 
-import csv
 import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigError, FrequencyGrid, demean
+from .core import ConfigError, FrequencyGrid, demean, table_to_csv
 
 __all__ = [
     "CrossSpectralMatrix",
@@ -280,16 +279,9 @@ def shrink_spectral_estimate(smoothed, parametric, kernel):
 def csm_to_csv(csm, path):
     """Long-format export: freq (cycles/sample), freq_hz, p, q, re, im."""
     fs = csm.sample_rate_hz
-    with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["freq", "freq_hz", "p", "q", "re", "im"])
-        for k, f in enumerate(csm.grid.frequencies):
-            hz = f * fs if fs else ""
-            for p in range(csm.n_channels):
-                for q in range(csm.n_channels):
-                    v = csm.values[k, p, q]
-                    wr.writerow([f"{f:.17g}", f"{hz:.17g}" if fs else "",
-                                 p, q, f"{v.real:.17g}", f"{v.imag:.17g}"])
+    f, p, q = csm.grid.pair_index(csm.n_channels)
+    table_to_csv(path, ["freq", "freq_hz", "p", "q", "re", "im"],
+                 [f, f * fs if fs else "", p, q, csm.values.real, csm.values.imag])
 
 
 def csm_to_json(csm):

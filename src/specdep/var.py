@@ -8,14 +8,14 @@ band-filtered oscillations on each other to obtain band-to-band directed
 edges.
 """
 
-import csv
 import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ConfigError, FrequencyGrid, MultiChannelSeries, demean, standard_bands
-from .filters import apply_filter, design_fir_bandpass
+from .core import (ConfigError, FrequencyGrid, MultiChannelSeries, demean,
+                   standard_bands, table_to_csv, window_starts)
+from .filters import band_filter
 
 __all__ = [
     "VarModel",
@@ -27,6 +27,7 @@ __all__ = [
     "fit_ols",
     "fit_lasso",
     "fit_lassle",
+    "fit_var",
     "lasso_kkt_residual",
     "select_order",
     "transfer_function",
@@ -161,6 +162,17 @@ def _lag_design(x, L, t_start=None):
     return Z, x[t_start:]
 
 
+def _coeffs_from_rows(B):
+    """(L*P, P) regression coefficients, one lag block of rows per lag, as (L, P, P)."""
+    P = B.shape[1]
+    return B.reshape(-1, P, P).transpose(0, 2, 1)
+
+
+def _rows_from_coeffs(coeffs):
+    """Inverse of :func:`_coeffs_from_rows`."""
+    return coeffs.transpose(0, 2, 1).reshape(-1, coeffs.shape[2])
+
+
 def fit_ols(series, L):
     """Conditional least-squares VAR fit.
 
@@ -186,14 +198,9 @@ def fit_ols(series, L):
         raise np.linalg.LinAlgError("singular regressor Gram matrix in VAR fit")
     resid = Y - Z @ B
     sigma = (resid.T @ resid) / n
-    coeffs = np.stack([B[(l - 1) * P:l * P].T for l in range(1, L + 1)])
     ginv_diag = np.diag(np.linalg.inv(G))
-    se = np.empty((L, P, P))
-    for p in range(P):
-        se_flat = np.sqrt(np.maximum(sigma[p, p] * ginv_diag, 0.0))
-        for l in range(1, L + 1):
-            se[l - 1, p] = se_flat[(l - 1) * P:l * P]
-    return VarModel(coeffs, sigma, coeff_se=se)
+    se = np.sqrt(np.maximum(np.diag(sigma)[:, None] * ginv_diag.reshape(L, 1, P), 0.0))
+    return VarModel(_coeffs_from_rows(B), sigma, coeff_se=se)
 
 
 def _cd_lasso(Zs, ys, lam, tol, max_sweeps):
@@ -239,6 +246,8 @@ def fit_lasso(series, L, lam, tol=1e-7, max_sweeps=10000):
     x = demean(series).samples
     T, P = x.shape
     L = int(L)
+    if L < 0:
+        raise ConfigError("order must be >= 0")
     if L == 0:
         return VarModel(np.zeros((0, P, P)), (x.T @ x) / T)
     if T <= P * L + P:
@@ -260,8 +269,7 @@ def fit_lasso(series, L, lam, tol=1e-7, max_sweeps=10000):
         B[:, p] = b * ysd / zsd
     resid = Y - Z @ B
     sigma = (resid.T @ resid) / n
-    coeffs = np.stack([B[(l - 1) * P:l * P].T for l in range(1, L + 1)])
-    model = VarModel(coeffs, sigma)
+    model = VarModel(_coeffs_from_rows(B), sigma)
     if not ok:
         raise LassoConvergenceError(
             f"coordinate descent did not converge in {max_sweeps} sweeps", model)
@@ -280,8 +288,7 @@ def lasso_kkt_residual(series, L, lam, model):
     zsd = Z.std(axis=0)
     Zs = Z / zsd
     P = x.shape[1]
-    L = int(L)
-    B = np.concatenate([model.coeffs[l].T for l in range(L)], axis=0)
+    B = _rows_from_coeffs(model.coeffs)
     worst = 0.0
     for p in range(P):
         ysd = Y[:, p].std()
@@ -312,7 +319,7 @@ def fit_lassle(series, L, lam, tol=1e-7, max_sweeps=10000):
     P = x.shape[1]
     Z, Y = _lag_design(x, L)
     n = Z.shape[0]
-    B1 = np.concatenate([stage1.coeffs[l].T for l in range(L)], axis=0)
+    B1 = _rows_from_coeffs(stage1.coeffs)
     B = np.zeros_like(B1)
     for p in range(P):
         support = np.nonzero(B1[:, p])[0]
@@ -322,8 +329,18 @@ def fit_lassle(series, L, lam, tol=1e-7, max_sweeps=10000):
         B[support, p] = np.linalg.solve(Zp.T @ Zp, Zp.T @ Y[:, p])
     resid = Y - Z @ B
     sigma = (resid.T @ resid) / n
-    coeffs = np.stack([B[(l - 1) * P:l * P].T for l in range(1, L + 1)])
-    return VarModel(coeffs, sigma)
+    return VarModel(_coeffs_from_rows(B), sigma)
+
+
+def fit_var(series, L, method, lam):
+    """Fit a VAR(L) by ``method``: 'ols' (``lam`` unused), 'lasso' or 'lassle'."""
+    if method == "ols":
+        return fit_ols(series, L)
+    if method == "lasso":
+        return fit_lasso(series, L, lam)
+    if method == "lassle":
+        return fit_lassle(series, L, lam)
+    raise ConfigError(f"unknown VAR fit method {method!r}")
 
 
 def select_order(series, L_max, criterion="BIC"):
@@ -419,32 +436,23 @@ class TvPdcResult:
 def tv_pdc(series, L, N, step, method="ols", lam=0.05, grid=None):
     """Time-varying PDC from per-window VAR fits.
 
-    Each window of N samples gets its own fit (OLS or LASSLE) and PDC; the
-    window centre is reported in rescaled time t/T.
+    Each window of N samples gets its own fit (see :func:`fit_var`) and
+    PDC; the window centre is reported in rescaled time t/T.
     """
     T = series.n_samples
     P = series.n_channels
     N = int(N)
-    if N % 2 != 0 or N > T:
-        raise ConfigError("window length N must be even and <= T")
+    starts = window_starts(T, N, step)
     if N <= P * L + P:
         raise ConfigError(f"window N={N} too small for a VAR({L}) in {P} channels")
-    if step < 1:
-        raise ConfigError("step must be >= 1")
     if grid is None:
         grid = FrequencyGrid(N)
     centers = []
     results = []
-    for start in range(0, T - N + 1, step):
+    for start in starts:
         win = MultiChannelSeries(series.samples[start:start + N],
                                  series.sample_rate_hz, series.channel_labels)
-        if method == "ols":
-            model = fit_ols(win, L)
-        elif method == "lassle":
-            model = fit_lassle(win, L, lam)
-        else:
-            raise ConfigError(f"unknown tv_pdc method {method!r}")
-        results.append(pdc(model, grid))
+        results.append(pdc(fit_var(win, L, method, lam), grid))
         centers.append((start + N // 2) / T)
     return TvPdcResult(np.asarray(centers), N, int(step), results)
 
@@ -482,7 +490,6 @@ class SpectralVarSpec:
     channels: list = None
     bands: list = None
     filter_order: int = 100
-    filter_mode: str = "causal"
     order: int = None
     order_max: int = 8
     method: str = "lassle"
@@ -504,20 +511,15 @@ def spectral_var(series, spec):
         Each edge dict has from_channel, from_band, to_channel, to_band,
         lag, coefficient.
     """
-    if spec.filter_mode != "causal":
-        raise ConfigError("spectral-VAR requires one-sided (causal) filters; "
-                          "zero-phase filtering destroys the causal time base")
+    if spec.filter_order is None:
+        raise ConfigError("spectral-VAR needs a filter_order: its start-up is trimmed")
     channels = spec.channels if spec.channels is not None else list(range(series.n_channels))
     bands = spec.bands if spec.bands is not None else standard_bands()
     fs = series.sample_rate_hz
     cols, labels, tags = [], [], []
     for c in channels:
-        chan = MultiChannelSeries(series.samples[:, [c]], fs,
-                                  [series.channel_labels[c]])
         for band in bands:
-            filt = design_fir_bandpass(band, spec.filter_order, fs, mode="causal")
-            y = apply_filter(filt, chan).samples[:, 0]
-            cols.append(y)
+            cols.append(band_filter(series, [c], band, spec.filter_order, "causal")[:, 0])
             labels.append(f"{series.channel_labels[c]}:{band.name}")
             tags.append((c, band.name))
     x = np.column_stack(cols)[spec.filter_order:]
@@ -530,14 +532,7 @@ def spectral_var(series, spec):
     if stacked.n_samples <= 5 * dim * L:
         raise ConfigError(f"stacked dimension {dim} with order {L} needs "
                           f"T > {5 * dim * L}, have {stacked.n_samples}")
-    if spec.method == "lassle":
-        model = fit_lassle(stacked, L, spec.lam)
-    elif spec.method == "lasso":
-        model = fit_lasso(stacked, L, spec.lam)
-    elif spec.method == "ols":
-        model = fit_ols(stacked, L)
-    else:
-        raise ConfigError(f"unknown spectral-VAR method {spec.method!r}")
+    model = fit_var(stacked, L, spec.method, spec.lam)
     edges = []
     for l in range(model.order):
         nz = np.argwhere(model.coeffs[l] != 0.0)
@@ -571,10 +566,5 @@ def save_model_json(model, path):
 
 
 def edges_to_csv(edges, path):
-    with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["from_channel", "from_band", "to_channel", "to_band",
-                     "lag", "coefficient"])
-        for e in edges:
-            wr.writerow([e["from_channel"], e["from_band"], e["to_channel"],
-                         e["to_band"], e["lag"], f"{e['coefficient']:.17g}"])
+    keys = ["from_channel", "from_band", "to_channel", "to_band", "lag", "coefficient"]
+    table_to_csv(path, keys, [[e[k] for e in edges] for k in keys])

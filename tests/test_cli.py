@@ -97,7 +97,7 @@ class TestBoundaryValidation:
             "pac", "--in", str(net_csv), "--sample-rate", "128", "--low", "theta",
             "--high", "gamma", f"--channels={channels}", "-o", str(tmp_path / "o.csv")]) == 2
 
-    @pytest.mark.parametrize("channels", ["0,4", "-1", "0,,1"])
+    @pytest.mark.parametrize("channels", ["0,4", "-1", "0,,1", "0,0"])
     def test_scau_channels(self, tmp_path, net_csv, capsys, channels):
         assert config_error(capsys, [
             "scau", "--in", str(net_csv), "--sample-rate", "128", "--bands", "delta",
@@ -107,11 +107,22 @@ class TestBoundaryValidation:
         ["--pair", "0:2:1"], ["--pair", "0:2:x:40"], ["--pair", "0:2:4:40"],
         ["--pair=-1:2:1:40"], ["--pair", "0:2:1:40", "--centers", "1024:3072"],
         ["--pair", "0:2:1:40", "--centers", "1024:3072:0"],
-        ["--pair", "0:2:1:40", "--smooth", "4"], ["--pair", "0:2:1:40", "--smooth", "4:x"]])
+        ["--pair", "0:2:1:40", "--smooth", "4"], ["--pair", "0:2:1:40", "--smooth", "4:x"],
+        ["--pair", "0:2:1:40", "--window", "64", "--centers", "10:20:5"],
+        ["--pair", "0:2:1:40", "--centers", "300:301:1"]])
     def test_dualfreq_grammar(self, tmp_path, net_csv, capsys, flags):
         assert config_error(capsys, [
             "dualfreq", "--in", str(net_csv), "--sample-rate", "128", "--window", "256",
             *flags, "-o", str(tmp_path / "o.csv")]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["filter", "--band", "1:x"], ["filter", "--band", "alpha", "--order", "0"],
+        ["var-fit", "--order", "-1", "--method", "lasso"],
+        ["var-fit", "--order", "-1", "--method", "lassle"]])
+    def test_config_values(self, tmp_path, net_csv, capsys, argv):
+        assert config_error(capsys, [
+            argv[0], "--in", str(net_csv), "--sample-rate", "128", *argv[1:],
+            "-o", str(tmp_path / "o.csv")]) == 2
 
     def test_tvcoh_window_grammar(self, tmp_path, net_csv, capsys):
         assert config_error(capsys, [

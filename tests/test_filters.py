@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from specdep.core import Band, ConfigError, MultiChannelSeries, band_by_name
-from specdep.filters import (FirFilter, apply_filter, decompose_rhythms,
-                             default_order, design_fir_bandpass,
+from specdep.filters import (FirFilter, apply_filter, band_filter,
+                             decompose_rhythms, default_order, design_fir_bandpass,
                              frequency_response, load_taps, save_taps)
 
 # 10th-order alpha-band taps as printed in the source material
@@ -179,6 +179,17 @@ class TestApply:
         strong = resp2 > 0.1 * resp2.max()
         ratio = fy[strong] / (resp2[strong] * fx[strong])
         assert np.all((ratio > 0.5) & (ratio < 2.0))
+
+
+class TestBandFilter:
+    @pytest.mark.parametrize("order, mode", [(None, "zero_phase"), (40, "causal")])
+    def test_equals_design_and_apply_on_selected_channels(self, order, mode):
+        x = np.random.default_rng(4).standard_normal((512, 3))
+        s = MultiChannelSeries(x, 128.0)
+        band = band_by_name("alpha")
+        k = default_order(band, 128.0) if order is None else order
+        ref = apply_filter(design_fir_bandpass(band, k, 128.0, mode), s.select([2, 0]))
+        assert np.array_equal(band_filter(s, [2, 0], band, order, mode), ref.samples)
 
 
 class TestDecompose:

@@ -5,10 +5,11 @@ from specdep.core import ConfigError, FrequencyGrid, MultiChannelSeries, band_by
 from specdep.simulate import example, pdc_net_model
 from specdep.spectrum import ar2_from_peak
 from specdep.var import (LassoConvergenceError, SpectralVarSpec, VarModel,
-                         edges_to_csv, fit_lassle, fit_lasso, fit_ols,
+                         edges_to_csv, fit_lassle, fit_lasso, fit_ols, fit_var,
                          granger_edges, lasso_kkt_residual, model_from_json,
                          model_to_json, pdc, select_order, simulate_var,
                          spectral_var, transfer_function, tv_pdc)
+from specdep.var import _coeffs_from_rows, _lag_design, _rows_from_coeffs
 
 
 def stable_var2():
@@ -65,6 +66,24 @@ class TestFitOls:
         x = demean(s).samples
         assert fit.order == 0
         assert np.allclose(fit.noise_cov, (x.T @ x) / 1024)
+
+    def test_standard_errors_match_per_equation_loop(self):
+        x, _ = example("pdc_net", 1024, 3)
+        L, P = 3, 4
+        model = fit_ols(x, L)
+        Z, _ = _lag_design(demean(x).samples, L)
+        ginv_diag = np.diag(np.linalg.inv(Z.T @ Z))
+        for p in range(P):
+            se_flat = np.sqrt(np.maximum(model.noise_cov[p, p] * ginv_diag, 0.0))
+            for l in range(1, L + 1):
+                assert np.array_equal(model.coeff_se[l - 1, p], se_flat[(l - 1) * P:l * P])
+
+    def test_lag_block_reshapes_match_loops(self):
+        B = np.random.default_rng(0).standard_normal((3 * 4, 4))
+        coeffs = _coeffs_from_rows(B)
+        assert np.array_equal(coeffs, np.stack([B[(l - 1) * 4:l * 4].T for l in range(1, 4)]))
+        assert np.array_equal(_rows_from_coeffs(coeffs),
+                              np.concatenate([c.T for c in coeffs], axis=0))
 
     def test_roundtrip_error_decays_with_t(self):
         # error should roughly halve from T=2^12 to T=2^14 (1/sqrt(T) rate);
@@ -175,6 +194,15 @@ class TestFitLassle:
             bias_lasso.append(np.mean(np.abs(m1.coeffs - truth.coeffs)[nz]))
             bias_lassle.append(np.mean(np.abs(m2.coeffs - truth.coeffs)[nz]))
         assert np.median(bias_lassle) < np.median(bias_lasso)
+
+
+def test_fit_var_dispatch():
+    x, _ = example("pdc_net", 1024, 3)
+    for method, ref in (("ols", fit_ols(x, 2)), ("lasso", fit_lasso(x, 2, 0.1)),
+                        ("lassle", fit_lassle(x, 2, 0.1))):
+        assert np.array_equal(fit_var(x, 2, method, 0.1).coeffs, ref.coeffs)
+    with pytest.raises(ConfigError):
+        fit_var(x, 2, "ridge", 0.1)
 
 
 class TestSelectOrder:
@@ -340,12 +368,6 @@ class TestSpectralVar:
         y = apply_filter(filt, one).samples[64:]
         ref = fit_lassle(MultiChannelSeries(y - y.mean(axis=0), s.sample_rate_hz), 2, 0.05)
         assert np.allclose(model.coeffs, ref.coeffs, atol=1e-12)
-
-    def test_zero_phase_rejected(self):
-        s, _ = example("lead_lag", 4096, 18)
-        spec = SpectralVarSpec(bands=[band_by_name("delta")], filter_mode="zero_phase")
-        with pytest.raises(ConfigError):
-            spectral_var(s, spec)
 
     def test_lead_lag_edge_recovered(self):
         hits = 0
