@@ -202,10 +202,9 @@ class FrequencyGrid:
         return self.index_of(freq_hz / sample_rate_hz)
 
     def band_indices(self, band, sample_rate_hz):
-        """Indices of positive grid frequencies inside ``band`` (in Hz)."""
+        """Indices of the grid frequencies in ``band``'s [low_hz, high_hz)."""
         hz = self.frequencies * sample_rate_hz
-        idx = np.nonzero((hz >= band.low_hz) & (hz <= band.high_hz))[0]
-        return idx
+        return np.nonzero((hz >= band.low_hz) & (hz < band.high_hz))[0]
 
     def pair_index(self, n_channels):
         """Index columns (freq, p, q) of a per-frequency (n, P, P) table.

@@ -123,6 +123,13 @@ class SpcaSolution:
         return np.arange(-self.lag_truncation, self.lag_truncation + 1)
 
 
+def _eigh_descending(m):
+    """Batched ``eigh`` with each matrix's eigenpairs in descending eigenvalue order."""
+    ev, vec = np.linalg.eigh(m)
+    order = np.argsort(ev, axis=-1)[..., ::-1]
+    return np.take_along_axis(ev, order, -1), np.take_along_axis(vec, order[..., None, :], -1)
+
+
 def spca_fit(spectral_estimate, Q, lag_truncation=None):
     """Spectral PCA of a Hermitian PSD cross-spectral matrix.
 
@@ -146,47 +153,41 @@ def spca_fit(spectral_estimate, Q, lag_truncation=None):
     if lag_truncation is None:
         lag_truncation = max(1, n // 8)
     lag_truncation = int(lag_truncation)
-    if lag_truncation >= n // 2:
-        raise ConfigError("lag truncation must be below half the grid size")
+    if not 0 <= lag_truncation < n // 2:
+        raise ConfigError("lag truncation must be >= 0 and below half the grid size")
 
     half = n // 2  # positive bins k = 0..n/2 live at grid indices half-1 .. n-1
-    pos0 = half - 1
-    vals_pos = np.empty((half + 1, Q))
-    vecs_pos = np.empty((half + 1, P, Q), dtype=complex)
+    pos = f.values[half - 1:]
+    # f is real symmetric at DC and Nyquist for real input
+    ev_end, vec_end = _eigh_descending(pos[[0, half]].real)
+    ev_mid, vec_mid = _eigh_descending(pos[1:half])
+    ev = np.concatenate([ev_end[:1], ev_mid, ev_end[1:]])
     degenerate = []
-    prev = None
-    for k in range(half + 1):
-        m = f.values[pos0 + k]
-        if k == 0 or k == half:
-            # f is real symmetric at DC and Nyquist for real input
-            ev, vec = np.linalg.eigh(m.real)
-        else:
-            ev, vec = np.linalg.eigh(m)
-        order = np.argsort(ev)[::-1]
-        ev, vec = ev[order], vec[:, order]
-        if Q < P and ev[Q - 1] - ev[Q] <= 1e-6 * max(abs(ev[Q - 1]), 1e-300):
-            degenerate.append(float(f.grid.frequencies[pos0 + k]))
-        top = vec[:, :Q].astype(complex)
-        if k == 0:
-            top = _fix_signs(top.real).astype(complex)
-        elif k == half:
-            top = top.real
-            for j in range(Q):
-                if prev is not None and np.real(np.vdot(prev[:, j], top[:, j])) < 0:
-                    top[:, j] = -top[:, j]
-            top = top.astype(complex)
-        else:
-            for j in range(Q):
-                z = np.vdot(prev[:, j], top[:, j])
-                if np.abs(z) > 0:
-                    top[:, j] *= np.conj(z) / np.abs(z)
-        vals_pos[k] = ev[:Q]
-        vecs_pos[k] = top
-        prev = top
+    if Q < P:
+        gap = ev[:, Q - 1] - ev[:, Q] <= 1e-6 * np.maximum(np.abs(ev[:, Q - 1]), 1e-300)
+        degenerate = f.grid.frequencies[half - 1:][gap].tolist()
 
-    # negative frequency -k/n (k = half-1 .. 1) sits at grid index pos0 - k
-    loadings = np.concatenate([vecs_pos[half - 1:0:-1].conj(), vecs_pos])
-    eigenvalues = np.concatenate([vals_pos[half - 1:0:-1], vals_pos])
+    # Bin k's vectors v_k are rotated by unit phases u_k = u_{k-1} conj(w_k)/|w_k|,
+    # w_k = v_{k-1}^H v_k, which brings each closest to its aligned predecessor.
+    # Where w_k = 0 the vector is kept as eigh returned it and the product restarts.
+    dc = _fix_signs(vec_end[0, :, :Q]).astype(complex)
+    vecs = np.concatenate([dc[None], vec_mid[:, :, :Q]])
+    w = np.einsum("kpq,kpq->kq", vecs[:-1].conj(), vecs[1:])
+    live = w != 0
+    phase = np.ones_like(w)
+    phase[live] = w[live].conj() / np.abs(w[live])
+    u = np.cumprod(phase, axis=0)
+    for k, j in zip(*np.nonzero(~live)):
+        u[k:, j] = np.cumprod(phase[k:, j])
+    vecs[1:] *= u[:, None, :]
+    # the Nyquist vectors stay real: only a sign flip toward the previous bin
+    nyq = vec_end[1, :, :Q]
+    nyq = np.where(np.einsum("pq,pq->q", vecs[-1].conj(), nyq).real < 0, -nyq, nyq)
+    vecs = np.concatenate([vecs, nyq[None]])
+
+    # negative frequency -k/n (k = half-1 .. 1) sits at grid index half - 1 - k
+    loadings = np.concatenate([vecs[half - 1:0:-1].conj(), vecs])
+    eigenvalues = np.concatenate([ev[half - 1:0:-1, :Q], ev[:, :Q]])
 
     # A(l) = (1/n) sum_k A(w_k) e^{+i 2 pi l k / n}: an inverse DFT in FFT order
     fft_ordered = f.grid.to_fft_order(loadings)

@@ -10,6 +10,7 @@ edges.
 
 import json
 from dataclasses import dataclass, field
+from math import copysign
 
 import numpy as np
 
@@ -151,15 +152,13 @@ def simulate_var(model, T, seed, burn_in=None, sample_rate_hz=1.0,
     return MultiChannelSeries(x[burn_in:], sample_rate_hz, channel_labels)
 
 
-def _lag_design(x, L, t_start=None):
-    """Design matrix of stacked lags: row t has [x(t-1), ..., x(t-L)]."""
+def _lag_design(x, L):
+    """Design matrix of stacked lags: row t has [x(t-1), ..., x(t-L)], t = L..T-1."""
     T, P = x.shape
-    t_start = L if t_start is None else t_start
-    rows = T - t_start
-    Z = np.empty((rows, P * L))
+    Z = np.empty((T - L, P * L))
     for l in range(1, L + 1):
-        Z[:, (l - 1) * P:l * P] = x[t_start - l:T - l]
-    return Z, x[t_start:]
+        Z[:, (l - 1) * P:l * P] = x[L - l:T - l]
+    return Z, x[L:]
 
 
 def _coeffs_from_rows(B):
@@ -171,6 +170,12 @@ def _coeffs_from_rows(B):
 def _rows_from_coeffs(coeffs):
     """Inverse of :func:`_coeffs_from_rows`."""
     return coeffs.transpose(0, 2, 1).reshape(-1, coeffs.shape[2])
+
+
+def _model_from_rows(Z, Y, B):
+    """VarModel of regression rows B, with the residual covariance over the rows of Z."""
+    resid = Y - Z @ B
+    return VarModel(_coeffs_from_rows(B), (resid.T @ resid) / Z.shape[0])
 
 
 def fit_ols(series, L):
@@ -190,44 +195,72 @@ def fit_ols(series, L):
     if T <= P * L + P:
         raise ConfigError(f"T={T} too short to identify a VAR({L}) in {P} channels")
     Z, Y = _lag_design(x, L)
-    n = Z.shape[0]
     G = Z.T @ Z
     try:
         B = np.linalg.solve(G, Z.T @ Y)
     except np.linalg.LinAlgError:
         raise np.linalg.LinAlgError("singular regressor Gram matrix in VAR fit")
-    resid = Y - Z @ B
-    sigma = (resid.T @ resid) / n
+    model = _model_from_rows(Z, Y, B)
     ginv_diag = np.diag(np.linalg.inv(G))
-    se = np.sqrt(np.maximum(np.diag(sigma)[:, None] * ginv_diag.reshape(L, 1, P), 0.0))
-    return VarModel(_coeffs_from_rows(B), sigma, coeff_se=se)
+    model.coeff_se = np.sqrt(np.maximum(
+        np.diag(model.noise_cov)[:, None] * ginv_diag.reshape(L, 1, P), 0.0))
+    return model
 
 
-def _cd_lasso(Zs, ys, lam, tol, max_sweeps):
+def _lasso_problem(series, L):
+    """The standardized LASSO problem of a VAR(L) fit.
+
+    Returns ``(Z, Y, zsd, ysd, G, C)``: the lag design and targets of the
+    demeaned series, their column standard deviations, the Gram matrix
+    G = Zs'Zs/n of the standardized regressors Zs = Z/zsd and the
+    correlations C = Zs'(Y/ysd)/n.  Columns of C whose response is constant
+    (ysd 0) are not standardized; their equations are left unfit.
+    """
+    x = demean(series).samples
+    T, P = x.shape
+    L = int(L)
+    if L < 0:
+        raise ConfigError("order must be >= 0")
+    if L and T <= P * L + P:
+        raise ConfigError(f"T={T} too short for a VAR({L}) in {P} channels")
+    Z, Y = _lag_design(x, L)
+    n = Z.shape[0]
+    zsd = Z.std(axis=0)
+    if np.any(zsd <= 0):
+        raise np.linalg.LinAlgError("constant regressor column in LASSO fit")
+    ysd = Y.std(axis=0)
+    Zs = Z / zsd
+    G = Zs.T @ Zs / n
+    C = Zs.T @ (Y / np.where(ysd > 0, ysd, 1.0)) / n
+    return Z, Y, zsd, ysd, G, C
+
+
+def _cd_lasso(G, c, lam, tol, max_sweeps):
     """Cyclic coordinate descent for (1/2n)||y - Z b||^2 + lam ||b||_1.
 
-    Expects regressor columns with unit sample standard deviation and a unit
-    standard deviation response.  Returns the coefficient vector.
+    Covariance form: takes G = Z'Z/n and c = Z'y/n of unit-variance
+    regressors and response, and keeps g = G b current, so a sweep costs
+    O(m^2) whatever n is.  Returns the coefficient vector and whether the
+    largest update of a sweep fell below ``tol``.
     """
-    n, m = Zs.shape
-    col_sq = np.einsum("ij,ij->j", Zs, Zs) / n
-    b = np.zeros(m)
-    r = ys.copy()
+    m = c.size
+    diag = G.diagonal().tolist()
+    c = c.tolist()
+    b = [0.0] * m
+    g = np.zeros(m)
     for _ in range(max_sweeps):
         delta = 0.0
         for j in range(m):
             bj = b[j]
-            if bj != 0.0:
-                r += bj * Zs[:, j]
-            rho = np.dot(Zs[:, j], r) / n
-            bnew = np.sign(rho) * max(abs(rho) - lam, 0.0) / col_sq[j]
-            if bnew != 0.0:
-                r -= bnew * Zs[:, j]
-            b[j] = bnew
-            delta = max(delta, abs(bnew - bj))
+            rho = c[j] - g.item(j) + diag[j] * bj
+            bnew = copysign(max(abs(rho) - lam, 0.0), rho) / diag[j]
+            if bnew != bj:
+                g += (bnew - bj) * G[j]
+                b[j] = bnew
+                delta = max(delta, abs(bnew - bj))
         if delta < tol:
-            return b, True
-    return b, False
+            return np.array(b), True
+    return np.array(b), False
 
 
 def fit_lasso(series, L, lam, tol=1e-7, max_sweeps=10000):
@@ -243,33 +276,15 @@ def fit_lasso(series, L, lam, tol=1e-7, max_sweeps=10000):
     """
     if lam < 0:
         raise ConfigError("lambda must be >= 0")
-    x = demean(series).samples
-    T, P = x.shape
-    L = int(L)
-    if L < 0:
-        raise ConfigError("order must be >= 0")
-    if L == 0:
-        return VarModel(np.zeros((0, P, P)), (x.T @ x) / T)
-    if T <= P * L + P:
-        raise ConfigError(f"T={T} too short for a VAR({L}) in {P} channels")
-    Z, Y = _lag_design(x, L)
-    n = Z.shape[0]
-    zsd = Z.std(axis=0)
-    if np.any(zsd <= 0):
-        raise np.linalg.LinAlgError("constant regressor column in LASSO fit")
-    Zs = Z / zsd
-    B = np.zeros((P * L, P))
+    Z, Y, zsd, ysd, G, C = _lasso_problem(series, L)
+    B = np.zeros_like(C)
     ok = True
-    for p in range(P):
-        ysd = Y[:, p].std()
-        if ysd <= 0:
-            continue
-        b, conv = _cd_lasso(Zs, Y[:, p] / ysd, lam, tol, max_sweeps)
+    # equations with a constant response stay zero
+    for p in np.nonzero(ysd > 0)[0]:
+        b, conv = _cd_lasso(G, C[:, p], lam, tol, max_sweeps)
         ok = ok and conv
-        B[:, p] = b * ysd / zsd
-    resid = Y - Z @ B
-    sigma = (resid.T @ resid) / n
-    model = VarModel(_coeffs_from_rows(B), sigma)
+        B[:, p] = b * ysd[p] / zsd
+    model = _model_from_rows(Z, Y, B)
     if not ok:
         raise LassoConvergenceError(
             f"coordinate descent did not converge in {max_sweeps} sweeps", model)
@@ -282,54 +297,33 @@ def lasso_kkt_residual(series, L, lam, model):
     For each equation: |z_j'(y - Zb)/n| <= lam must hold at zero coefficients
     and equal lam sign(b_j) at nonzero ones.  Returns the max violation.
     """
-    x = demean(series).samples
-    Z, Y = _lag_design(x, int(L))
-    n = Z.shape[0]
-    zsd = Z.std(axis=0)
-    Zs = Z / zsd
-    P = x.shape[1]
-    B = _rows_from_coeffs(model.coeffs)
-    worst = 0.0
-    for p in range(P):
-        ysd = Y[:, p].std()
-        if ysd <= 0:
-            continue
-        bstd = B[:, p] * zsd / ysd
-        grad = Zs.T @ (Y[:, p] / ysd - Zs @ bstd) / n
-        at_zero = bstd == 0
-        worst = max(worst, float(np.max(np.abs(grad[at_zero]) - lam, initial=0.0)))
-        if np.any(~at_zero):
-            worst = max(worst, float(
-                np.max(np.abs(grad[~at_zero] - lam * np.sign(bstd[~at_zero])))))
-    return worst
+    _, _, zsd, ysd, G, C = _lasso_problem(series, L)
+    live = ysd > 0
+    bstd = _rows_from_coeffs(model.coeffs)[:, live] * zsd[:, None] / ysd[live]
+    grad = C[:, live] - G @ bstd
+    viol = np.where(bstd == 0, np.abs(grad) - lam, np.abs(grad - lam * np.sign(bstd)))
+    return float(np.max(viol, initial=0.0))
 
 
 def fit_lassle(series, L, lam, tol=1e-7, max_sweeps=10000):
     """Two-stage fit: LASSO support selection, then least squares on it.
 
     Stage one runs :func:`fit_lasso`; stage two refits each equation by OLS
-    restricted to the surviving regressors, so nonzero coefficients lose the
-    L1 shrinkage bias while LASSO zeros stay exactly zero.
+    restricted to the surviving regressors, solved on the standardized Gram
+    matrix of the same LASSO problem, so nonzero coefficients lose the L1
+    shrinkage bias while LASSO zeros stay exactly zero.
     """
+    # stage one is the public fit_lasso, so code that wraps it (the
+    # benchmark's span tracer) also sees LASSLE's LASSO stage
     stage1 = fit_lasso(series, L, lam, tol, max_sweeps)
-    L = int(L)
-    if L == 0:
-        return stage1
-    x = demean(series).samples
-    P = x.shape[1]
-    Z, Y = _lag_design(x, L)
-    n = Z.shape[0]
+    Z, Y, zsd, ysd, G, C = _lasso_problem(series, L)
     B1 = _rows_from_coeffs(stage1.coeffs)
     B = np.zeros_like(B1)
-    for p in range(P):
-        support = np.nonzero(B1[:, p])[0]
-        if support.size == 0:
-            continue
-        Zp = Z[:, support]
-        B[support, p] = np.linalg.solve(Zp.T @ Zp, Zp.T @ Y[:, p])
-    resid = Y - Z @ B
-    sigma = (resid.T @ resid) / n
-    return VarModel(_coeffs_from_rows(B), sigma)
+    for p in range(B.shape[1]):
+        s = np.nonzero(B1[:, p])[0]
+        if s.size:
+            B[s, p] = np.linalg.solve(G[np.ix_(s, s)], C[s, p]) * ysd[p] / zsd[s]
+    return _model_from_rows(Z, Y, B)
 
 
 def fit_var(series, L, method, lam):
@@ -360,10 +354,12 @@ def select_order(series, L_max, criterion="BIC"):
     T, P = x.shape
     if T <= P * L_max + P:
         raise ConfigError(f"T={T} too short for order selection up to {L_max}")
+    # order L regresses on the leading L*P columns of the order-L_max design
+    Z_max, Y = _lag_design(x, L_max)
     n = T - L_max
     best_L, best_score = None, np.inf
     for L in range(1, L_max + 1):
-        Z, Y = _lag_design(x, L, t_start=L_max)
+        Z = Z_max[:, :L * P]
         B = np.linalg.solve(Z.T @ Z, Z.T @ Y)
         resid = Y - Z @ B
         sigma = (resid.T @ resid) / n

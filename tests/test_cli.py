@@ -118,7 +118,8 @@ class TestBoundaryValidation:
     @pytest.mark.parametrize("argv", [
         ["filter", "--band", "1:x"], ["filter", "--band", "alpha", "--order", "0"],
         ["var-fit", "--order", "-1", "--method", "lasso"],
-        ["var-fit", "--order", "-1", "--method", "lassle"]])
+        ["var-fit", "--order", "-1", "--method", "lassle"],
+        ["spca", "-Q", "1", "--lags", "-1"]])
     def test_config_values(self, tmp_path, net_csv, capsys, argv):
         assert config_error(capsys, [
             argv[0], "--in", str(net_csv), "--sample-rate", "128", *argv[1:],

@@ -70,6 +70,12 @@ class TestFrequencyGrid:
         with pytest.raises(ConfigError):
             FrequencyGrid(9)
 
+    def test_band_indices_half_open(self):
+        # fs = n puts every grid frequency on a whole Hz, so 16 Hz is on the grid
+        g = FrequencyGrid(128)
+        idx = g.band_indices(Band("b", 8.0, 16.0), 128.0)
+        assert np.array_equal(g.frequencies[idx] * 128.0, np.arange(8.0, 16.0))
+
 
 class TestDemean:
     def test_constant_column_zeroed(self):

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specdep.coherence import coherence, estimate_spectrum
 from specdep.core import Band, FrequencyGrid, MultiChannelSeries
 from specdep.simulate import example
-from specdep.spca import (band_loadings, pca_decode, pca_encode, pca_fit,
-                          reconstruction_error, spca_decode, spca_encode,
+from specdep.spca import (_fix_signs, band_loadings, pca_decode, pca_encode,
+                          pca_fit, reconstruction_error, spca_decode, spca_encode,
                           spca_fit, spca_from_json, spca_to_json)
 from specdep.spectrum import CrossSpectralMatrix
 
@@ -63,6 +65,86 @@ class TestPca:
         sol = pca_fit(s, 1)
         a = np.abs(sol.loadings[:, 0])
         assert a[0] > a[3] and a[2] > a[3]
+
+
+def reference_positive_bins(f, Q):
+    """Reference: the per-frequency eigh and phase-alignment loop over bins 0..n/2.
+
+    Returns the aligned top-Q loadings, their eigenvalues and the degenerate
+    frequencies, as the vectorized :func:`spca_fit` replaced them.
+    """
+    n, P = f.grid.n, f.n_channels
+    half = n // 2
+    pos0 = half - 1
+    vals_pos = np.empty((half + 1, Q))
+    vecs_pos = np.empty((half + 1, P, Q), dtype=complex)
+    degenerate = []
+    prev = None
+    for k in range(half + 1):
+        m = f.values[pos0 + k]
+        if k == 0 or k == half:
+            ev, vec = np.linalg.eigh(m.real)
+        else:
+            ev, vec = np.linalg.eigh(m)
+        order = np.argsort(ev)[::-1]
+        ev, vec = ev[order], vec[:, order]
+        if Q < P and ev[Q - 1] - ev[Q] <= 1e-6 * max(abs(ev[Q - 1]), 1e-300):
+            degenerate.append(float(f.grid.frequencies[pos0 + k]))
+        top = vec[:, :Q].astype(complex)
+        if k == 0:
+            top = _fix_signs(top.real).astype(complex)
+        elif k == half:
+            top = top.real
+            for j in range(Q):
+                if prev is not None and np.real(np.vdot(prev[:, j], top[:, j])) < 0:
+                    top[:, j] = -top[:, j]
+            top = top.astype(complex)
+        else:
+            for j in range(Q):
+                z = np.vdot(prev[:, j], top[:, j])
+                if np.abs(z) > 0:
+                    top[:, j] *= np.conj(z) / np.abs(z)
+        vals_pos[k] = ev[:Q]
+        vecs_pos[k] = top
+        prev = top
+    return vecs_pos, vals_pos, degenerate
+
+
+def assert_matches_reference(f, Q, **kwargs):
+    sol = spca_fit(f, Q, **kwargs)
+    vecs, vals, degenerate = reference_positive_bins(f, Q)
+    half = f.grid.n // 2
+    assert np.max(np.abs(sol.loadings[half - 1:] - vecs)) < 1e-12
+    assert np.array_equal(sol.eigenvalues[half - 1:], vals)
+    assert sol.degenerate_freqs == degenerate
+
+
+class TestSpcaMatchesPerFrequencyLoop:
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(P=st.integers(1, 4), q=st.floats(0.0, 1.0), T=st.sampled_from([64, 128, 512]),
+           seed=st.integers(0, 2 ** 16))
+    def test_estimated_spectra(self, P, q, T, seed):
+        rng = np.random.default_rng(seed)
+        e = rng.standard_normal((T + 1, P))
+        x = e[1:] + e[:-1] @ rng.standard_normal((P, P))
+        assert_matches_reference(estimate_spectrum(MultiChannelSeries(x, 128.0)),
+                                 1 + int(q * (P - 1)))
+
+    def test_crossing_eigenvalues_reset_alignment(self):
+        # The top eigenvector leaves the coupled block (0, 1), whose phase
+        # rotates with frequency, for channel 2 near 0.23 cycles/sample.
+        # There w = 0 exactly, so the phase product must restart at 1.
+        n = 64
+        w = FrequencyGrid(n).frequencies
+        vals = np.zeros((n, 3, 3), dtype=complex)
+        vals[:, 0, 0], vals[:, 1, 1] = 2.0, 1.0
+        vals[:, 0, 1] = 0.5 * np.exp(2j * np.pi * w)
+        vals[:, 1, 0] = vals[:, 0, 1].conj()
+        vals[:, 2, 2] = 2.5 - 2.0 * np.cos(2 * np.pi * w)
+        f = CrossSpectralMatrix(FrequencyGrid(n), vals, 128.0)
+        assert_matches_reference(f, 1, lag_truncation=4)
+        top = spca_fit(f, 1, lag_truncation=4).loadings[:, :, 0]
+        assert np.any(np.all(top == [0, 0, 1], axis=1))
 
 
 class TestSpcaFit:
