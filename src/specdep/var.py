@@ -114,6 +114,47 @@ class VarModel:
                 f"spectral_radius={self.spectral_radius():.4f})")
 
 
+def _var_recursion(model, w):
+    """Solve x[t] = w[t] + sum_l Phi_l x[t-l] from a zero state, block by block.
+
+    Block realization of a recursive filter (Burrus, IEEE Trans. Audio
+    Electroacoust. 20(4), 1972): with blocks of B >= L samples, block k is
+    its forced response to its own inputs, one block-Toeplitz product with
+    the impulse response h_0..h_{B-1}, plus its free response Psi z_k to the
+    L lags z_k = (x[kB-1], ..., x[kB-L]) before it.  Only z is carried from
+    block to block, one LP-vector product per block.
+    """
+    P, L = model.n_channels, model.order
+    # B >= L puts a block's L lags inside the block before it; below that,
+    # BP <= 256 bounds the block-Toeplitz matrix at 256 x 256
+    B = max(L, min(64, 256 // P))
+    total = w.shape[0]
+    nb = -(-total // B)
+    # R[n] = top block row of A^n for the companion matrix A: h_n = R[n][:, :P]
+    # and the free response of sample j of a block is R[j + 1] z
+    A = model.companion()
+    R = np.empty((B + 1, P, L * P))
+    R[0] = np.eye(P, L * P)
+    for n in range(B):
+        R[n + 1] = R[n] @ A
+    h = np.concatenate((R[:B, :, :P], np.zeros((1, P, P))))
+    lag = np.subtract.outer(np.arange(B), np.arange(B))  # lag[j, i] = j - i
+    # H[(i, q), (j, p)] = h_{j-i}[p, q], zero above the diagonal
+    H = h[np.where(lag >= 0, lag, B).T].transpose(0, 3, 1, 2).reshape(B * P, B * P)
+    psi = R[1:].reshape(B * P, L * P)
+    W = np.zeros((nb, B * P))
+    W.reshape(-1)[:total * P] = w.reshape(-1)
+    forced = W @ H
+    # the next block's lags are this block's last L samples, newest first
+    last = (np.arange(B - 1, B - L - 1, -1)[:, None] * P + np.arange(P)).reshape(-1)
+    carry, g = psi[last], forced[:, last]
+    z = np.zeros((nb, L * P))
+    for k in range(1, nb):
+        z[k] = carry @ z[k - 1] + g[k - 1]
+    x = forced + z @ psi.T
+    return x.reshape(-1, P)[:total]
+
+
 def simulate_var(model, T, seed, burn_in=None, sample_rate_hz=1.0,
                  channel_labels=None):
     """Simulate a Gaussian-driven realization of a stable VAR model.
@@ -124,6 +165,8 @@ def simulate_var(model, T, seed, burn_in=None, sample_rate_hz=1.0,
     """
     if T < 1:
         raise ConfigError("T must be >= 1")
+    if burn_in is not None and burn_in < 0:
+        raise ConfigError("burn_in must be >= 0")
     if not model.is_stable():
         raise ValueError("cannot simulate an unstable VAR model")
     P, L = model.n_channels, model.order
@@ -135,20 +178,7 @@ def simulate_var(model, T, seed, burn_in=None, sample_rate_hz=1.0,
     cov = 0.5 * (model.noise_cov + model.noise_cov.T)
     ev, U = np.linalg.eigh(cov)
     w = w @ (U * np.sqrt(np.maximum(ev, 0.0))).T
-    if L == 0:
-        x = w
-    elif P == 1:
-        from scipy.signal import lfilter  # lazy: scipy.signal is a slow import
-        a = np.concatenate(([1.0], -model.coeffs[:, 0, 0]))
-        x = lfilter([1.0], a, w[:, 0])[:, None]
-    else:
-        x = np.zeros((total, P))
-        coeffs = model.coeffs
-        for t in range(total):
-            acc = w[t].copy()
-            for l in range(1, min(L, t) + 1):
-                acc += coeffs[l - 1] @ x[t - l]
-            x[t] = acc
+    x = _var_recursion(model, w) if L else w
     return MultiChannelSeries(x[burn_in:], sample_rate_hz, channel_labels)
 
 
@@ -235,6 +265,12 @@ def _lasso_problem(series, L):
     return Z, Y, zsd, ysd, G, C
 
 
+def _check_lam(lam):
+    # NaN fails every comparison, so test for the valid range, not against it
+    if not 0 <= lam < np.inf:
+        raise ConfigError(f"lambda must be finite and >= 0, got {lam}")
+
+
 def _cd_lasso(G, c, lam, tol, max_sweeps):
     """Cyclic coordinate descent for (1/2n)||y - Z b||^2 + lam ||b||_1.
 
@@ -274,8 +310,7 @@ def fit_lasso(series, L, lam, tol=1e-7, max_sweeps=10000):
     falls below ``tol``; otherwise :class:`LassoConvergenceError` is raised
     with the partial model attached.
     """
-    if lam < 0:
-        raise ConfigError("lambda must be >= 0")
+    _check_lam(lam)
     Z, Y, zsd, ysd, G, C = _lasso_problem(series, L)
     B = np.zeros_like(C)
     ok = True
@@ -297,6 +332,7 @@ def lasso_kkt_residual(series, L, lam, model):
     For each equation: |z_j'(y - Zb)/n| <= lam must hold at zero coefficients
     and equal lam sign(b_j) at nonzero ones.  Returns the max violation.
     """
+    _check_lam(lam)
     _, _, zsd, ysd, G, C = _lasso_problem(series, L)
     live = ysd > 0
     bstd = _rows_from_coeffs(model.coeffs)[:, live] * zsd[:, None] / ysd[live]

@@ -119,6 +119,8 @@ class TestBoundaryValidation:
         ["filter", "--band", "1:x"], ["filter", "--band", "alpha", "--order", "0"],
         ["var-fit", "--order", "-1", "--method", "lasso"],
         ["var-fit", "--order", "-1", "--method", "lassle"],
+        ["var-fit", "--order", "2", "--method", "lasso", "--lambda=nan"],
+        ["var-fit", "--order", "2", "--method", "lasso", "--lambda=inf"],
         ["spca", "-Q", "1", "--lags", "-1"]])
     def test_config_values(self, tmp_path, net_csv, capsys, argv):
         assert config_error(capsys, [
@@ -140,7 +142,7 @@ class TestBoundaryValidation:
 
 
 class TestNoScipyOnImportPath:
-    """scipy.signal is a slow import; only simulate/example may load scipy."""
+    """scipy is only a test oracle: no import or command of specdep loads it."""
 
     def loaded_scipy(self, code):
         env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(specdep.__file__)))
@@ -164,6 +166,22 @@ class TestNoScipyOnImportPath:
             f"assert cli.main(['coherence', '--in', {str(src)!r}, '--sample-rate', '128',"
             f" '-o', {str(out)!r}]) == 0") == "[]"
         assert out.exists()
+
+    @pytest.mark.parametrize("name", ["spca_mix", "pdc_net"])
+    def test_simulate_command(self, tmp_path, name):
+        out = tmp_path / "x.csv"
+        assert self.loaded_scipy(
+            "from specdep import cli\n"
+            f"assert cli.main(['simulate', '--example', {name!r}, '--T', '256',"
+            f" '--seed', '0', '-o', {str(out)!r}]) == 0") == "[]"
+        assert out.exists()
+
+    def test_every_example(self):
+        assert self.loaded_scipy(
+            "import specdep\n"
+            "from specdep.simulate import example_names\n"
+            "for name in example_names():\n"
+            "    specdep.example(name, 256, 0)") == "[]"
 
 
 class TestFilterCommand:

@@ -11,7 +11,7 @@ from specdep.var import (LassoConvergenceError, SpectralVarSpec, VarModel,
                          granger_edges, lasso_kkt_residual, model_from_json,
                          model_to_json, pdc, select_order, simulate_var,
                          spectral_var, transfer_function, tv_pdc)
-from specdep.var import _coeffs_from_rows, _lag_design, _rows_from_coeffs
+from specdep.var import _coeffs_from_rows, _lag_design, _rows_from_coeffs, _var_recursion
 
 
 def stable_var2():
@@ -38,15 +38,105 @@ class TestSimulate:
         assert abs(peak - 0.2) < 0.01
 
     def test_deterministic(self):
-        model = stable_var2()
-        a = simulate_var(model, 512, 42)
-        b = simulate_var(model, 512, 42)
-        assert np.array_equal(a.samples, b.samples)
+        ar2 = VarModel([[[1.8]], [[-0.9]]], [[1.0]])
+        for model in (stable_var2(), ar2, pdc_net_model(), long_var()):
+            a = simulate_var(model, 512, 42)
+            b = simulate_var(model, 512, 42)
+            assert np.array_equal(a.samples, b.samples)
 
     def test_unstable_rejected(self):
         model = VarModel(np.array([[[1.05]]]), [[1.0]])
         with pytest.raises(ValueError):
             simulate_var(model, 100, 0)
+
+    def test_negative_burn_in_rejected(self):
+        with pytest.raises(ConfigError):
+            simulate_var(pdc_net_model(), 100, 0, burn_in=-5)
+        assert simulate_var(pdc_net_model(), 100, 0, burn_in=0).n_samples == 100
+
+
+def driving_noise(model, total, seed):
+    """The innovations simulate_var draws for ``total`` samples."""
+    w = np.random.default_rng(seed).standard_normal((total, model.n_channels))
+    ev, U = np.linalg.eigh(0.5 * (model.noise_cov + model.noise_cov.T))
+    return w @ (U * np.sqrt(np.maximum(ev, 0.0))).T
+
+
+def reference_recursion(model, w):
+    """The VAR recursion one sample and one lag at a time, from a zero state."""
+    x = np.zeros_like(w)
+    for t in range(w.shape[0]):
+        acc = w[t].copy()
+        for l in range(1, min(model.order, t) + 1):
+            acc += model.coeffs[l - 1] @ x[t - l]
+        x[t] = acc
+    return x
+
+
+def random_stable_var(P, L, radius, seed):
+    """Random VAR(L) whose companion matrix has spectral radius ``radius``."""
+    rng = np.random.default_rng(seed)
+    coeffs = rng.standard_normal((L, P, P)) / np.sqrt(P * L)
+    rho = VarModel(coeffs, np.eye(P)).spectral_radius()
+    # scaling Phi_l by c**l scales every companion eigenvalue by c
+    coeffs *= (radius / rho) ** np.arange(1, L + 1)[:, None, None]
+    M = rng.standard_normal((P, P))
+    return VarModel(coeffs, M @ M.T + 0.1 * np.eye(P))
+
+
+def long_var():
+    """A stable VAR(70) in 3 channels: its order exceeds the default block of 64."""
+    coeffs = np.zeros((70, 3, 3))
+    coeffs[0] = 0.3 * np.eye(3)
+    coeffs[69] = [[0.2, 0.0, 0.0], [0.3, 0.1, 0.0], [0.0, 0.0, -0.2]]
+    return VarModel(coeffs, np.eye(3))
+
+
+def resolve_length(T, P, L):
+    """A series length, with "B-1", "B" and "B+1" relative to the kernel's block."""
+    B = max(L, min(64, 256 // P))
+    return {"1": 1, "B-1": B - 1, "B": B, "B+1": B + 1}.get(T, T)
+
+
+def assert_matches_reference(model, T, seed):
+    w = driving_noise(model, T, seed)
+    got, ref = _var_recursion(model, w), reference_recursion(model, w)
+    assert got.shape == ref.shape
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+class TestVarRecursion:
+    """The blocked kernel of simulate_var against the per-sample recursion."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(P=st.integers(1, 5), L=st.integers(1, 4), radius=st.floats(0.1, 0.98),
+           T=st.one_of(st.sampled_from(["1", "B-1", "B", "B+1"]), st.integers(1, 700)),
+           seed=st.integers(0, 2 ** 16))
+    def test_matches_per_sample_loop(self, P, L, radius, T, seed):
+        model = random_stable_var(P, L, radius, seed)
+        assert_matches_reference(model, resolve_length(T, P, L), seed + 1)
+
+    @pytest.mark.parametrize("T", ["1", "B-1", "B", "B+1", 600])
+    def test_order_above_default_block(self, T):
+        model = long_var()
+        assert model.is_stable()
+        assert_matches_reference(model, resolve_length(T, 3, 70), 4)
+
+    @pytest.mark.parametrize("T", ["1", "B-1", "B", "B+1", 5000])
+    def test_matches_lfilter(self, T):
+        lfilter = pytest.importorskip("scipy.signal").lfilter
+        p = ar2_from_peak(1.05, 0.2)
+        model = VarModel([[[p.phi1]], [[p.phi2]]], [[2.0]])
+        w = driving_noise(model, resolve_length(T, 1, 2), 9)
+        got = _var_recursion(model, w)[:, 0]
+        ref = lfilter([1.0], [1.0, -p.phi1, -p.phi2], w[:, 0])
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_simulate_var_runs_the_kernel(self):
+        model = pdc_net_model()
+        got = simulate_var(model, 300, 5, burn_in=20).samples
+        ref = reference_recursion(model, driving_noise(model, 320, 5))[20:]
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 class TestFitOls:
@@ -322,6 +412,15 @@ class TestGramLasso:
         s = ma_series(256, 2, 1)
         fit_lassle(s, 2, 0.1)
         assert seen == [(s, 2, 0.1, 1e-7, 10000)]
+
+    @pytest.mark.parametrize("lam", [float("nan"), float("inf"), -0.1])
+    def test_invalid_lambda_rejected(self, lam):
+        s = ma_series(256, 2, 1)
+        for fit in (fit_lasso, fit_lassle):
+            with pytest.raises(ConfigError):
+                fit(s, 2, lam)
+        with pytest.raises(ConfigError):
+            lasso_kkt_residual(s, 2, lam, VarModel(np.zeros((2, 2, 2)), np.eye(2)))
 
     def test_constant_regressor_raises(self):
         x = np.random.default_rng(5).standard_normal((512, 3))
