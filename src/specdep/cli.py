@@ -12,7 +12,6 @@ Exit codes: 0 success, 1 malformed input, 2 invalid configuration,
 
 import argparse
 import csv as _csv
-import json
 import sys
 
 import numpy as np
@@ -27,7 +26,7 @@ import specdep.var as varmod
 from .coherence import (coherence_matrix, estimate_spectrum, partial_coherence,
                         tv_coherence, tv_partial_coherence)
 from .core import (Band, ConfigError, FrequencyGrid, MalformedInputError,
-                   MultiChannelSeries, band_by_name, table_to_csv)
+                   MultiChannelSeries, band_by_name, table_to_csv, write_json)
 
 
 def write_series_csv(series, path):
@@ -131,8 +130,7 @@ def cmd_simulate(args):
                                 _parse_overrides(args.set))
     write_series_csv(series, args.out)
     truth = {k: v for k, v in truth.items() if k != "aux"}
-    with open(_truth_path(args.out), "w") as fh:
-        json.dump(truth, fh, indent=1)
+    write_json(_truth_path(args.out), truth, indent=1)
     return 0
 
 
@@ -153,7 +151,7 @@ def cmd_spectrum(args):
     f = estimate_spectrum(series, _kernel(args, series.n_samples),
                               args.shrink_order)
     if args.format == "json":
-        spec.save_csm_json(f, args.out)
+        write_json(args.out, spec.csm_to_json(f))
     else:
         spec.csm_to_csv(f, args.out)
     return 0
@@ -189,6 +187,8 @@ def cmd_dualfreq(args):
     for txt in args.pair:
         p, fj, q, fk = _fields(txt, "--pair P:FJ_HZ:Q:FK_HZ", (int, float, int, float))
         _check_channels(series, (p, q), "--pair")
+        if not (0 <= fj <= fs / 2 and 0 <= fk <= fs / 2):
+            raise ConfigError(f"--pair {txt!r}: frequencies must lie in [0, {fs / 2}] Hz")
         pairs.append((p, fj / fs, q, fk / fs))
     centers = [series.n_samples // 2]
     if args.centers:
@@ -222,7 +222,7 @@ def cmd_var_fit(args):
     if args.order is None:
         args.order = varmod.select_order(series, args.select_max)
     model = varmod.fit_var(series, args.order, args.method, args.lam)
-    varmod.save_model_json(model, args.out)
+    write_json(args.out, varmod.model_to_json(model))
     return 0
 
 
@@ -240,8 +240,7 @@ def cmd_pdc(args):
         "pdc": res.values.tolist(),
         "edges": [[int(q), int(p)] for p, q in zip(*np.nonzero(edges))],
     }
-    with open(args.out, "w") as fh:
-        json.dump(out, fh)
+    write_json(args.out, out)
     if args.plot_data:
         _write_matrix_csv(args.plot_data, grid, res.values, series.sample_rate_hz)
     return 0
@@ -251,9 +250,8 @@ def cmd_tvpdc(args):
     series = _load(args)
     N, step = parse_window(args.window)
     res = varmod.tv_pdc(series, args.order, N, step, args.method, args.lam)
-    vals = np.stack([r.values for r in res.results])
-    _write_matrix_csv(args.out, res.results[0].grid, vals,
-                      series.sample_rate_hz, extra=res.centers)
+    _write_matrix_csv(args.out, res.grid, res.values, series.sample_rate_hz,
+                      extra=res.centers)
     return 0
 
 
@@ -274,7 +272,7 @@ def cmd_scau(args):
     model, edges = varmod.spectral_var(series, s)
     varmod.edges_to_csv(edges, args.out)
     if args.model_out:
-        varmod.save_model_json(model, args.model_out)
+        write_json(args.model_out, varmod.model_to_json(model))
     return 0
 
 
@@ -283,7 +281,7 @@ def cmd_spca(args):
     f = estimate_spectrum(series, _kernel(args, series.n_samples),
                               args.shrink_order)
     sol = spcamod.spca_fit(f, args.components, args.lags)
-    spcamod.save_spca_json(sol, args.out)
+    write_json(args.out, spcamod.spca_to_json(sol))
     if args.encode:
         write_series_csv(spcamod.spca_encode(series, sol), args.encode)
     return 0

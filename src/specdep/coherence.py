@@ -12,15 +12,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (ConfigError, MultiChannelSeries, max_lag_sq_correlation,
-                   table_to_csv, window_starts)
+from .core import (ConfigError, TimeVaryingResult, max_lag_sq_correlation,
+                   sliding_windows, table_to_csv)
 from .filters import band_filter, default_order
 from .spectrum import (CrossSpectralMatrix, SmoothingKernel, default_bandwidth,
                        periodogram, smooth_periodogram)
 
 __all__ = [
     "CoherenceResult",
-    "TimeVaryingResult",
     "coherency",
     "coherence",
     "coherence_matrix",
@@ -44,19 +43,6 @@ class CoherenceResult:
     coherency: np.ndarray = None  # (n, P, P) complex, optional
     sample_rate_hz: float = None
     channel_labels: list = None
-
-
-@dataclass
-class TimeVaryingResult:
-    """Sliding-window results indexed by rescaled time u = t/T in (0, 1)."""
-
-    centers: np.ndarray
-    window: int
-    step: int
-    grid: object
-    values: np.ndarray            # (n_windows, n, P, P)
-    kind: str = "coherence"
-    sample_rate_hz: float = None
 
 
 def _auto_ok(f, p, q):
@@ -116,7 +102,7 @@ def band_coherence(series, p, q, band, filter_order=None, max_lag=None):
     y = band_filter(series, [p, q], band, filter_order)
     k = filter_order
     if series.n_samples <= 2 * k + 2 * max_lag:
-        raise ValueError("series too short for this filter order and max_lag")
+        raise ConfigError("series too short for this filter order and max_lag")
     y = y[k:-k]
     return max_lag_sq_correlation(y[:, 0], y[:, 1], max_lag)
 
@@ -227,28 +213,19 @@ def tv_partial_coherence(series, N, step, kernel=None, cond_cap=1e10):
 
 
 def _tv(series, N, step, kernel, partial, cond_cap=1e10):
-    T = series.n_samples
-    starts = window_starts(T, N, step)
+    windows = sliding_windows(series, N, step)
     if kernel is None:
         kernel = SmoothingKernel("daniell", default_bandwidth(N))
     if kernel.bandwidth >= N / 4:
         raise ConfigError(f"window N={N} too small for kernel bandwidth "
                           f"{kernel.bandwidth}")
     out = []
-    centers = []
-    grid = None
-    for s in starts:
-        win = MultiChannelSeries(series.samples[s:s + N], series.sample_rate_hz,
-                                 series.channel_labels)
+    for _, win in windows:
         f = smooth_periodogram(periodogram(win), kernel)
-        grid = f.grid
-        if partial:
-            out.append(partial_coherence(f, cond_cap))
-        else:
-            out.append(coherence_matrix(f).values)
-        centers.append((s + N // 2) / T)
-    return TimeVaryingResult(np.asarray(centers), N, int(step), grid,
-                             np.stack(out),
+        out.append(partial_coherence(f, cond_cap) if partial
+                   else coherence_matrix(f).values)
+    return TimeVaryingResult(np.array([u for u, _ in windows]), N, int(step),
+                             f.grid, np.stack(out),
                              "partial_coherence" if partial else "coherence",
                              series.sample_rate_hz)
 

@@ -4,11 +4,15 @@ The basic data object is :class:`MultiChannelSeries`, a T x P sample matrix
 with a sampling rate.  All dependence measures in the other modules consume
 it.  Covariance/correlation here use the biased 1/T normalization so that the
 autocovariance sequence is positive semi-definite.  Every long-format
-result table is written by :func:`table_to_csv`.
+result table is written by :func:`table_to_csv`, every JSON document by
+:func:`write_json`, and every time-varying estimate loops over
+:func:`sliding_windows`.
 """
 
 import csv
+import json
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,8 +28,10 @@ __all__ = [
     "cross_covariance",
     "cross_correlation",
     "max_lag_sq_correlation",
-    "window_starts",
+    "TimeVaryingResult",
+    "sliding_windows",
     "table_to_csv",
+    "write_json",
 ]
 
 # Rows formatted per write.  Formatting a whole long table at once (245,760
@@ -225,13 +231,33 @@ class FrequencyGrid:
         return f"FrequencyGrid(n={self.n})"
 
 
-def window_starts(T, N, step):
-    """Start indices of the N-sample windows that advance by ``step`` over T samples."""
+@dataclass
+class TimeVaryingResult:
+    """Sliding-window results indexed by rescaled time u = t/T in (0, 1)."""
+
+    centers: np.ndarray
+    window: int
+    step: int
+    grid: object
+    values: np.ndarray            # (n_windows, n, P, P)
+    kind: str = "coherence"
+    sample_rate_hz: float = None
+
+
+def sliding_windows(series, N, step):
+    """The N-sample windows of a series that advance by ``step``.
+
+    Returns a list of ``(u, window)`` pairs: ``window`` is a sub-series of
+    samples s..s+N-1 (a view) and u = (s + N//2) / T its centre in rescaled
+    time.
+    """
+    T = series.n_samples
     if N % 2 != 0 or N > T:
         raise ConfigError("window length N must be even and <= T")
     if step < 1:
         raise ConfigError("step must be >= 1")
-    return range(0, T - N + 1, step)
+    return [((s + N // 2) / T, series.with_samples(series.samples[s:s + N]))
+            for s in range(0, T - N + 1, step)]
 
 
 def demean(series):
@@ -251,7 +277,7 @@ def cross_covariance(series, p, q, h):
     T = series.n_samples
     h = int(h)
     if abs(h) >= T:
-        raise ValueError(f"lag {h} out of range for T={T}")
+        raise ConfigError(f"lag {h} out of range for T={T}")
     x = series.channel(p) - series.channel(p).mean()
     y = series.channel(q) - series.channel(q).mean()
     if h >= 0:
@@ -289,7 +315,7 @@ def max_lag_sq_correlation(x, y, max_lag):
     T = len(x)
     max_lag = int(max_lag)
     if not 0 <= max_lag < T / 2:
-        raise ValueError(f"max_lag must satisfy 0 <= max_lag < T/2, got {max_lag}")
+        raise ConfigError(f"max_lag must satisfy 0 <= max_lag < T/2, got {max_lag}")
     x = x - x.mean()
     y = y - y.mean()
     denom = np.sqrt(np.dot(x, x) * np.dot(y, y))
@@ -337,3 +363,13 @@ def table_to_csv(path, header, columns):
             cells = [c.flat[s:s + TABLE_CHUNK_ROWS].tolist() for c in cols]
             wr.writerows(zip(*[map(fmt, v) if c.dtype.kind == "f" else v
                                for c, v in zip(cols, cells)]))
+
+
+def write_json(path, obj, indent=None):
+    """Write ``obj`` to ``path`` as one JSON document.
+
+    ``json.dump`` streams the encoding to the file, so a large document is
+    never held whole in memory.
+    """
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=indent)

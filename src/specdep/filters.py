@@ -131,7 +131,7 @@ def apply_filter(filt, series):
     T = series.n_samples
     c = filt.coeffs
     if T <= filt.order:
-        raise ValueError(f"series length {T} too short for a {filt.order}-order filter")
+        raise ConfigError(f"series length {T} too short for a {filt.order}-order filter")
     out = np.empty_like(series.samples)
     half = filt.order // 2
     for p in range(series.n_channels):
@@ -164,8 +164,11 @@ def default_order(band, sample_rate_hz):
     """Default decomposition order: 4 ceil(fs/low) rounded even, capped at 512.
 
     This guarantees at least four cycles of the band's lowest frequency
-    inside the impulse response (up to the cap).
+    inside the impulse response (up to the cap), so a band starting at 0 Hz
+    has no default order.
     """
+    if band.low_hz <= 0:
+        raise ConfigError(f"band {band.name} starts at 0 Hz: give a filter order")
     k = 4 * int(np.ceil(sample_rate_hz / band.low_hz))
     k += k % 2
     return min(k, MAX_DECOMPOSE_ORDER)

@@ -147,7 +147,7 @@ def modulation_index(series, channel_phase, band_low, channel_amp, band_high,
         sigs[(ch, band.name)] = analytic_signal(y - y.mean(), band)
     trim = max(trims)
     if series.n_samples <= 2 * trim + n_bins:
-        raise ValueError("series too short after trimming filter transients")
+        raise ConfigError("series too short after trimming filter transients")
     sl = slice(trim, series.n_samples - trim)
     phase = sigs[(channel_phase, band_low.name)].phase[sl]
     amp = sigs[(channel_amp, band_high.name)].amplitude[sl]

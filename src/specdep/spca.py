@@ -11,8 +11,6 @@ summary tool, not a causality tool, and its output must not feed the
 one-sided machinery in :mod:`specdep.var`.
 """
 
-import json
-
 import numpy as np
 
 from .core import ConfigError, FrequencyGrid, MultiChannelSeries
@@ -225,7 +223,7 @@ def spca_encode(series, sol):
     if series.n_channels != sol.loadings.shape[1]:
         raise ConfigError("channel count does not match the SPCA solution")
     if series.n_samples <= 2 * sol.lag_truncation:
-        raise ValueError("series shorter than twice the filter lag range")
+        raise ConfigError("series shorter than twice the filter lag range")
     x = series.samples - series.samples.mean(axis=0)
     y = _apply_lag_filter(x, sol.encode_filters, sol.lag_truncation)
     labels = [f"SPC{i + 1}" for i in range(sol.n_components)]
@@ -294,8 +292,3 @@ def spca_from_json(obj):
                         obj["lag_truncation"], np.asarray(obj["decode_filters"]),
                         np.asarray(obj["encode_filters"]), obj.get("sample_rate_hz"),
                         obj.get("degenerate_freqs", []))
-
-
-def save_spca_json(sol, path):
-    with open(path, "w") as fh:
-        json.dump(spca_to_json(sol), fh)

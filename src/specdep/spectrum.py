@@ -7,7 +7,6 @@ a parametric VAR spectrum, frequency by frequency, according to mean-squared
 error proxies.
 """
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,10 +76,6 @@ class CrossSpectralMatrix:
             raise ValueError(
                 f"not PSD at grid index {worst}: min eigenvalue {ev[worst, 0]:.3e}")
         return self
-
-    def entry(self, p, q):
-        """The (p, q) cross-spectrum as a 1-D complex array over the grid."""
-        return self.values[:, p, q]
 
     def __repr__(self):
         return (f"CrossSpectralMatrix(n={self.grid.n}, P={self.n_channels}, "
@@ -300,8 +295,3 @@ def csm_from_json(obj):
     vals = np.asarray(obj["re"]) + 1j * np.asarray(obj["im"])
     return CrossSpectralMatrix(grid, vals, obj.get("sample_rate_hz"),
                                obj.get("channel_labels"))
-
-
-def save_csm_json(csm, path):
-    with open(path, "w") as fh:
-        json.dump(csm_to_json(csm), fh)

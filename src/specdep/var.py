@@ -8,20 +8,19 @@ band-filtered oscillations on each other to obtain band-to-band directed
 edges.
 """
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import copysign
 
 import numpy as np
 
-from .core import (ConfigError, FrequencyGrid, MultiChannelSeries, demean,
-                   standard_bands, table_to_csv, window_starts)
+from .core import (ConfigError, FrequencyGrid, MultiChannelSeries,
+                   TimeVaryingResult, demean, sliding_windows, standard_bands,
+                   table_to_csv)
 from .filters import band_filter
 
 __all__ = [
     "VarModel",
     "PdcResult",
-    "TvPdcResult",
     "SpectralVarSpec",
     "LassoConvergenceError",
     "simulate_var",
@@ -183,8 +182,17 @@ def simulate_var(model, T, seed, burn_in=None, sample_rate_hz=1.0,
 
 
 def _lag_design(x, L):
-    """Design matrix of stacked lags: row t has [x(t-1), ..., x(t-L)], t = L..T-1."""
+    """Design matrix of stacked lags: row t has [x(t-1), ..., x(t-L)], t = L..T-1.
+
+    Returns ``(Z, Y)`` with the targets Y = x[L:].  Every VAR fit builds
+    its design here, so this is the one check that a VAR(L) in P channels is
+    identifiable: it needs T > P*L + P samples (L = 0 needs no check).
+    """
     T, P = x.shape
+    if L < 0:
+        raise ConfigError("order must be >= 0")
+    if L and T <= P * L + P:
+        raise ConfigError(f"T={T} too short to identify a VAR({L}) in {P} channels")
     Z = np.empty((T - L, P * L))
     for l in range(1, L + 1):
         Z[:, (l - 1) * P:l * P] = x[L - l:T - l]
@@ -218,13 +226,9 @@ def fit_ols(series, L):
     x = demean(series).samples
     T, P = x.shape
     L = int(L)
-    if L < 0:
-        raise ConfigError("order must be >= 0")
+    Z, Y = _lag_design(x, L)
     if L == 0:
         return VarModel(np.zeros((0, P, P)), (x.T @ x) / T)
-    if T <= P * L + P:
-        raise ConfigError(f"T={T} too short to identify a VAR({L}) in {P} channels")
-    Z, Y = _lag_design(x, L)
     G = Z.T @ Z
     try:
         B = np.linalg.solve(G, Z.T @ Y)
@@ -246,14 +250,7 @@ def _lasso_problem(series, L):
     correlations C = Zs'(Y/ysd)/n.  Columns of C whose response is constant
     (ysd 0) are not standardized; their equations are left unfit.
     """
-    x = demean(series).samples
-    T, P = x.shape
-    L = int(L)
-    if L < 0:
-        raise ConfigError("order must be >= 0")
-    if L and T <= P * L + P:
-        raise ConfigError(f"T={T} too short for a VAR({L}) in {P} channels")
-    Z, Y = _lag_design(x, L)
+    Z, Y = _lag_design(demean(series).samples, int(L))
     n = Z.shape[0]
     zsd = Z.std(axis=0)
     if np.any(zsd <= 0):
@@ -386,13 +383,9 @@ def select_order(series, L_max, criterion="BIC"):
     L_max = int(L_max)
     if L_max < 1:
         raise ConfigError("L_max must be >= 1")
-    x = demean(series).samples
-    T, P = x.shape
-    if T <= P * L_max + P:
-        raise ConfigError(f"T={T} too short for order selection up to {L_max}")
     # order L regresses on the leading L*P columns of the order-L_max design
-    Z_max, Y = _lag_design(x, L_max)
-    n = T - L_max
+    Z_max, Y = _lag_design(demean(series).samples, L_max)
+    n, P = Y.shape
     best_L, best_score = None, np.inf
     for L in range(1, L_max + 1):
         Z = Z_max[:, :L * P]
@@ -428,14 +421,6 @@ class PdcResult:
         self.grid = grid
         self.values = np.asarray(values, dtype=float)
 
-    @property
-    def n_channels(self):
-        return self.values.shape[1]
-
-    def entry(self, p, q):
-        """Information flow q -> p across the grid."""
-        return self.values[:, p, q]
-
 
 def pdc(model, grid):
     """PDC pi_pq(w) = |Phi_pq(w)|^2 / sum_r |Phi_rq(w)|^2.
@@ -455,38 +440,20 @@ def pdc(model, grid):
     return PdcResult(grid, num / denom)
 
 
-@dataclass
-class TvPdcResult:
-    """Sliding-window PDC: one PdcResult per window centre (rescaled time)."""
-
-    centers: np.ndarray
-    window: int
-    step: int
-    results: list = field(default_factory=list)
-
-
-def tv_pdc(series, L, N, step, method="ols", lam=0.05, grid=None):
+def tv_pdc(series, L, N, step, method="ols", lam=0.05):
     """Time-varying PDC from per-window VAR fits.
 
     Each window of N samples gets its own fit (see :func:`fit_var`) and
-    PDC; the window centre is reported in rescaled time t/T.
+    PDC on the N-point grid; the result is a
+    :class:`~specdep.core.TimeVaryingResult` of kind ``"pdc"`` whose values
+    are (n_windows, N, P, P).
     """
-    T = series.n_samples
-    P = series.n_channels
-    N = int(N)
-    starts = window_starts(T, N, step)
-    if N <= P * L + P:
-        raise ConfigError(f"window N={N} too small for a VAR({L}) in {P} channels")
-    if grid is None:
-        grid = FrequencyGrid(N)
-    centers = []
-    results = []
-    for start in starts:
-        win = MultiChannelSeries(series.samples[start:start + N],
-                                 series.sample_rate_hz, series.channel_labels)
-        results.append(pdc(fit_var(win, L, method, lam), grid))
-        centers.append((start + N // 2) / T)
-    return TvPdcResult(np.asarray(centers), N, int(step), results)
+    windows = sliding_windows(series, N, step)
+    grid = FrequencyGrid(N)
+    values = np.stack([pdc(fit_var(win, L, method, lam), grid).values
+                       for _, win in windows])
+    return TimeVaryingResult(np.array([u for u, _ in windows]), N, int(step),
+                             grid, values, "pdc", series.sample_rate_hz)
 
 
 def granger_edges(model, threshold=0.0):
@@ -590,11 +557,6 @@ def model_from_json(obj):
     P, L = obj["P"], obj["L"]
     coeffs = np.asarray(obj["coeffs"], dtype=float).reshape(L, P, P)
     return VarModel(coeffs, np.asarray(obj["noise_cov"], dtype=float))
-
-
-def save_model_json(model, path):
-    with open(path, "w") as fh:
-        json.dump(model_to_json(model), fh)
 
 
 def edges_to_csv(edges, path):

@@ -121,7 +121,10 @@ class TestBoundaryValidation:
         ["var-fit", "--order", "-1", "--method", "lassle"],
         ["var-fit", "--order", "2", "--method", "lasso", "--lambda=nan"],
         ["var-fit", "--order", "2", "--method", "lasso", "--lambda=inf"],
-        ["spca", "-Q", "1", "--lags", "-1"]])
+        ["spca", "-Q", "1", "--lags", "-1"],
+        ["dualfreq", "--window", "256", "--pair", "0:200:1:40"],
+        ["dualfreq", "--window", "256", "--pair", "0:-5:1:40"],
+        ["filter", "--band", "0:64"]])
     def test_config_values(self, tmp_path, net_csv, capsys, argv):
         assert config_error(capsys, [
             argv[0], "--in", str(net_csv), "--sample-rate", "128", *argv[1:],
@@ -139,6 +142,16 @@ class TestBoundaryValidation:
         cli.write_series_csv(MultiChannelSeries(x, 128.0), p)
         assert config_error(capsys, [
             cmd, "--in", str(p), "--sample-rate", "128", "-o", str(tmp_path / "o.csv")]) == 2
+
+    @pytest.mark.parametrize("argv", [["pac", "--low", "theta", "--high", "gamma"],
+                                      ["filter", "--band", "alpha"]])
+    def test_series_too_short(self, tmp_path, capsys, argv):
+        p = tmp_path / "short.csv"
+        x = np.random.default_rng(4).standard_normal((8, 2))
+        cli.write_series_csv(MultiChannelSeries(x, 128.0), p)
+        assert config_error(capsys, [
+            argv[0], "--in", str(p), "--sample-rate", "128", *argv[1:],
+            "-o", str(tmp_path / "o.csv")]) == 2
 
 
 class TestNoScipyOnImportPath:

@@ -4,7 +4,7 @@ import pytest
 from specdep.core import (Band, ConfigError, FrequencyGrid, MalformedInputError,
                           MultiChannelSeries, band_by_name, cross_correlation,
                           cross_covariance, demean, max_lag_sq_correlation,
-                          standard_bands)
+                          sliding_windows, standard_bands, write_json)
 
 
 def make_series(x, fs=128.0):
@@ -206,3 +206,44 @@ class TestMaxLagSqCorrelation:
     def test_degenerate_errors(self):
         with pytest.raises(ValueError):
             max_lag_sq_correlation(np.ones(64), np.arange(64.0), 5)
+
+
+class TestSlidingWindows:
+    def test_centres_and_views(self):
+        x = np.arange(40.0).reshape(20, 2)
+        s = MultiChannelSeries(x, 8.0, ["a", "b"])
+        wins = sliding_windows(s, 8, 5)
+        # starts 0, 5, 10: the last full window ends at sample 17
+        assert [u for u, _ in wins] == [4 / 20, 9 / 20, 14 / 20]
+        for (_, w), start in zip(wins, (0, 5, 10)):
+            assert np.array_equal(w.samples, x[start:start + 8])
+            assert np.shares_memory(w.samples, x)
+            assert w.channel_labels == ["a", "b"] and w.sample_rate_hz == 8.0
+
+    def test_full_length_window(self):
+        s = make_series(np.zeros((16, 1)))
+        (u, w), = sliding_windows(s, 16, 3)
+        assert u == 0.5 and w.n_samples == 16
+
+    @pytest.mark.parametrize("N, step", [(7, 1), (18, 1), (8, 0)])
+    def test_rejects(self, N, step):
+        with pytest.raises(ConfigError):
+            sliding_windows(make_series(np.zeros((16, 1))), N, step)
+
+
+class TestWriteJson:
+    OBJ = {"zero": -0.0, "tiny": 1e-300, "third": 1 / 3, "nan": float("nan"),
+           "nested": [[1, 2.5], [], [[-3]]], "label": 'say "hi"'}
+
+    # recorded from json.dump(OBJ, fh) and json.dump(OBJ, fh, indent=1)
+    COMPACT = (b'{"zero": -0.0, "tiny": 1e-300, "third": 0.3333333333333333, '
+               b'"nan": NaN, "nested": [[1, 2.5], [], [[-3]]], "label": "say \\"hi\\""}')
+    INDENTED = (b'{\n "zero": -0.0,\n "tiny": 1e-300,\n "third": 0.3333333333333333,\n'
+                b' "nan": NaN,\n "nested": [\n  [\n   1,\n   2.5\n  ],\n  [],\n  [\n'
+                b'   [\n    -3\n   ]\n  ]\n ],\n "label": "say \\"hi\\""\n}')
+
+    @pytest.mark.parametrize("indent, expected", [(None, COMPACT), (1, INDENTED)])
+    def test_bytes(self, tmp_path, indent, expected):
+        path = tmp_path / "o.json"
+        write_json(path, self.OBJ, indent=indent)
+        assert path.read_bytes() == expected

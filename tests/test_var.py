@@ -11,6 +11,7 @@ from specdep.var import (LassoConvergenceError, SpectralVarSpec, VarModel,
                          granger_edges, lasso_kkt_residual, model_from_json,
                          model_to_json, pdc, select_order, simulate_var,
                          spectral_var, transfer_function, tv_pdc)
+from specdep.coherence import tv_coherence
 from specdep.var import _coeffs_from_rows, _lag_design, _rows_from_coeffs, _var_recursion
 
 
@@ -527,15 +528,15 @@ class TestTvPdc:
         model = VarModel(np.array([[[0.5, 0.3], [0.0, 0.5]]]), np.eye(2))
         s = simulate_var(model, 8192, 13)
         res = tv_pdc(s, 1, 1024, 512)
-        k0 = res.results[0].grid.index_of(0.0)
-        vals = np.array([r.values[k0, 0, 1] for r in res.results])
+        k0 = res.grid.index_of(0.0)
+        vals = res.values[:, k0, 0, 1]
         assert vals.std() < 0.15
 
     def test_two_regime_rise(self):
         s = self._switching_series(14)
         res = tv_pdc(s, 1, 1024, 1024)
-        k0 = res.results[0].grid.index_of(0.0)
-        vals = np.array([r.values[k0, 0, 1] for r in res.results])
+        k0 = res.grid.index_of(0.0)
+        vals = res.values[:, k0, 0, 1]
         first = vals[res.centers < 0.45].mean()
         second = vals[res.centers > 0.55].mean()
         assert second - first > 0.3
@@ -544,9 +545,41 @@ class TestTvPdc:
         model = stable_var2()
         s = simulate_var(model, 2048, 15)
         res = tv_pdc(s, 2, 2048, 100)
-        assert len(res.results) == 1
-        static = pdc(fit_ols(s, 2), res.results[0].grid)
-        assert np.allclose(res.results[0].values, static.values, atol=1e-12)
+        assert len(res.values) == 1
+        static = pdc(fit_ols(s, 2), res.grid)
+        assert np.allclose(res.values[0], static.values, atol=1e-12)
+
+    def test_same_windows_as_tv_coherence(self):
+        s = simulate_var(stable_var2(), 1000, 16)
+        res = tv_pdc(s, 2, 128, 96)
+        coh = tv_coherence(s, 128, 96)
+        assert np.array_equal(res.centers, coh.centers)
+        assert res.kind == "pdc" and res.grid == FrequencyGrid(128)
+        assert res.values.shape == (len(coh.centers), 128, 2, 2)
+
+
+# Every fit rejects a VAR(L) in P channels on T = P*L + P samples and fits
+# on one more.  tv_pdc's T is its window N, which must be even, so there the
+# boundary T is even and the smallest window that fits is T + 2.
+IDENTIFY_FITS = {
+    "fit_ols": lambda s, L: fit_ols(s, L),
+    "fit_lasso": lambda s, L: fit_lasso(s, L, 0.05),
+    "fit_lassle": lambda s, L: fit_lassle(s, L, 0.05),
+    "select_order": lambda s, L: select_order(s, L),
+    "tv_pdc": lambda s, L: tv_pdc(s, L, s.n_samples, 1),
+}
+
+
+class TestIdentifiability:
+    @pytest.mark.parametrize("fit", sorted(IDENTIFY_FITS))
+    @pytest.mark.parametrize("P, L", [(2, 1), (3, 1), (4, 2)])
+    def test_boundary(self, fit, P, L):
+        T = P * L + P
+        x = np.random.default_rng(10 * P + L).standard_normal((T + 2, P))
+        with pytest.raises(ConfigError, match="too short"):
+            IDENTIFY_FITS[fit](MultiChannelSeries(x[:T], 1.0), L)
+        ok = T + 2 if fit == "tv_pdc" else T + 1
+        IDENTIFY_FITS[fit](MultiChannelSeries(x[:ok], 1.0), L)
 
 
 class TestGrangerEdges:
