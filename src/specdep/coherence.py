@@ -97,6 +97,7 @@ def band_coherence(series, p, q, band, filter_order=None, max_lag=None):
         filter_order = default_order(band, fs)
     if max_lag is None:
         max_lag = int(round(fs / band.center_hz))
+    series.check_channels([p, q])
     if p == q:
         return 1.0, 0
     y = band_filter(series, [p, q], band, filter_order)

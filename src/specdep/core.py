@@ -92,8 +92,17 @@ class MultiChannelSeries:
     def n_channels(self):
         return self.samples.shape[1]
 
+    def check_channels(self, channels):
+        """``channels`` as a list, each checked to lie in [0, P) so that none wraps."""
+        channels = list(channels)
+        for c in channels:
+            if not 0 <= c < self.n_channels:
+                raise ConfigError(f"channel {c} outside [0, {self.n_channels})")
+        return channels
+
     def channel(self, p):
         """Return column ``p`` as a 1-D array (no copy)."""
+        self.check_channels([p])
         return self.samples[:, p]
 
     def with_samples(self, samples, channel_labels=None):
@@ -109,7 +118,7 @@ class MultiChannelSeries:
 
     def select(self, channels):
         """Sub-series with the given channel indices, order preserved."""
-        channels = list(channels)
+        channels = self.check_channels(channels)
         return MultiChannelSeries(
             self.samples[:, channels],
             self.sample_rate_hz,

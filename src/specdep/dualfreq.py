@@ -3,8 +3,9 @@
 Local Fourier coefficients over a sliding window give a local dual-frequency
 periodogram d(t, w_j) d*(t, w_k).  Averaging it across trials (or smoothing
 across time within a single trial) and normalizing by the same-frequency
-local power yields the time-localized dual-frequency coherence.  A filtered
-variant measures the windowed cross-moment of two band-limited signals.
+local power yields the time-localized dual-frequency coherence, which one
+kernel computes one window centre at a time.  A filtered variant measures
+the windowed cross-moment of two band-limited signals.
 """
 
 from dataclasses import dataclass, field
@@ -14,25 +15,35 @@ import numpy as np
 from .core import ConfigError, MultiChannelSeries, table_to_csv
 from .filters import band_filter, default_order
 
-__all__ = [
-    "DualFreqResult",
-    "local_fourier",
-    "local_dualfreq_periodogram",
-    "dualfreq_coherence",
-    "band_dualfreq_coherence",
-    "dualfreq_scan",
-]
+__all__ = ["DualFreqResult", "local_fourier", "local_dualfreq_periodogram",
+           "dualfreq_coherence", "band_dualfreq_coherence", "dualfreq_scan"]
 
 
-def _window_indices(T, t, N):
+def _windows(length, t, N):
+    """Indices (piece, N) of windows [t - N/2 + 1, t + N/2]; names the first to leave."""
     N = int(N)
     if N % 2 != 0 or N < 2:
         raise ConfigError(f"window length must be even and >= 2, got {N}")
-    lo = t - (N // 2 - 1)
-    hi = t + N // 2
-    if lo < 0 or hi >= T:
-        raise ConfigError(f"window [{lo}, {hi}] around t={t} leaves [0, {T - 1}]")
-    return np.arange(lo, hi + 1)
+    lo = np.asarray(t) - (N // 2 - 1)
+    bad = (lo < 0) | (lo + N > length)
+    if bad.any():
+        i = np.argmax(bad)
+        raise ConfigError(f"window [{lo[i]}, {lo[i] + N - 1}] around t={t[i]} "
+                          f"leaves [0, {length[i] - 1}]")
+    return lo[:, None] + np.arange(N)
+
+
+def _coefficients(x, start, length, t, N, w):
+    """Local Fourier coefficients D (piece, freq, P): one gather, one product.
+
+    Piece i is the window at t[i] of the trial of length[i] samples stacked
+    from row start[i] of x; phases use sample indices within that trial.
+    """
+    if not np.all(np.abs(w) <= 0.5):
+        raise ConfigError(f"frequencies {w.tolist()} leave [-0.5, 0.5] cycles per sample")
+    idx = _windows(length, t, N)
+    ph = np.exp(-2j * np.pi * (w[:, None] * idx[:, None, :]))
+    return ph @ x[idx + np.asarray(start)[:, None]] / np.sqrt(idx.shape[1])
 
 
 def local_fourier(series, t, N, omega):
@@ -45,13 +56,9 @@ def local_fourier(series, t, N, omega):
     Returns a complex (P,) vector (or (len(omega), P) for an array of
     frequencies).
     """
-    idx = _window_indices(series.n_samples, t, N)
-    x = series.samples[idx]
-    scalar = np.isscalar(omega)
     w = np.atleast_1d(np.asarray(omega, dtype=float))
-    ph = np.exp(-2j * np.pi * np.multiply.outer(w, idx))
-    d = ph @ x / np.sqrt(N)
-    return d[0] if scalar else d
+    d = _coefficients(series.samples, [0], [series.n_samples], [int(t)], N, w)[0]
+    return d[0] if np.isscalar(omega) else d
 
 
 def local_dualfreq_periodogram(series, t, N, omega_j, omega_k):
@@ -64,18 +71,6 @@ def local_dualfreq_periodogram(series, t, N, omega_j, omega_k):
     return np.outer(d[0], d[1].conj())
 
 
-def _smoothing_centers(T, t, N, smoothing):
-    if smoothing is None:
-        smoothing = (8, N // 2)
-    half, hop = int(smoothing[0]), int(smoothing[1])
-    if half < 0 or hop < 1:
-        raise ConfigError("smoothing must be (half_width >= 0, hop >= 1)")
-    offsets = np.arange(-half, half + 1)
-    centers = t + offsets * hop
-    weights = (half + 1) - np.abs(offsets)
-    return centers, weights / weights.sum()
-
-
 def dualfreq_coherence(data, t, N, p, omega_j, q, omega_k, smoothing=None):
     """Time-localized dual-frequency coherence at window centre t.
 
@@ -85,29 +80,8 @@ def dualfreq_coherence(data, t, N, p, omega_j, q, omega_k, smoothing=None):
     (``smoothing = (half_width, hop)``, default (8, N//2)) for a single
     series.  Bounded in [0, 1] by the Cauchy-Schwarz inequality.
     """
-    if isinstance(data, MultiChannelSeries):
-        centers, weights = _smoothing_centers(data.n_samples, t, N, smoothing)
-        pieces = [(data, c, w) for c, w in zip(centers, weights)]
-    else:
-        trials = list(data)
-        if not trials:
-            raise ConfigError("no trials given")
-        weights = np.full(len(trials), 1.0 / len(trials))
-        pieces = [(tr, t, w) for tr, w in zip(trials, weights)]
-    num = 0.0 + 0.0j
-    pow_j = 0.0
-    pow_k = 0.0
-    for series, c, w in pieces:
-        d = local_fourier(series, c, N, [omega_j, omega_k])
-        num += w * d[0, p] * np.conj(d[1, q])
-        pow_j += w * np.abs(d[0, p]) ** 2
-        pow_k += w * np.abs(d[1, q]) ** 2
-    if pow_j <= 0 or pow_k <= 0:
-        raise ValueError("zero local power at one of the (channel, frequency) pairs")
-    val = float(np.abs(num) ** 2 / (pow_j * pow_k))
-    if not val <= 1 + 1e-9:
-        raise ValueError(f"dual-frequency coherence {val!r} exceeds 1")
-    return min(val, 1.0)
+    res = dualfreq_scan(data, [t], N, [(p, omega_j, q, omega_k)], smoothing)
+    return res.entries[0]["value"]
 
 
 def band_dualfreq_coherence(series, p, band_1, q, band_2, t, N, filter_order=None):
@@ -122,12 +96,10 @@ def band_dualfreq_coherence(series, p, band_1, q, band_2, t, N, filter_order=Non
         b.validate_for(fs)
     if filter_order is None:
         filter_order = max(default_order(band_1, fs), default_order(band_2, fs))
-    xs = []
-    for ch, band in ((p, band_1), (q, band_2)):
-        y = band_filter(series, [ch], band, filter_order)[:, 0]
-        xs.append(y - y.mean())
-    idx = _window_indices(series.n_samples, t, N)
-    x1, x2 = xs[0][idx], xs[1][idx]
+    idx = _windows([series.n_samples], [t], N)[0]
+    y1 = band_filter(series, [p], band_1, filter_order)[:, 0]
+    y2 = band_filter(series, [q], band_2, filter_order)[:, 0]
+    x1, x2 = y1[idx] - y1.mean(), y2[idx] - y2.mean()
     cross = np.mean(x1 * x2)
     v1, v2 = np.mean(x1 ** 2), np.mean(x2 ** 2)
     if v1 <= 0 or v2 <= 0:
@@ -151,15 +123,42 @@ class DualFreqResult:
 
 
 def dualfreq_scan(data, centers, N, pairs, smoothing=None):
-    """Evaluate dual-frequency coherence over window centres and tuples.
+    """Dual-frequency coherence of every pair at every window centre.
 
-    ``pairs`` is a list of (p, omega_j, q, omega_k).  Returns a
-    DualFreqResult whose entries form the long-format export table.
+    ``pairs`` lists (p, omega_j, q, omega_k), frequencies in cycles per
+    sample; ``data`` and ``smoothing`` are as in :func:`dualfreq_coherence`.
+    The DualFreqResult's entries form the long-format export table.
     """
-    res = DualFreqResult(int(N))
-    for t in centers:
-        for (p, wj, q, wk) in pairs:
-            val = dualfreq_coherence(data, int(t), N, p, wj, q, wk, smoothing)
-            res.entries.append({"t": int(t), "p": p, "freq_j": wj,
-                                "q": q, "freq_k": wk, "value": val})
-    return res
+    if isinstance(data, MultiChannelSeries):
+        trials, (half, hop) = [data], map(int, (8, N // 2) if smoothing is None else smoothing)
+    else:
+        trials, half, hop = list(data), 0, 1
+    if half < 0 or hop < 1:
+        raise ConfigError("smoothing must be (half_width >= 0, hop >= 1)")
+    R, k = len(trials), np.arange(-half, half + 1)  # a piece per trial and smoothing offset
+    trial, shift = np.repeat(np.arange(R), k.size), np.tile(k * hop, R)
+    weights = np.tile(half + 1.0 - abs(k), R) / (R * (half + 1.0) ** 2)
+    ts = [int(t) for t in centers]
+    if R == 0 or not ts or len(pairs) == 0:
+        raise ConfigError("need at least one trial, one window centre and one pair")
+    p, wj, q, wk = (np.array(c) for c in zip(*pairs))
+    trials[0].check_channels(np.column_stack([p, q]).ravel())
+    w, inv = np.unique(np.concatenate([wj, wk]), return_inverse=True)
+    lengths = np.array([tr.n_samples for tr in trials])
+    start, length = (np.cumsum(lengths) - lengths)[trial], lengths[trial]
+    x = np.concatenate([tr.samples for tr in trials])
+    vals = np.empty((len(ts), len(p)))
+    for i, t in enumerate(ts):
+        D = _coefficients(x, start, length, t + shift, N, w)
+        dj, dk = D[:, inv[:len(p)], p], D[:, inv[len(p):], q]
+        pow_j, pow_k = weights @ abs(dj) ** 2, weights @ abs(dk) ** 2
+        zero = (pow_j <= 0) | (pow_k <= 0)
+        vals[i] = abs(weights @ (dj * dk.conj())) ** 2 / np.where(zero, 1.0, pow_j * pow_k)
+        bad = np.flatnonzero(zero | ~(vals[i] <= 1 + 1e-9))  # the first one is reported
+        if bad.size and zero[bad[0]]:
+            raise ValueError("zero local power at one of the (channel, frequency) pairs")
+        if bad.size:
+            raise ValueError(f"dual-frequency coherence {float(vals[i, bad[0]])!r} exceeds 1")
+    return DualFreqResult(int(N), [
+        {"t": t, "p": p, "freq_j": wj, "q": q, "freq_k": wk, "value": min(float(v), 1.0)}
+        for t, row in zip(ts, vals) for (p, wj, q, wk), v in zip(pairs, row)])

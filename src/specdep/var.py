@@ -186,12 +186,12 @@ def _lag_design(x, L):
 
     Returns ``(Z, Y)`` with the targets Y = x[L:].  Every VAR fit builds
     its design here, so this is the one check that a VAR(L) in P channels is
-    identifiable: it needs T > P*L + P samples (L = 0 needs no check).
+    identifiable: T > P*L + max(P, L), so the T - L rows outnumber P*L regressors.
     """
     T, P = x.shape
     if L < 0:
         raise ConfigError("order must be >= 0")
-    if L and T <= P * L + P:
+    if L and T <= P * L + max(P, L):
         raise ConfigError(f"T={T} too short to identify a VAR({L}) in {P} channels")
     Z = np.empty((T - L, P * L))
     for l in range(1, L + 1):

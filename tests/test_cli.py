@@ -33,7 +33,7 @@ class TestSimulateCommand:
         code = run(["simulate", "--example", "pdc_net", "--T", "512",
                     "--seed", "3", "-o", str(out)])
         assert code == 0
-        rows = list(csv.reader(out.open()))
+        rows = list(csv.reader(out.read_text().splitlines()))
         assert rows[0] == ["X1", "X2", "X3", "X4"]
         assert len(rows) == 513
         truth = json.loads((tmp_path / "x.truth.json").read_text())
@@ -124,11 +124,22 @@ class TestBoundaryValidation:
         ["spca", "-Q", "1", "--lags", "-1"],
         ["dualfreq", "--window", "256", "--pair", "0:200:1:40"],
         ["dualfreq", "--window", "256", "--pair", "0:-5:1:40"],
-        ["filter", "--band", "0:64"]])
+        ["filter", "--band", "0:64"],
+        ["dualfreq", "--window", "256", "--pair", "0:2:1:40", "--centers", "1200:1100:1"]])
     def test_config_values(self, tmp_path, net_csv, capsys, argv):
         assert config_error(capsys, [
             argv[0], "--in", str(net_csv), "--sample-rate", "128", *argv[1:],
             "-o", str(tmp_path / "o.csv")]) == 2
+
+    @pytest.mark.parametrize("method", ["ols", "lasso", "lassle"])
+    def test_var_fit_interpolating_order(self, tmp_path, capsys, method):
+        # 9 rows, 2 channels, order 3: 6 design rows against 6 regressors
+        p = tmp_path / "short.csv"
+        cli.write_series_csv(MultiChannelSeries(
+            np.random.default_rng(1).standard_normal((9, 2)), 128.0), p)
+        assert config_error(capsys, [
+            "var-fit", "--in", str(p), "--sample-rate", "128", "--order", "3",
+            "--method", method, "-o", str(tmp_path / "m.json")]) == 2
 
     def test_tvcoh_window_grammar(self, tmp_path, net_csv, capsys):
         assert config_error(capsys, [
@@ -242,7 +253,7 @@ class TestPacCommand:
         assert run(["pac", "--in", str(src), "--sample-rate", "128",
                     "--low", "theta", "--high", "gamma", "--bins", "18",
                     "-o", str(out)]) == 0
-        rows = list(csv.DictReader(out.open()))
+        rows = list(csv.DictReader(out.read_text().splitlines()))
         series = cli.read_series_csv(src, 128.0)
         for row in rows:
             ch = int(row["channel_low"])
@@ -256,7 +267,7 @@ class TestOtherCommands:
         out = tmp_path / "spec.csv"
         assert run(["spectrum", "--in", str(net_csv), "--sample-rate", "128",
                     "--bandwidth", "16", "-o", str(out)]) == 0
-        header = out.open().readline().strip().split(",")
+        header = out.read_text().splitlines()[0].strip().split(",")
         assert header == ["freq", "freq_hz", "p", "q", "re", "im"]
 
     def test_coherence_and_pcoh(self, tmp_path, net_csv):
@@ -264,7 +275,7 @@ class TestOtherCommands:
             out = tmp_path / f"{cmd}.csv"
             assert run([cmd, "--in", str(net_csv), "--sample-rate", "128",
                         "--bandwidth", "16", "-o", str(out)]) == 0
-            row = next(csv.DictReader(out.open()))
+            row = next(csv.DictReader(out.read_text().splitlines()))
             assert 0.0 <= float(row["value"]) <= 1.0
 
     def test_tvcoh(self, tmp_path, net_csv):
@@ -272,7 +283,7 @@ class TestOtherCommands:
         assert run(["tvcoh", "--in", str(net_csv), "--sample-rate", "128",
                     "--window", "1024:1024", "--bandwidth", "16",
                     "-o", str(out)]) == 0
-        rows = list(csv.DictReader(out.open()))
+        rows = list(csv.DictReader(out.read_text().splitlines()))
         assert {r["u"] for r in rows} == {"0.125", "0.375", "0.625", "0.875"}
 
     def test_dualfreq(self, tmp_path, net_csv):
@@ -280,7 +291,7 @@ class TestOtherCommands:
         assert run(["dualfreq", "--in", str(net_csv), "--sample-rate", "128",
                     "--pair", "0:2:1:40", "--window", "256",
                     "--smooth", "4:128", "-o", str(out)]) == 0
-        rows = list(csv.DictReader(out.open()))
+        rows = list(csv.DictReader(out.read_text().splitlines()))
         assert len(rows) == 1
         assert 0.0 <= float(rows[0]["value"]) <= 1.0
 
@@ -303,7 +314,7 @@ class TestOtherCommands:
                     "--bands", "delta", "--filter-order", "100", "--order", "12",
                     "--method", "lassle", "--lambda", "0.05",
                     "-o", str(out)]) == 0
-        rows = list(csv.DictReader(out.open()))
+        rows = list(csv.DictReader(out.read_text().splitlines()))
         assert any(r["from_channel"] == "0" and r["to_channel"] == "1" for r in rows)
 
     def test_spca(self, tmp_path):

@@ -76,6 +76,12 @@ class TestBandCoherence:
         s = white(2048, 2, 5)
         assert band_coherence(s, 0, 0, band_by_name("alpha")) == (1.0, 0)
 
+    @pytest.mark.parametrize("p, q", [(-1, 0), (0, -1), (3, 0), (-1, -1), (3, 3)])
+    def test_channel_outside_range(self, p, q):
+        from specdep.core import ConfigError
+        with pytest.raises(ConfigError, match="outside"):
+            band_coherence(white(2048, 3, 5), p, q, band_by_name("gamma"))
+
     def test_example2_lag_recovery(self):
         s, t = example("lagged_mixture", 7680, 6)
         val_hi, lag = band_coherence(s, 0, 1, band_by_name("gamma"), max_lag=50)

@@ -31,6 +31,19 @@ class TestContainers:
             band_by_name("gamma").validate_for(64.0)  # gamma tops at 50 > 32
 
 
+    @pytest.mark.parametrize("idx", [-1, -3, 3, 7])
+    def test_channel_index_outside_range(self, idx):
+        s = MultiChannelSeries(np.arange(12.0).reshape(4, 3), 128.0)
+        with pytest.raises(ConfigError, match=r"channel -?\d+ outside \[0, 3\)"):
+            s.channel(idx)
+        with pytest.raises(ConfigError, match="outside"):
+            s.select([0, idx])
+        with pytest.raises(ConfigError, match="outside"):
+            s.check_channels([idx])
+        assert s.check_channels((2, 0)) == [2, 0]
+        assert s.select([2, 0]).channel_labels == ["X3", "X1"]
+
+
 class TestStandardBands:
     def test_printed_edges(self):
         bands = standard_bands()

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from specdep.core import MultiChannelSeries, band_by_name
+from specdep.core import ConfigError, MultiChannelSeries, band_by_name
 from specdep.dualfreq import (band_dualfreq_coherence, dualfreq_coherence,
                               dualfreq_scan, local_dualfreq_periodogram,
                               local_fourier)
@@ -13,6 +15,89 @@ def series_of(x, fs=128.0):
     if x.ndim == 1:
         x = x[:, None]
     return MultiChannelSeries(x, fs)
+
+
+# Reference: the per-window loop, with one (2, N) phase matrix and one
+# product per smoothing window or trial, for every (centre, pair).  The
+# library's one kernel must agree with it within 1e-12 and fail the same way.
+def reference_local_fourier(series, t, N, omega):
+    N = int(N)
+    if N % 2 != 0 or N < 2:
+        raise ConfigError(f"window length must be even and >= 2, got {N}")
+    lo, hi = t - (N // 2 - 1), t + N // 2
+    if lo < 0 or hi >= series.n_samples:
+        raise ConfigError(f"window [{lo}, {hi}] around t={t} leaves [0, {series.n_samples - 1}]")
+    idx = np.arange(lo, hi + 1)
+    ph = np.exp(-2j * np.pi * np.multiply.outer(np.asarray(omega, dtype=float), idx))
+    return ph @ series.samples[idx] / np.sqrt(N)
+
+
+def reference_coherence(data, t, N, p, omega_j, q, omega_k, smoothing=None):
+    if isinstance(data, MultiChannelSeries):
+        half, hop = (8, N // 2) if smoothing is None else smoothing
+        if half < 0 or hop < 1:
+            raise ConfigError("smoothing must be (half_width >= 0, hop >= 1)")
+        offsets = np.arange(-half, half + 1)
+        weights = (half + 1) - np.abs(offsets)
+        pieces = [(data, c, w) for c, w in zip(t + offsets * hop, weights / weights.sum())]
+    else:
+        trials = list(data)
+        pieces = [(tr, t, 1.0 / len(trials)) for tr in trials]
+    num, pow_j, pow_k = 0.0j, 0.0, 0.0
+    for series, c, w in pieces:
+        d = reference_local_fourier(series, c, N, [omega_j, omega_k])
+        num += w * d[0, p] * np.conj(d[1, q])
+        pow_j += w * np.abs(d[0, p]) ** 2
+        pow_k += w * np.abs(d[1, q]) ** 2
+    if pow_j <= 0 or pow_k <= 0:
+        raise ValueError("zero local power at one of the (channel, frequency) pairs")
+    val = float(np.abs(num) ** 2 / (pow_j * pow_k))
+    if not val <= 1 + 1e-9:
+        raise ValueError(f"dual-frequency coherence {val!r} exceeds 1")
+    return min(val, 1.0)
+
+
+def reference_scan(data, centers, N, pairs, smoothing=None):
+    return [reference_coherence(data, int(t), N, p, wj, q, wk, smoothing)
+            for t in centers for (p, wj, q, wk) in pairs]
+
+
+def outcome(fn, *args):
+    """fn's result, or the type and message of the error it raised."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+FREQS = st.one_of(st.sampled_from([0.0, 0.5, -0.5, 0.125]), st.floats(-0.5, 0.5))
+
+
+@st.composite
+def scan_cases(draw):
+    """A single series with smoothing, or 1-5 trials of unequal lengths, with
+    centres where every window fits (sometimes one just outside), and 1-3 pairs.
+    """
+    N = 2 * draw(st.integers(1, 24))
+    P = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if draw(st.booleans()):
+        smoothing = draw(st.one_of(st.none(), st.tuples(st.integers(0, 4), st.integers(1, N))))
+        half, hop = (8, N // 2) if smoothing is None else smoothing
+        reach = half * hop
+        T = draw(st.integers(max(N, N + 2 * reach - 1), 5 * N + 2 * reach))
+        data = MultiChannelSeries(rng.standard_normal((T, P)), 1.0)
+    else:
+        lengths = draw(st.lists(st.integers(N, 4 * N), min_size=1, max_size=5))
+        data = [MultiChannelSeries(rng.standard_normal((T, P)), 1.0) for T in lengths]
+        T, smoothing, reach = min(lengths), None, 0
+    lo, hi = N // 2 - 1 + reach, T - 1 - N // 2 - reach
+    centers = draw(st.lists(st.integers(lo, max(lo, hi)), min_size=1, max_size=4))
+    if draw(st.integers(0, 3)) == 0:  # one more centre, whose window leaves the series
+        centers.insert(draw(st.integers(0, len(centers))), draw(st.sampled_from([lo - 1, hi + 1])))
+    chan = st.integers(0, P - 1)
+    pairs = draw(st.lists(st.tuples(chan, FREQS, chan, FREQS), min_size=1, max_size=3))
+    return data, centers, N, pairs, smoothing
 
 
 def am_trial(seed, T=512, fs=128.0, f1=6.0, f2=30.0, noise=0.2):
@@ -208,3 +293,77 @@ class TestScanExport:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "t,p,freq_j,q,freq_k,value"
         assert len(lines) == 3
+
+
+class TestOnePath:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(case=scan_cases())
+    def test_scan_matches_per_window_loop(self, case):
+        data, centers, N, pairs, smoothing = case
+        want = outcome(reference_scan, data, centers, N, pairs, smoothing)
+        got = outcome(lambda *a: [e["value"] for e in dualfreq_scan(*a).entries],
+                      data, centers, N, pairs, smoothing)
+        if isinstance(want, tuple):
+            assert got == want
+        else:
+            assert np.max(np.abs(np.subtract(got, want))) <= 1e-12
+            p, wj, q, wk = pairs[0]
+            one = dualfreq_coherence(data, centers[0], N, p, wj, q, wk, smoothing)
+            assert abs(one - want[0]) <= 1e-12
+
+    @pytest.mark.parametrize("omega", [0.1, [0.1, -0.3, 0.5]])
+    def test_local_fourier_matches_reference(self, omega):
+        s = series_of(np.random.default_rng(4).standard_normal((300, 3)))
+        want = reference_local_fourier(s, 150, 64, np.atleast_1d(omega))
+        got = local_fourier(s, 150, 64, omega)
+        assert got.shape == ((3,) if np.isscalar(omega) else (3, 3))
+        assert np.allclose(got, want[0] if np.isscalar(omega) else want, rtol=0, atol=1e-12)
+
+    def test_first_window_error_names_trial(self):
+        rng = np.random.default_rng(5)
+        trials = [series_of(rng.standard_normal(n)) for n in (256, 100, 90)]
+        with pytest.raises(ConfigError, match=r"window \[69, 132\] around t=100 leaves \[0, 99\]"):
+            dualfreq_scan(trials, [100], 64, [(0, 0.1, 0, 0.2)])
+
+    def test_zero_power_is_numerical(self):
+        s = series_of(np.column_stack([np.random.default_rng(6).standard_normal(512),
+                                       np.zeros(512)]))
+        with pytest.raises(ValueError, match="zero local power"):
+            dualfreq_coherence(s, 256, 64, 0, 0.1, 1, 0.2, smoothing=(2, 16))
+
+
+class TestRejections:
+    def setup_method(self):
+        self.s = am_trial(7, T=1024)
+
+    @pytest.mark.parametrize("p, q", [(-1, 0), (0, -1), (2, 0), (0, 2)])
+    def test_channel_outside_range(self, p, q):
+        with pytest.raises(ConfigError, match="outside \\[0, 2\\)"):
+            dualfreq_coherence(self.s, 512, 64, p, 0.1, q, 0.2)
+        with pytest.raises(ConfigError, match="outside"):
+            dualfreq_coherence([self.s, self.s], 512, 64, p, 0.1, q, 0.2)
+
+    @pytest.mark.parametrize("omega", [0.9, -0.6, 0.5000001, np.nan, np.inf])
+    def test_frequency_beyond_nyquist(self, omega):
+        with pytest.raises(ConfigError, match="cycles per sample"):
+            dualfreq_coherence(self.s, 512, 64, 0, omega, 1, 0.2)
+        with pytest.raises(ConfigError, match="cycles per sample"):
+            local_fourier(self.s, 512, 64, omega)
+        with pytest.raises(ConfigError, match="cycles per sample"):
+            local_fourier(self.s, 512, 64, [0.1, omega])
+
+    @pytest.mark.parametrize("centers, pairs", [([], [(0, 0.1, 1, 0.2)]),
+                                                (range(600, 500, 1), [(0, 0.1, 1, 0.2)]),
+                                                ([512], [])])
+    def test_empty_scan(self, centers, pairs):
+        with pytest.raises(ConfigError, match="at least one"):
+            dualfreq_scan(self.s, centers, 64, pairs)
+
+    def test_no_trials(self):
+        with pytest.raises(ConfigError, match="at least one"):
+            dualfreq_coherence([], 512, 64, 0, 0.1, 1, 0.2)
+
+    def test_band_variant_channel_outside_range(self):
+        theta, gamma = band_by_name("theta"), band_by_name("gamma")
+        with pytest.raises(ConfigError, match="outside"):
+            band_dualfreq_coherence(self.s, -1, theta, 0, gamma, 512, 128)

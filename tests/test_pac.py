@@ -123,6 +123,12 @@ class TestModulationIndex:
             vals.append(modulation_index(s, 0, THETA, 0, GAMMA))
         assert np.median(vals) < 0.01
 
+    @pytest.mark.parametrize("cp, ca", [(-1, 0), (0, -1), (2, 0)])
+    def test_channel_outside_range(self, cp, ca):
+        s = MultiChannelSeries(np.random.default_rng(3).standard_normal((4096, 2)), FS)
+        with pytest.raises(ConfigError, match="outside"):
+            modulation_index(s, cp, THETA, ca, GAMMA)
+
     def test_pac_example_dominates_latents(self):
         for seed in range(5):
             s, t = example("pac", 2 ** 14, seed)

@@ -294,7 +294,7 @@ class TestSerialization:
         path = tmp_path / "spec.csv"
         csm_to_csv(f, path)
         import csv as csvmod
-        rows = list(csvmod.DictReader(path.open()))
+        rows = list(csvmod.DictReader(path.read_text().splitlines()))
         assert len(rows) == 16 * 4
         k = f.grid.index_of(0.25)
         row = [r for r in rows if float(r["freq"]) == 0.25

@@ -558,9 +558,11 @@ class TestTvPdc:
         assert res.values.shape == (len(coh.centers), 128, 2, 2)
 
 
-# Every fit rejects a VAR(L) in P channels on T = P*L + P samples and fits
-# on one more.  tv_pdc's T is its window N, which must be even, so there the
-# boundary T is even and the smallest window that fits is T + 2.
+# Every fit rejects a VAR(L) in P channels on T = P*L + max(P, L) samples and
+# fits on one more: then there are more samples than P*L + P and more design
+# rows (T - L) than regressors (P*L).  tv_pdc's T is its window N, which must
+# be even, so there it rejects the largest even window up to the boundary and
+# fits a window two samples longer.
 IDENTIFY_FITS = {
     "fit_ols": lambda s, L: fit_ols(s, L),
     "fit_lasso": lambda s, L: fit_lasso(s, L, 0.05),
@@ -572,9 +574,11 @@ IDENTIFY_FITS = {
 
 class TestIdentifiability:
     @pytest.mark.parametrize("fit", sorted(IDENTIFY_FITS))
-    @pytest.mark.parametrize("P, L", [(2, 1), (3, 1), (4, 2)])
+    @pytest.mark.parametrize("P, L", [(2, 1), (3, 1), (4, 2), (2, 3), (1, 2)])
     def test_boundary(self, fit, P, L):
-        T = P * L + P
+        T = P * L + max(P, L)
+        if fit == "tv_pdc":
+            T -= T % 2
         x = np.random.default_rng(10 * P + L).standard_normal((T + 2, P))
         with pytest.raises(ConfigError, match="too short"):
             IDENTIFY_FITS[fit](MultiChannelSeries(x[:T], 1.0), L)
