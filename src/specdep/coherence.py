@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (ConfigError, TimeVaryingResult, max_lag_sq_correlation,
-                   sliding_windows, table_to_csv)
+from .core import (ConfigError, TimeVaryingResult, _check_channels,
+                   max_lag_sq_correlation, sliding_windows, table_to_csv)
 from .filters import band_filter, default_order
 from .spectrum import (CrossSpectralMatrix, SmoothingKernel, default_bandwidth,
                        periodogram, smooth_periodogram)
@@ -46,6 +46,7 @@ class CoherenceResult:
 
 
 def _auto_ok(f, p, q):
+    _check_channels([p, q], f.n_channels)
     app = np.real(f.values[:, p, p])
     aqq = np.real(f.values[:, q, q])
     if np.any(app <= 0) or np.any(aqq <= 0):
@@ -149,6 +150,7 @@ def partial_coherence_residual(series, p, q, c, band, filter_order=None):
     the residuals is returned.  A residual that is numerically zero (e.g.
     q == c) gives 0 by convention.
     """
+    series.check_channels([p, q, c])
     if c == p or c == q:
         raise ConfigError("conditioning channel must differ from p and q")
     if p == q:

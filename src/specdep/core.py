@@ -47,6 +47,15 @@ class ConfigError(ValueError):
     """Raised when an analysis configuration is inconsistent."""
 
 
+def _check_channels(channels, P):
+    """``channels`` as a list, each checked to lie in [0, P) so that none wraps."""
+    channels = list(channels)
+    for c in channels:
+        if not 0 <= c < P:
+            raise ConfigError(f"channel {c} outside [0, {P})")
+    return channels
+
+
 class MultiChannelSeries:
     """A multivariate time series sampled on a regular grid.
 
@@ -94,11 +103,7 @@ class MultiChannelSeries:
 
     def check_channels(self, channels):
         """``channels`` as a list, each checked to lie in [0, P) so that none wraps."""
-        channels = list(channels)
-        for c in channels:
-            if not 0 <= c < self.n_channels:
-                raise ConfigError(f"channel {c} outside [0, {self.n_channels})")
-        return channels
+        return _check_channels(channels, self.n_channels)
 
     def channel(self, p):
         """Return column ``p`` as a 1-D array (no copy)."""
@@ -261,8 +266,8 @@ def sliding_windows(series, N, step):
     time.
     """
     T = series.n_samples
-    if N % 2 != 0 or N > T:
-        raise ConfigError("window length N must be even and <= T")
+    if N < 2 or N % 2 != 0 or N > T:
+        raise ConfigError(f"window length N must be even and in [2, T={T}], got {N}")
     if step < 1:
         raise ConfigError("step must be >= 1")
     return [((s + N // 2) / T, series.with_samples(series.samples[s:s + N]))
@@ -289,11 +294,15 @@ def cross_covariance(series, p, q, h):
         raise ConfigError(f"lag {h} out of range for T={T}")
     x = series.channel(p) - series.channel(p).mean()
     y = series.channel(q) - series.channel(q).mean()
+    return _lagged_dot(x, y, h) / T
+
+
+def _lagged_dot(x, y, h):
+    """sum_t x(t+h) y(t) over the t where both are defined."""
+    T = len(x)
     if h >= 0:
-        s = np.dot(x[h:], y[:T - h])
-    else:
-        s = np.dot(x[:T + h], y[-h:])
-    return s / T
+        return np.dot(x[h:], y[:T - h])
+    return np.dot(x[:T + h], y[-h:])
 
 
 def cross_correlation(series, p, q, h):
@@ -330,16 +339,10 @@ def max_lag_sq_correlation(x, y, max_lag):
     denom = np.sqrt(np.dot(x, x) * np.dot(y, y))
     if denom <= 0:
         raise ValueError("degenerate (zero-variance) input")
-
-    def r(lag):
-        if lag >= 0:
-            return np.dot(x[lag:], y[:T - lag]) / denom
-        return np.dot(x[:T + lag], y[-lag:]) / denom
-
-    best_val, best_lag = r(0) ** 2, 0
+    best_val, best_lag = (_lagged_dot(x, y, 0) / denom) ** 2, 0
     for mag in range(1, max_lag + 1):
         for lag in (-mag, mag):
-            v = r(lag) ** 2
+            v = (_lagged_dot(x, y, lag) / denom) ** 2
             if v > best_val:
                 best_val, best_lag = v, lag
     return float(best_val), int(best_lag)

@@ -96,13 +96,10 @@ class VarModel:
             return np.zeros((P, P))
         comp = np.zeros((P * L, P * L))
         comp[:P] = np.concatenate(list(self.coeffs), axis=1)
-        if L > 1:
-            comp[P:, :P * (L - 1)] = np.eye(P * (L - 1))
+        comp[P:, :P * (L - 1)] = np.eye(P * (L - 1))
         return comp
 
     def spectral_radius(self):
-        if self.order == 0:
-            return 0.0
         return float(np.max(np.abs(np.linalg.eigvals(self.companion()))))
 
     def is_stable(self):
@@ -216,6 +213,17 @@ def _model_from_rows(Z, Y, B):
     return VarModel(_coeffs_from_rows(B), (resid.T @ resid) / Z.shape[0])
 
 
+def _var_problem(series, L):
+    """The least-squares problem behind every VAR(L) fit: ``(Z, Y, Z'Z, Z'Y)``.
+
+    Z and Y are the lag design and targets of the demeaned series (see
+    :func:`_lag_design`).  Every estimator reads only the Gram matrix G = Z'Z
+    and C = Z'Y, or a block or rescaling of them; Z and Y give residuals.
+    """
+    Z, Y = _lag_design(demean(series).samples, int(L))
+    return Z, Y, Z.T @ Z, Z.T @ Y
+
+
 def fit_ols(series, L):
     """Conditional least-squares VAR fit.
 
@@ -223,43 +231,24 @@ def fit_ols(series, L):
     residual covariance (normalized by the number of regression rows).
     Coefficient standard errors are stored for Granger thresholding.
     """
-    x = demean(series).samples
-    T, P = x.shape
-    L = int(L)
-    Z, Y = _lag_design(x, L)
-    if L == 0:
-        return VarModel(np.zeros((0, P, P)), (x.T @ x) / T)
-    G = Z.T @ Z
+    Z, Y, G, C = _var_problem(series, L)
     try:
-        B = np.linalg.solve(G, Z.T @ Y)
+        B = np.linalg.solve(G, C)
     except np.linalg.LinAlgError:
         raise np.linalg.LinAlgError("singular regressor Gram matrix in VAR fit")
     model = _model_from_rows(Z, Y, B)
     ginv_diag = np.diag(np.linalg.inv(G))
     model.coeff_se = np.sqrt(np.maximum(
-        np.diag(model.noise_cov)[:, None] * ginv_diag.reshape(L, 1, P), 0.0))
+        np.diag(model.noise_cov)[:, None] * ginv_diag.reshape(-1, 1, Y.shape[1]), 0.0))
     return model
 
 
-def _lasso_problem(series, L):
-    """The standardized LASSO problem of a VAR(L) fit.
-
-    Returns ``(Z, Y, zsd, ysd, G, C)``: the lag design and targets of the
-    demeaned series, their column standard deviations, the Gram matrix
-    G = Zs'Zs/n of the standardized regressors Zs = Z/zsd and the
-    correlations C = Zs'(Y/ysd)/n.  Columns of C whose response is constant
-    (ysd 0) are not standardized; their equations are left unfit.
-    """
-    Z, Y = _lag_design(demean(series).samples, int(L))
-    n = Z.shape[0]
+def _column_sds(Z, Y):
+    """Column standard deviations of Z and Y, the units of a LASSO problem."""
     zsd = Z.std(axis=0)
     if np.any(zsd <= 0):
         raise np.linalg.LinAlgError("constant regressor column in LASSO fit")
-    ysd = Y.std(axis=0)
-    Zs = Z / zsd
-    G = Zs.T @ Zs / n
-    C = Zs.T @ (Y / np.where(ysd > 0, ysd, 1.0)) / n
-    return Z, Y, zsd, ysd, G, C
+    return zsd, Y.std(axis=0)
 
 
 def _check_lam(lam):
@@ -308,12 +297,15 @@ def fit_lasso(series, L, lam, tol=1e-7, max_sweeps=10000):
     with the partial model attached.
     """
     _check_lam(lam)
-    Z, Y, zsd, ysd, G, C = _lasso_problem(series, L)
+    Z, Y, G, C = _var_problem(series, L)
+    zsd, ysd = _column_sds(Z, Y)
+    nzsd = Z.shape[0] * zsd
+    Gs = G / np.outer(nzsd, zsd)
     B = np.zeros_like(C)
     ok = True
     # equations with a constant response stay zero
     for p in np.nonzero(ysd > 0)[0]:
-        b, conv = _cd_lasso(G, C[:, p], lam, tol, max_sweeps)
+        b, conv = _cd_lasso(Gs, C[:, p] / (nzsd * ysd[p]), lam, tol, max_sweeps)
         ok = ok and conv
         B[:, p] = b * ysd[p] / zsd
     model = _model_from_rows(Z, Y, B)
@@ -330,11 +322,13 @@ def lasso_kkt_residual(series, L, lam, model):
     and equal lam sign(b_j) at nonzero ones.  Returns the max violation.
     """
     _check_lam(lam)
-    _, _, zsd, ysd, G, C = _lasso_problem(series, L)
+    Z, Y, G, C = _var_problem(series, L)
+    zsd, ysd = _column_sds(Z, Y)
     live = ysd > 0
-    bstd = _rows_from_coeffs(model.coeffs)[:, live] * zsd[:, None] / ysd[live]
-    grad = C[:, live] - G @ bstd
-    viol = np.where(bstd == 0, np.abs(grad) - lam, np.abs(grad - lam * np.sign(bstd)))
+    B = _rows_from_coeffs(model.coeffs)[:, live]
+    # the standardized gradient is the raw one, z_j'(y - Zb), over n zsd_j ysd
+    grad = (C[:, live] - G @ B) / np.outer(Z.shape[0] * zsd, ysd[live])
+    viol = np.where(B == 0, np.abs(grad) - lam, np.abs(grad - lam * np.sign(B)))
     return float(np.max(viol, initial=0.0))
 
 
@@ -342,20 +336,19 @@ def fit_lassle(series, L, lam, tol=1e-7, max_sweeps=10000):
     """Two-stage fit: LASSO support selection, then least squares on it.
 
     Stage one runs :func:`fit_lasso`; stage two refits each equation by OLS
-    restricted to the surviving regressors, solved on the standardized Gram
-    matrix of the same LASSO problem, so nonzero coefficients lose the L1
+    restricted to the surviving regressors, solved on the Gram matrix of
+    the same least-squares problem, so nonzero coefficients lose the L1
     shrinkage bias while LASSO zeros stay exactly zero.
     """
     # stage one is the public fit_lasso, so code that wraps it (the
     # benchmark's span tracer) also sees LASSLE's LASSO stage
     stage1 = fit_lasso(series, L, lam, tol, max_sweeps)
-    Z, Y, zsd, ysd, G, C = _lasso_problem(series, L)
+    Z, Y, G, C = _var_problem(series, L)
     B1 = _rows_from_coeffs(stage1.coeffs)
     B = np.zeros_like(B1)
     for p in range(B.shape[1]):
         s = np.nonzero(B1[:, p])[0]
-        if s.size:
-            B[s, p] = np.linalg.solve(G[np.ix_(s, s)], C[s, p]) * ysd[p] / zsd[s]
+        B[s, p] = np.linalg.solve(G[np.ix_(s, s)], C[s, p])
     return _model_from_rows(Z, Y, B)
 
 
@@ -383,14 +376,13 @@ def select_order(series, L_max, criterion="BIC"):
     L_max = int(L_max)
     if L_max < 1:
         raise ConfigError("L_max must be >= 1")
-    # order L regresses on the leading L*P columns of the order-L_max design
-    Z_max, Y = _lag_design(demean(series).samples, L_max)
+    # order L regresses on the leading m = L*P columns of the order-L_max design
+    Z, Y, G, C = _var_problem(series, L_max)
     n, P = Y.shape
     best_L, best_score = None, np.inf
     for L in range(1, L_max + 1):
-        Z = Z_max[:, :L * P]
-        B = np.linalg.solve(Z.T @ Z, Z.T @ Y)
-        resid = Y - Z @ B
+        m = L * P
+        resid = Y - Z[:, :m] @ np.linalg.solve(G[:m, :m], C[:m])
         sigma = (resid.T @ resid) / n
         sign, logdet = np.linalg.slogdet(sigma)
         if sign <= 0:

@@ -125,7 +125,9 @@ class TestBoundaryValidation:
         ["dualfreq", "--window", "256", "--pair", "0:200:1:40"],
         ["dualfreq", "--window", "256", "--pair", "0:-5:1:40"],
         ["filter", "--band", "0:64"],
-        ["dualfreq", "--window", "256", "--pair", "0:2:1:40", "--centers", "1200:1100:1"]])
+        ["dualfreq", "--window", "256", "--pair", "0:2:1:40", "--centers", "1200:1100:1"],
+        ["tvcoh", "--window", "0:512"], ["tvcoh", "--window=-2:1"],
+        ["tvpdc", "--window", "0:512", "--order", "2"]])
     def test_config_values(self, tmp_path, net_csv, capsys, argv):
         assert config_error(capsys, [
             argv[0], "--in", str(net_csv), "--sample-rate", "128", *argv[1:],

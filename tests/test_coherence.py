@@ -5,7 +5,7 @@ from specdep.coherence import (band_coherence, coherence, coherence_matrix,
                                coherency, estimate_spectrum, partial_coherence,
                                partial_coherence_residual, tv_coherence,
                                tv_partial_coherence)
-from specdep.core import FrequencyGrid, MultiChannelSeries, band_by_name
+from specdep.core import ConfigError, FrequencyGrid, MultiChannelSeries, band_by_name
 from specdep.simulate import example, gen_sources
 from specdep.spectrum import (CrossSpectralMatrix, SmoothingKernel, ar2_from_peak,
                               periodogram, smooth_periodogram)
@@ -46,6 +46,14 @@ class TestCoherency:
         f = CrossSpectralMatrix(grid, vals)
         with pytest.raises(ValueError):
             coherency(f, 0, 1)
+
+    @pytest.mark.parametrize("p, q", [(-1, 0), (0, 3), (3, 3)])
+    def test_channel_out_of_range(self, p, q):
+        # a negative index would otherwise wrap: (-1, 0) read channel 2
+        f = smoothed(white(256, 3, 2))
+        for fn in (coherency, coherence):
+            with pytest.raises(ConfigError, match="outside"):
+                fn(f, p, q)
 
 
 class TestCoherence:
@@ -155,6 +163,12 @@ class TestResidualPartialCoherence:
     def test_identical_pair(self):
         s, _ = example("gamma_net", 2048, 13)
         assert partial_coherence_residual(s, 0, 0, 2, band_by_name("gamma")) == 1.0
+
+    @pytest.mark.parametrize("p", [7, -1])
+    def test_channel_checked_before_identical_pair(self, p):
+        s = white(1024, 3, 3)
+        with pytest.raises(ConfigError, match="outside"):
+            partial_coherence_residual(s, p, p, 0, band_by_name("alpha"))
 
     def test_q_equals_conditioner_gives_zero(self):
         rng = np.random.default_rng(14)

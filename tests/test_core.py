@@ -220,6 +220,17 @@ class TestMaxLagSqCorrelation:
         with pytest.raises(ValueError):
             max_lag_sq_correlation(np.ones(64), np.arange(64.0), 5)
 
+    def test_lag_convention_matches_cross_correlation(self):
+        # both read sum_t x(t+h) y(t): the maximum is rho_xy(h)^2 at the lag found
+        rng = np.random.default_rng(8)
+        x = rng.standard_normal(1024)
+        for shift in (-7, 0, 12):
+            y = np.roll(x, shift) + 0.5 * rng.standard_normal(1024)
+            val, lag = max_lag_sq_correlation(x, y, 20)
+            assert lag == -shift
+            rho = cross_correlation(make_series(np.column_stack([x, y])), 0, 1, lag)
+            assert abs(val - rho ** 2) < 1e-14
+
 
 class TestSlidingWindows:
     def test_centres_and_views(self):
@@ -238,7 +249,7 @@ class TestSlidingWindows:
         (u, w), = sliding_windows(s, 16, 3)
         assert u == 0.5 and w.n_samples == 16
 
-    @pytest.mark.parametrize("N, step", [(7, 1), (18, 1), (8, 0)])
+    @pytest.mark.parametrize("N, step", [(7, 1), (18, 1), (8, 0), (0, 1), (-2, 1)])
     def test_rejects(self, N, step):
         with pytest.raises(ConfigError):
             sliding_windows(make_series(np.zeros((16, 1))), N, step)

@@ -140,6 +140,23 @@ class TestVarRecursion:
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
+def reference_ols(series, L):
+    """Coefficients, noise covariance and standard errors of an OLS fit that
+    forms its own Z'Z and Z'Y."""
+    x = demean(series).samples
+    T, P = x.shape
+    if L == 0:
+        return np.zeros((0, P, P)), (x.T @ x) / T, np.zeros((0, P, P))
+    Z, Y = _lag_design(x, L)
+    G = Z.T @ Z
+    B = np.linalg.solve(G, Z.T @ Y)
+    resid = Y - Z @ B
+    noise_cov = (resid.T @ resid) / Z.shape[0]
+    se = np.sqrt(np.maximum(np.diag(noise_cov)[:, None]
+                            * np.diag(np.linalg.inv(G)).reshape(L, 1, P), 0.0))
+    return B.reshape(L, P, P).transpose(0, 2, 1), noise_cov, se
+
+
 class TestFitOls:
     def test_var2_recovery(self):
         model = stable_var2()
@@ -170,6 +187,16 @@ class TestFitOls:
             se_flat = np.sqrt(np.maximum(model.noise_cov[p, p] * ginv_diag, 0.0))
             for l in range(1, L + 1):
                 assert np.array_equal(model.coeff_se[l - 1, p], se_flat[(l - 1) * P:l * P])
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(P=st.integers(1, 4), L=st.integers(0, 5), seed=st.integers(0, 2 ** 16))
+    def test_matches_own_normal_equations(self, P, L, seed):
+        s = ma_series(256, P, seed)
+        coeffs, noise_cov, se = reference_ols(s, L)
+        fit = fit_ols(s, L)
+        assert np.array_equal(fit.coeffs, coeffs)
+        assert np.array_equal(fit.noise_cov, noise_cov)
+        assert np.array_equal(fit.coeff_se, se)
 
     def test_lag_block_reshapes_match_loops(self):
         B = np.random.default_rng(0).standard_normal((3 * 4, 4))
@@ -287,6 +314,17 @@ class TestFitLassle:
             bias_lasso.append(np.mean(np.abs(m1.coeffs - truth.coeffs)[nz]))
             bias_lassle.append(np.mean(np.abs(m2.coeffs - truth.coeffs)[nz]))
         assert np.median(bias_lassle) < np.median(bias_lasso)
+
+
+@pytest.mark.parametrize("P", [1, 3])
+def test_order_zero_fits(P):
+    # the empty problem: no coefficients, and the noise covariance x'x/T
+    s = ma_series(300, P, 2)
+    x = demean(s).samples
+    for fit in (fit_ols(s, 0), fit_lasso(s, 0, 0.1), fit_lassle(s, 0, 0.1)):
+        assert fit.coeffs.shape == (0, P, P)
+        assert np.array_equal(fit.noise_cov, (x.T @ x) / 300)
+    assert fit_ols(s, 0).coeff_se.shape == (0, P, P)
 
 
 def test_fit_var_dispatch():
@@ -432,7 +470,9 @@ class TestGramLasso:
         with pytest.raises(np.linalg.LinAlgError):
             lasso_kkt_residual(s, 2, 0.1, VarModel(np.zeros((2, 3, 3)), np.eye(3)))
 
-    def test_select_order_matches_per_order_designs(self):
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(P=st.integers(1, 3), L_max=st.integers(1, 6), seed=st.integers(0, 2 ** 16))
+    def test_select_order_matches_per_order_designs(self, P, L_max, seed):
         def reference(s, L_max, criterion):
             x = demean(s).samples
             T, P = x.shape
@@ -447,10 +487,9 @@ class TestGramLasso:
                               + penalty * L * P * P / n)
             return int(np.argmin(scores)) + 1
 
-        for seed in range(6):
-            s, _ = example("pdc_net", 1024, seed)
+        for s in (ma_series(256, P, seed), example("pdc_net", 1024, seed % 6)[0]):
             for criterion in ("AIC", "BIC"):
-                assert select_order(s, 6, criterion) == reference(s, 6, criterion)
+                assert select_order(s, L_max, criterion) == reference(s, L_max, criterion)
 
 
 class TestTransferFunction:
