@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 malformed input, 2 invalid configuration,
 
 import argparse
 import csv as _csv
+import math
 import sys
 
 import numpy as np
@@ -26,7 +27,8 @@ import specdep.var as varmod
 from .coherence import (coherence_matrix, estimate_spectrum, partial_coherence,
                         tv_coherence, tv_partial_coherence)
 from .core import (Band, ConfigError, FrequencyGrid, MalformedInputError,
-                   MultiChannelSeries, band_by_name, table_to_csv, write_json)
+                   MultiChannelSeries, band_by_name, frequency_table_to_csv,
+                   table_to_csv, write_json)
 
 
 def write_series_csv(series, path):
@@ -85,37 +87,37 @@ def parse_window(text):
 
 
 def _parse_overrides(pairs):
+    """KEY=VALUE pairs -> dict; integer literals stay int, the rest float."""
     out = {}
     for kv in pairs or []:
         if "=" not in kv:
             raise ConfigError(f"override must be key=value, got {kv!r}")
         k, v = kv.split("=", 1)
         try:
-            out[k] = float(v) if "." in v or "e" in v.lower() else int(v)
+            out[k] = int(v)
         except ValueError:
-            out[k] = v
+            out[k] = _fields(v, f"a finite number for {k}", (float,))[0]
+        if not math.isfinite(out[k]):
+            raise ConfigError(f"expected a finite number for {k}, got {v!r}")
     return out
-
-
-def _kernel(args, T):
-    b = args.bandwidth if args.bandwidth is not None else spec.default_bandwidth(T)
-    return spec.SmoothingKernel(getattr(args, "kernel", "daniell"), b)
 
 
 def _load(args):
     return read_series_csv(args.infile, args.sample_rate)
 
 
-def _write_matrix_csv(path, grid, values, fs, extra=None):
-    """Tidy per-frequency matrix export: [u,] freq, freq_hz, p, q, value.
+def _spectrum(args):
+    """The input series and its spectral estimate under the smoothing flags."""
+    x = _load(args)
+    b = spec.default_bandwidth(x.n_samples) if args.bandwidth is None else args.bandwidth
+    return x, estimate_spectrum(x, spec.SmoothingKernel(args.kernel, b), args.shrink_order)
 
-    ``values`` is (n, P, P), or (len(extra), n, P, P) with one block per u.
-    """
-    f, p, q = grid.pair_index(values.shape[-1])
-    head, cols = ["freq", "freq_hz", "p", "q", "value"], [f, f * fs, p, q, values]
-    if extra is not None:
-        head, cols = ["u"] + head, [np.reshape(extra, (-1, 1, 1, 1))] + cols
-    table_to_csv(path, head, cols)
+
+def _fit(args):
+    """The input series and its VAR fit, at the BIC order unless --order is set."""
+    x = _load(args)
+    L = varmod.select_order(x, args.select_max) if args.order is None else args.order
+    return x, varmod.fit_var(x, L, args.method, args.lam)
 
 
 def cmd_simulate(args):
@@ -140,9 +142,7 @@ def cmd_filter(args):
 
 
 def cmd_spectrum(args):
-    series = _load(args)
-    f = estimate_spectrum(series, _kernel(args, series.n_samples),
-                              args.shrink_order)
+    _, f = _spectrum(args)
     if args.format == "json":
         write_json(args.out, spec.csm_to_json(f))
     else:
@@ -151,25 +151,20 @@ def cmd_spectrum(args):
 
 
 def cmd_coherence(args, partial=False):
-    series = _load(args)
-    f = estimate_spectrum(series, _kernel(args, series.n_samples),
-                              args.shrink_order)
+    series, f = _spectrum(args)
     vals = partial_coherence(f) if partial else coherence_matrix(f).values
-    _write_matrix_csv(args.out, f.grid, vals, series.sample_rate_hz)
+    frequency_table_to_csv(args.out, f.grid, series.sample_rate_hz, {"value": vals})
     return 0
 
 
 def cmd_tvcoh(args):
     series = _load(args)
     N, step = parse_window(args.window)
-    kernel = spec.SmoothingKernel("daniell", args.bandwidth) \
-        if args.bandwidth is not None else None
-    if args.partial:
-        res = tv_partial_coherence(series, N, step, kernel)
-    else:
-        res = tv_coherence(series, N, step, kernel)
-    _write_matrix_csv(args.out, res.grid, res.values, series.sample_rate_hz,
-                      extra=res.centers)
+    b = args.bandwidth
+    kernel = None if b is None else spec.SmoothingKernel("daniell", b)
+    res = (tv_partial_coherence if args.partial else tv_coherence)(series, N, step, kernel)
+    frequency_table_to_csv(args.out, res.grid, series.sample_rate_hz,
+                           {"value": res.values}, res.centers)
     return 0
 
 
@@ -209,19 +204,13 @@ def cmd_pac(args):
 
 
 def cmd_var_fit(args):
-    series = _load(args)
-    if args.order is None:
-        args.order = varmod.select_order(series, args.select_max)
-    model = varmod.fit_var(series, args.order, args.method, args.lam)
+    _, model = _fit(args)
     write_json(args.out, varmod.model_to_json(model))
     return 0
 
 
 def cmd_pdc(args):
-    series = _load(args)
-    if args.order is None:
-        args.order = varmod.select_order(series, args.select_max)
-    model = varmod.fit_var(series, args.order, args.method, args.lam)
+    series, model = _fit(args)
     grid = FrequencyGrid(args.grid_size)
     res = varmod.pdc(model, grid)
     edges = varmod.granger_edges(model, None if args.method == "ols" else 0.0)
@@ -233,7 +222,8 @@ def cmd_pdc(args):
     }
     write_json(args.out, out)
     if args.plot_data:
-        _write_matrix_csv(args.plot_data, grid, res.values, series.sample_rate_hz)
+        frequency_table_to_csv(args.plot_data, grid, series.sample_rate_hz,
+                               {"value": res.values})
     return 0
 
 
@@ -241,8 +231,8 @@ def cmd_tvpdc(args):
     series = _load(args)
     N, step = parse_window(args.window)
     res = varmod.tv_pdc(series, args.order, N, step, args.method, args.lam)
-    _write_matrix_csv(args.out, res.grid, res.values, series.sample_rate_hz,
-                      extra=res.centers)
+    frequency_table_to_csv(args.out, res.grid, series.sample_rate_hz,
+                           {"value": res.values}, res.centers)
     return 0
 
 
@@ -267,9 +257,7 @@ def cmd_scau(args):
 
 
 def cmd_spca(args):
-    series = _load(args)
-    f = estimate_spectrum(series, _kernel(args, series.n_samples),
-                              args.shrink_order)
+    series, f = _spectrum(args)
     sol = spcamod.spca_fit(f, args.components, args.lags)
     write_json(args.out, spcamod.spca_to_json(sol))
     if args.encode:

@@ -4,8 +4,9 @@ Coherency tau_pq(w) = f_pq / sqrt(f_pp f_qq) and coherence |tau|^2 come from
 a cross-spectral matrix.  Band coherence works directly on band-filtered
 signals as the maximal squared lagged cross-correlation.  Partial coherence
 conditions on all remaining channels through the inverse spectral matrix, or
-on a single channel through regression residuals of filtered signals.
-Time-varying versions slide a window and repeat the static estimate.
+on a single channel through regression residuals of filtered signals; both
+matrix forms normalize m_pq / sqrt(m_pp m_qq), of f and of its inverse.
+Time-varying versions run :func:`estimate_spectrum` on each window.
 """
 
 from dataclasses import dataclass
@@ -13,10 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (ConfigError, TimeVaryingResult, _check_channels,
-                   max_lag_sq_correlation, sliding_windows, table_to_csv)
+                   max_lag_sq_correlation, sliding_windows)
 from .filters import band_filter, default_order
-from .spectrum import (CrossSpectralMatrix, SmoothingKernel, default_bandwidth,
-                       periodogram, smooth_periodogram)
+from .spectrum import (SmoothingKernel, default_bandwidth, periodogram,
+                       shrink_spectral_estimate, smooth_periodogram,
+                       var_spectrum)
+from .var import fit_ols
 
 __all__ = [
     "CoherenceResult",
@@ -29,7 +32,6 @@ __all__ = [
     "estimate_spectrum",
     "tv_coherence",
     "tv_partial_coherence",
-    "coherence_to_csv",
     "edge_list",
 ]
 
@@ -45,21 +47,23 @@ class CoherenceResult:
     channel_labels: list = None
 
 
-def _auto_ok(f, p, q):
-    _check_channels([p, q], f.n_channels)
-    app = np.real(f.values[:, p, p])
-    aqq = np.real(f.values[:, q, q])
-    if np.any(app <= 0) or np.any(aqq <= 0):
+def _normalized(m):
+    """m_pq / sqrt(m_pp m_qq) per frequency, and its squared modulus (diagonal 1)."""
+    d = np.real(np.einsum("kpp->kp", m))
+    if np.any(d <= 0):
         raise ValueError("zero auto-spectrum at some frequency; smooth or "
                          "shrink the spectral estimate first")
-    return app, aqq
+    tau = m / np.sqrt(d[:, :, None] * d[:, None, :])
+    sq = np.abs(tau) ** 2
+    idx = np.arange(m.shape[1])
+    sq[:, idx, idx] = 1.0
+    return tau, sq
 
 
 def coherency(f, p, q):
     """Complex coherency tau_pq(w) = f_pq / sqrt(f_pp f_qq) over the grid."""
-    app, aqq = _auto_ok(f, p, q)
-    tau = f.values[:, p, q] / np.sqrt(app * aqq)
-    return tau
+    pq = _check_channels([p, q], f.n_channels)
+    return _normalized(f.values[:, pq][:, :, pq])[0][:, 0, 1]
 
 
 def coherence(f, p, q):
@@ -69,14 +73,7 @@ def coherence(f, p, q):
 
 def coherence_matrix(f):
     """All-pairs coherence as a CoherenceResult (diagonal is exactly 1)."""
-    d = np.real(np.einsum("kpp->kp", f.values))
-    if np.any(d <= 0):
-        raise ValueError("zero auto-spectrum at some frequency")
-    norm = np.sqrt(d[:, :, None] * d[:, None, :])
-    tau = f.values / norm
-    vals = np.abs(tau) ** 2
-    idx = np.arange(f.n_channels)
-    vals[:, idx, idx] = 1.0
+    tau, vals = _normalized(f.values)
     return CoherenceResult(f.grid, vals, tau, f.sample_rate_hz, f.channel_labels)
 
 
@@ -132,14 +129,7 @@ def partial_coherence(f, cond_cap=1e10):
             f"spectral matrix ill-conditioned at grid index {k} (frequency "
             f"{f.grid.frequencies[k]:.6f}); use shrink_spectral_estimate to "
             f"obtain a well-conditioned estimate")
-    g = np.linalg.inv(v)
-    d = np.real(np.einsum("kpp->kp", g))
-    norm = np.sqrt(d[:, :, None] * d[:, None, :])
-    lam = -g / norm
-    out = np.abs(lam) ** 2
-    idx = np.arange(f.n_channels)
-    out[:, idx, idx] = 1.0
-    return out
+    return _normalized(np.linalg.inv(v))[1]
 
 
 def partial_coherence_residual(series, p, q, c, band, filter_order=None):
@@ -148,7 +138,8 @@ def partial_coherence_residual(series, p, q, c, band, filter_order=None):
     All three channels are zero-phase filtered to the band; p and q are each
     regressed on c (lag 0, with intercept) and the squared correlation of
     the residuals is returned.  A residual that is numerically zero (e.g.
-    q == c) gives 0 by convention.
+    q == c) gives 0 by convention.  Filter order K needs T >= 2K + 4, so
+    that four samples remain after trimming.
     """
     series.check_channels([p, q, c])
     if c == p or c == q:
@@ -160,6 +151,8 @@ def partial_coherence_residual(series, p, q, c, band, filter_order=None):
     if filter_order is None:
         filter_order = default_order(band, fs)
     k = filter_order
+    if series.n_samples < 2 * k + 4:
+        raise ConfigError(f"series too short for filter order {k} (T < {2 * k + 4})")
     y = band_filter(series, [p, q, c], band, k)[k:-k]
     y = y - y.mean(axis=0, keepdims=True)
     xc = y[:, 2]
@@ -191,8 +184,6 @@ def estimate_spectrum(series, kernel=None, shrink_order=None):
         kernel = SmoothingKernel("daniell", default_bandwidth(series.n_samples))
     f = smooth_periodogram(periodogram(series), kernel)
     if shrink_order is not None:
-        from .var import fit_ols
-        from .spectrum import var_spectrum, shrink_spectral_estimate
         model = fit_ols(series, shrink_order)
         h = var_spectrum(model, f.grid, series.sample_rate_hz)
         f = shrink_spectral_estimate(f, h, kernel)
@@ -210,33 +201,21 @@ def tv_coherence(series, N, step, kernel=None):
     return _tv(series, N, step, kernel, partial=False)
 
 
-def tv_partial_coherence(series, N, step, kernel=None, cond_cap=1e10):
+def tv_partial_coherence(series, N, step, kernel=None):
     """Sliding-window partial coherence; see :func:`tv_coherence`."""
-    return _tv(series, N, step, kernel, partial=True, cond_cap=cond_cap)
+    return _tv(series, N, step, kernel, partial=True)
 
 
-def _tv(series, N, step, kernel, partial, cond_cap=1e10):
+def _tv(series, N, step, kernel, partial):
     windows = sliding_windows(series, N, step)
-    if kernel is None:
-        kernel = SmoothingKernel("daniell", default_bandwidth(N))
-    if kernel.bandwidth >= N / 4:
-        raise ConfigError(f"window N={N} too small for kernel bandwidth "
-                          f"{kernel.bandwidth}")
     out = []
     for _, win in windows:
-        f = smooth_periodogram(periodogram(win), kernel)
-        out.append(partial_coherence(f, cond_cap) if partial
-                   else coherence_matrix(f).values)
+        f = estimate_spectrum(win, kernel)
+        out.append(partial_coherence(f) if partial else coherence_matrix(f).values)
     return TimeVaryingResult(np.array([u for u, _ in windows]), N, int(step),
                              f.grid, np.stack(out),
                              "partial_coherence" if partial else "coherence",
                              series.sample_rate_hz)
-
-
-def coherence_to_csv(result, path):
-    """Long-format CSV of a CoherenceResult: freq, p, q, value."""
-    f, p, q = result.grid.pair_index(result.values.shape[1])
-    table_to_csv(path, ["freq", "p", "q", "value"], [f, p, q, result.values])
 
 
 def edge_list(series, bands, threshold=0.0, filter_order=None):

@@ -4,7 +4,8 @@ The basic data object is :class:`MultiChannelSeries`, a T x P sample matrix
 with a sampling rate.  All dependence measures in the other modules consume
 it.  Covariance/correlation here use the biased 1/T normalization so that the
 autocovariance sequence is positive semi-definite.  Every long-format
-result table is written by :func:`table_to_csv`, every JSON document by
+result table is written by :func:`table_to_csv` (per-frequency matrices
+through :func:`frequency_table_to_csv`), every JSON document by
 :func:`write_json`, and every time-varying estimate loops over
 :func:`sliding_windows`.
 """
@@ -31,6 +32,7 @@ __all__ = [
     "TimeVaryingResult",
     "sliding_windows",
     "table_to_csv",
+    "frequency_table_to_csv",
     "write_json",
 ]
 
@@ -81,7 +83,7 @@ class MultiChannelSeries:
         if not np.all(np.isfinite(samples)):
             raise MalformedInputError("samples contain NaN or Inf")
         if not (np.isfinite(sample_rate_hz) and sample_rate_hz > 0):
-            raise MalformedInputError("sample_rate_hz must be positive")
+            raise ConfigError(f"sample rate must be positive, got {sample_rate_hz}")
         if channel_labels is None:
             channel_labels = [f"X{p + 1}" for p in range(P)]
         channel_labels = [str(c) for c in channel_labels]
@@ -226,15 +228,6 @@ class FrequencyGrid:
         hz = self.frequencies * sample_rate_hz
         return np.nonzero((hz >= band.low_hz) & (hz < band.high_hz))[0]
 
-    def pair_index(self, n_channels):
-        """Index columns (freq, p, q) of a per-frequency (n, P, P) table.
-
-        Shaped (n, 1, 1), (P, 1) and (P,) to broadcast against the values:
-        rows run over frequency, then p, then q.
-        """
-        chan = np.arange(n_channels)
-        return self.frequencies[:, None, None], chan[:, None], chan
-
     def __eq__(self, other):
         return isinstance(other, FrequencyGrid) and self.n == other.n
 
@@ -375,6 +368,22 @@ def table_to_csv(path, header, columns):
             cells = [c.flat[s:s + TABLE_CHUNK_ROWS].tolist() for c in cols]
             wr.writerows(zip(*[map(fmt, v) if c.dtype.kind == "f" else v
                                for c, v in zip(cols, cells)]))
+
+
+def frequency_table_to_csv(path, grid, fs, columns, u=None):
+    """Long-format table of per-frequency matrices: [u,] freq, freq_hz, p, q, ...
+
+    ``columns`` maps each value column's name to an (n, P, P) array, or
+    (len(u), n, P, P) with one block per window centre u.  freq_hz is left
+    empty when ``fs`` is None.
+    """
+    chan = np.arange(next(iter(columns.values())).shape[-1])
+    f = grid.frequencies[:, None, None]
+    header = ["freq", "freq_hz", "p", "q", *columns]
+    cols = [f, f * fs if fs else "", chan[:, None], chan, *columns.values()]
+    if u is not None:
+        header, cols = ["u", *header], [np.reshape(u, (-1, 1, 1, 1)), *cols]
+    table_to_csv(path, header, cols)
 
 
 def write_json(path, obj, indent=None):

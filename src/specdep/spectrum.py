@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigError, FrequencyGrid, demean, table_to_csv
+from .core import ConfigError, FrequencyGrid, demean, frequency_table_to_csv
 
 __all__ = [
     "CrossSpectralMatrix",
@@ -166,7 +166,7 @@ def default_bandwidth(T):
     return int(np.ceil(T ** 0.6 / 8))
 
 
-def fourier_coefficients(series, demeaned=None):
+def fourier_coefficients(series):
     """Discrete Fourier coefficients d(w_k) = sum_{t=1..T} X(t) e^{-i2pi w_k t}.
 
     Computed at the fundamental frequencies w_k = k/T (T even) and returned
@@ -273,10 +273,8 @@ def shrink_spectral_estimate(smoothed, parametric, kernel):
 
 def csm_to_csv(csm, path):
     """Long-format export: freq (cycles/sample), freq_hz, p, q, re, im."""
-    fs = csm.sample_rate_hz
-    f, p, q = csm.grid.pair_index(csm.n_channels)
-    table_to_csv(path, ["freq", "freq_hz", "p", "q", "re", "im"],
-                 [f, f * fs if fs else "", p, q, csm.values.real, csm.values.imag])
+    frequency_table_to_csv(path, csm.grid, csm.sample_rate_hz,
+                           {"re": csm.values.real, "im": csm.values.imag})
 
 
 def csm_to_json(csm):

@@ -54,6 +54,18 @@ class TestSimulateCommand:
              "--set", "f0_hz=3.5", "-o", str(out)])
         truth = json.loads((tmp_path / "x.truth.json").read_text())
         assert truth["f0_hz"] == 3.5
+        # an integer literal stays an int in the truth file
+        run(["simulate", "--example", "lagged_mixture", "--T", "256", "--seed", "1",
+             "--set", "lag=3", "-o", str(out)])
+        truth = json.loads((tmp_path / "x.truth.json").read_text())
+        assert truth["lag"] == 3 and isinstance(truth["lag"], int)
+
+
+    @pytest.mark.parametrize("value", ["abc", "nan", "inf", "-128"])
+    def test_bad_rate_override(self, tmp_path, capsys, value):
+        assert config_error(capsys, [
+            "simulate", "--example", "chirp", "--T", "256", "--seed", "1",
+            "--set", f"fs={value}", "-o", str(tmp_path / "x.csv")]) == 2
 
 
 class TestExitCodes:
@@ -127,7 +139,9 @@ class TestBoundaryValidation:
         ["filter", "--band", "0:64"],
         ["dualfreq", "--window", "256", "--pair", "0:2:1:40", "--centers", "1200:1100:1"],
         ["tvcoh", "--window", "0:512"], ["tvcoh", "--window=-2:1"],
-        ["tvpdc", "--window", "0:512", "--order", "2"]])
+        ["tvpdc", "--window", "0:512", "--order", "2"],
+        ["coherence", "--sample-rate", "0"], ["coherence", "--sample-rate", "-5"],
+        ["coherence", "--sample-rate", "nan"]])
     def test_config_values(self, tmp_path, net_csv, capsys, argv):
         assert config_error(capsys, [
             argv[0], "--in", str(net_csv), "--sample-rate", "128", *argv[1:],

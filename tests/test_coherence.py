@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specdep.coherence import (band_coherence, coherence, coherence_matrix,
                                coherency, estimate_spectrum, partial_coherence,
                                partial_coherence_residual, tv_coherence,
                                tv_partial_coherence)
-from specdep.core import ConfigError, FrequencyGrid, MultiChannelSeries, band_by_name
+from specdep.core import (ConfigError, FrequencyGrid, MultiChannelSeries, band_by_name,
+                          sliding_windows)
+from specdep.filters import default_order
 from specdep.simulate import example, gen_sources
 from specdep.spectrum import (CrossSpectralMatrix, SmoothingKernel, ar2_from_peak,
                               periodogram, smooth_periodogram)
@@ -46,6 +50,25 @@ class TestCoherency:
         f = CrossSpectralMatrix(grid, vals)
         with pytest.raises(ValueError):
             coherency(f, 0, 1)
+
+    def test_checks_only_its_own_pair(self):
+        # a silent third channel stops the matrix, not the (0, 1) coherency
+        x = np.random.default_rng(4).standard_normal((256, 3))
+        x[:, 2] = 0.0
+        f = smoothed(MultiChannelSeries(x, 128.0), 8)
+        assert np.all(np.isfinite(coherency(f, 0, 1)))
+        with pytest.raises(ValueError, match="zero auto-spectrum"):
+            coherence_matrix(f)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(P=st.integers(1, 4), T=st.sampled_from([64, 128, 256]),
+           seed=st.integers(0, 2 ** 16))
+    def test_pair_equals_matrix_entry(self, P, T, seed):
+        f = smoothed(white(T, P, seed), 4)
+        tau = coherence_matrix(f).coherency
+        for p in range(P):
+            for q in range(P):
+                assert np.array_equal(coherency(f, p, q), tau[:, p, q])
 
     @pytest.mark.parametrize("p, q", [(-1, 0), (0, 3), (3, 3)])
     def test_channel_out_of_range(self, p, q):
@@ -112,7 +135,25 @@ class TestBandCoherence:
         assert l1 == -l2
 
 
+def partial_coherence_reference(f):
+    """The inverse-matrix form written out: |-g_pq / sqrt(g_pp g_qq)|^2, diagonal 1."""
+    g = np.linalg.inv(f.values)
+    d = np.real(np.einsum("kpp->kp", g))
+    norm = np.sqrt(d[:, :, None] * d[:, None, :])
+    out = np.abs(-g / norm) ** 2
+    idx = np.arange(f.n_channels)
+    out[:, idx, idx] = 1.0
+    return out
+
+
 class TestPartialCoherence:
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(P=st.integers(1, 4), T=st.sampled_from([64, 128, 256]),
+           seed=st.integers(0, 2 ** 16))
+    def test_matches_inverse_reference(self, P, T, seed):
+        f = smoothed(white(T, P, seed), 4)
+        assert np.array_equal(partial_coherence(f), partial_coherence_reference(f))
+
     def test_bivariate_equals_coherence(self):
         for seed in range(20):
             s = white(256, 2, 100 + seed)
@@ -177,6 +218,15 @@ class TestResidualPartialCoherence:
         val = partial_coherence_residual(s, 0, 1, 2, band_by_name("alpha"))
         assert val == 0.0
 
+    def test_needs_four_samples_after_trimming(self):
+        band = band_by_name("alpha")
+        K = default_order(band, 128.0)
+        s, _ = example("gamma_net", 2 * K + 3, 0)
+        with pytest.raises(ConfigError, match="too short"):
+            partial_coherence_residual(s, 0, 1, 2, band)
+        s, _ = example("gamma_net", 2 * K + 4, 0)
+        assert 0.0 <= partial_coherence_residual(s, 0, 1, 2, band) <= 1.0
+
     def test_example4_agrees_with_matrix_form(self):
         s, t = example("gamma_net", 4096, 15)
         val = partial_coherence_residual(s, 0, 1, 2, band_by_name("gamma"))
@@ -220,7 +270,21 @@ class TestTimeVarying:
         res = tv_coherence(s, 1024, 64)
         assert len(res.centers) == 1
         static = coherence_matrix(estimate_spectrum(s)).values
-        assert np.allclose(res.values[0], static, atol=1e-12)
+        assert np.array_equal(res.values[0], static)
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(P=st.integers(1, 3), N=st.sampled_from([64, 128]),
+           step=st.integers(32, 96), b=st.sampled_from([None, 2, 3]),
+           partial=st.booleans(), seed=st.integers(0, 2 ** 16))
+    def test_windows_stack_static_estimates(self, P, N, step, b, partial, seed):
+        s = white(256, P, seed)
+        kernel = None if b is None else SmoothingKernel("triangular", b)
+        tv = tv_partial_coherence if partial else tv_coherence
+        res = tv(s, N, step, kernel)
+        static = [estimate_spectrum(win, kernel) for _, win in sliding_windows(s, N, step)]
+        expected = [partial_coherence(f) if partial else coherence_matrix(f).values
+                    for f in static]
+        assert np.array_equal(res.values, np.stack(expected))
 
     def test_tv_partial_two_regime(self):
         s = self._coupled(8192, 19, two_regime=True)
@@ -249,13 +313,3 @@ class TestExports:
         assert pairs == {(0, 1), (0, 2), (1, 2)}
         delta_edges = edge_list(s, [band_by_name("delta")], threshold=0.6)
         assert delta_edges == []
-
-    def test_coherence_csv(self, tmp_path):
-        from specdep.coherence import coherence_to_csv
-        s = white(256, 2, 22)
-        res = coherence_matrix(smoothed(s, 8))
-        path = tmp_path / "coh.csv"
-        coherence_to_csv(res, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "freq,p,q,value"
-        assert len(lines) == 1 + 256 * 4

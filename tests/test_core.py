@@ -20,6 +20,11 @@ class TestContainers:
         with pytest.raises(MalformedInputError):
             MultiChannelSeries([[1.0, 2.0]], 128.0)
 
+    @pytest.mark.parametrize("fs", [0.0, -5.0, np.nan, np.inf])
+    def test_rejects_sample_rate(self, fs):
+        with pytest.raises(ConfigError, match="sample rate"):
+            MultiChannelSeries(np.zeros((4, 2)), fs)
+
     def test_rejects_duplicate_labels(self):
         with pytest.raises(MalformedInputError):
             MultiChannelSeries(np.zeros((4, 2)) + [[0, 1]], 128.0, ["a", "a"])

@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 from specdep import cli
-from specdep.coherence import CoherenceResult, coherence_to_csv
-from specdep.core import TABLE_CHUNK_ROWS, Band, FrequencyGrid, MultiChannelSeries
+from specdep.core import (TABLE_CHUNK_ROWS, Band, FrequencyGrid, MultiChannelSeries,
+                          frequency_table_to_csv)
 from specdep.dualfreq import DualFreqResult
 from specdep.pac import mi_table_to_csv
 from specdep.spectrum import CrossSpectralMatrix, csm_to_csv
@@ -36,7 +36,6 @@ WRITERS = {
         [[-0.0, 1e-300], [0.1, 2.0], [3.0, -1.5]], 128.0, ["a,b", 'say "hi"']), p),
     "csm_fs": lambda p: csm_to_csv(_csm(0.1), p),
     "csm_nofs": lambda p: csm_to_csv(_csm(None), p),
-    "coherence": lambda p: coherence_to_csv(CoherenceResult(GRID, VALS), p),
     "mi": lambda p: mi_table_to_csv(
         p, np.array([[[-0.0, 1e-300]], [[0.1, 1.0]]]), [(0, 0), (1, 0)],
         [Band("a,b", 4, 8)], [Band("gamma", 30, 50), Band("hi", 60, 80)]),
@@ -52,9 +51,9 @@ WRITERS = {
         {"from_channel": 1, "from_band": "beta", "to_channel": 1, "to_band": "beta",
          "lag": 3, "coefficient": 0.1},
     ], p),
-    "matrix": lambda p: cli._write_matrix_csv(p, GRID, VALS, 0.1),
-    "matrix_u": lambda p: cli._write_matrix_csv(
-        p, GRID, np.stack([VALS, -VALS]), 0.1, extra=np.array([0.1, 0.7])),
+    "matrix": lambda p: frequency_table_to_csv(p, GRID, 0.1, {"value": VALS}),
+    "matrix_u": lambda p: frequency_table_to_csv(
+        p, GRID, 0.1, {"value": np.stack([VALS, -VALS])}, np.array([0.1, 0.7])),
 }
 
 EXPECTED = {
@@ -85,17 +84,6 @@ EXPECTED = {
         b'0.5,,0,1,3,0.10000000000000001\r\n'
         b'0.5,,1,0,3,-0.10000000000000001\r\n'
         b'0.5,,1,1,1e-300,0\r\n'
-    ),
-    "coherence": (
-        b'freq,p,q,value\r\n'
-        b'0,0,0,-0\r\n'
-        b'0,0,1,1e-300\r\n'
-        b'0,1,0,0.10000000000000001\r\n'
-        b'0,1,1,1\r\n'
-        b'0.5,0,0,2.5\r\n'
-        b'0.5,0,1,0.33333333333333331\r\n'
-        b'0.5,1,0,1e-300\r\n'
-        b'0.5,1,1,-0\r\n'
     ),
     "mi": (
         b'low_band,high_band,channel_low,channel_high,MI\r\n'
