@@ -35,6 +35,9 @@ __all__ = [
     "edge_list",
 ]
 
+# largest spectral-matrix condition number partial_coherence inverts
+_COND_CAP = 1e10
+
 
 @dataclass
 class CoherenceResult:
@@ -106,13 +109,13 @@ def band_coherence(series, p, q, band, filter_order=None, max_lag=None):
     return max_lag_sq_correlation(y[:, 0], y[:, 1], max_lag)
 
 
-def partial_coherence(f, cond_cap=1e10):
+def partial_coherence(f):
     """Partial coherence matrix from the inverse spectral matrix.
 
     With g = f^{-1} and h = diag(g_rr^{-1/2}), Lambda = -h g h and the
     partial coherence between p and q (given all other channels) is
     |Lambda_pq|^2.  The diagonal is reported as 1 by convention.  Raises
-    when the spectral matrix condition number exceeds ``cond_cap``; shrink
+    when the spectral matrix condition number exceeds ``_COND_CAP``; shrink
     the estimate (see spectrum.shrink_spectral_estimate) in that case.
 
     Returns
@@ -122,7 +125,7 @@ def partial_coherence(f, cond_cap=1e10):
     v = f.values
     ev = np.linalg.eigvalsh(0.5 * (v + v.conj().transpose(0, 2, 1)))
     lo, hi = ev[:, 0], ev[:, -1]
-    bad = (lo <= 0) | (hi > cond_cap * np.maximum(lo, 1e-300))
+    bad = (lo <= 0) | (hi > _COND_CAP * np.maximum(lo, 1e-300))
     if np.any(bad):
         k = int(np.nonzero(bad)[0][0])
         raise ValueError(

@@ -8,8 +8,6 @@ structure an analysis should recover.  Identical (name, T, seed, overrides)
 reproduce output bit for bit.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import ConfigError, MultiChannelSeries
@@ -17,7 +15,6 @@ from .spectrum import Ar2Params, ar2_from_peak, ar2_stationary_var
 from .var import VarModel, simulate_var
 
 __all__ = [
-    "MixtureSpec",
     "gen_sources",
     "mix",
     "example",
@@ -27,36 +24,6 @@ __all__ = [
 
 DEFAULT_FS = 128.0
 DEFAULT_M = 1.05
-
-
-@dataclass
-class MixtureSpec:
-    """A lagged linear mixture X_p(t) = sum_k C[p,k] Z_k(t - H[p,k]) + noise.
-
-    ``source_params`` lists Ar2Params (or the string "white" for a unit
-    white-noise source); ``mixing`` is P x K, ``lags`` P x K non-negative
-    integers (zeros when omitted), ``noise_std`` scalar or length P.
-    """
-
-    source_params: list
-    mixing: np.ndarray
-    lags: np.ndarray = None
-    noise_std: object = 0.0
-
-    def __post_init__(self):
-        self.mixing = np.asarray(self.mixing, dtype=float)
-        if self.mixing.ndim != 2:
-            raise ConfigError("mixing must be a P x K matrix")
-        P, K = self.mixing.shape
-        if len(self.source_params) != K:
-            raise ConfigError("one source parameter set per mixing column required")
-        if self.lags is None:
-            self.lags = np.zeros((P, K), dtype=int)
-        self.lags = np.asarray(self.lags, dtype=int)
-        if self.lags.shape != (P, K) or np.any(self.lags < 0):
-            raise ConfigError("lags must be a P x K matrix of non-negative ints")
-        self.noise_std = np.broadcast_to(np.asarray(self.noise_std, dtype=float),
-                                         (P,)).copy()
 
 
 def gen_sources(params_list, T, seed, sample_rate_hz=DEFAULT_FS):
@@ -86,33 +53,42 @@ def gen_sources(params_list, T, seed, sample_rate_hz=DEFAULT_FS):
     return MultiChannelSeries(np.column_stack(cols), sample_rate_hz, labels)
 
 
-def mix(sources, spec, seed):
-    """Apply a lagged mixture to latent sources plus per-channel noise.
+def mix(sources, mixing, lags, noise_std, seed):
+    """A lagged linear mixture X_p(t) = sum_k C[p,k] Z_k(t - H[p,k]) + noise.
 
+    ``mixing`` is the P x K matrix C over the K channels of ``sources``,
+    ``lags`` the P x K non-negative integer lags H below T (None for all
+    zero) and ``noise_std`` a scalar or length-P noise standard deviation.
     Lagged source values before the record start are zero-padded, so the
     first max(lags) samples are transient.
     """
     T = sources.n_samples
-    P, K = spec.mixing.shape
+    mixing = np.asarray(mixing, dtype=float)
+    if mixing.ndim != 2:
+        raise ConfigError("mixing must be a P x K matrix")
+    P, K = mixing.shape
     if sources.n_channels != K:
-        raise ConfigError(f"spec expects {K} sources, series has {sources.n_channels}")
-    if np.any(spec.lags >= T):
-        raise ConfigError("lag exceeds series length")
+        raise ConfigError(f"mixing expects {K} sources, series has {sources.n_channels}")
+    lags = np.zeros((P, K)) if lags is None else np.asarray(lags, dtype=float)
+    whole = (lags >= 0) & (lags < T) & (lags == np.floor(lags))
+    if lags.shape != (P, K) or not np.all(whole):
+        raise ConfigError(f"lags must be a P x K matrix of non-negative ints below T={T}")
+    lags = lags.astype(int)
+    noise_std = np.broadcast_to(np.asarray(noise_std, dtype=float), (P,))
     rng = np.random.default_rng(seed)
     out = np.zeros((T, P))
     for p in range(P):
         for k in range(K):
-            c = spec.mixing[p, k]
+            c = mixing[p, k]
             if c == 0.0:
                 continue
-            h = spec.lags[p, k]
+            h = lags[p, k]
             z = sources.channel(k)
             if h == 0:
                 out[:, p] += c * z
             else:
                 out[h:, p] += c * z[:-h]
-    noise = rng.standard_normal((T, P)) * spec.noise_std
-    out += noise
+    out += rng.standard_normal((T, P)) * noise_std
     return MultiChannelSeries(out, sources.sample_rate_hz)
 
 
@@ -152,25 +128,31 @@ def _opts(overrides, **defaults):
             raise ConfigError(f"unknown overrides {sorted(unknown)}; "
                               f"accepted: {sorted(defaults)}")
         opts.update(overrides)
+    if not opts["fs"] > 0:
+        raise ConfigError(f"fs must be positive, got {opts['fs']}")
+    for k in ("noise_std", "noise_var"):
+        if k in opts and not opts[k] >= 0:
+            raise ConfigError(f"{k} must be non-negative, got {opts[k]}")
     return opts
+
+
+def _sources(T, seed, o, peaks):
+    """AR(2) sources peaking at o[k] Hz for k in ``peaks``, and the noise seed."""
+    params = [ar2_from_peak(o["M"], o[k] / o["fs"]) for k in peaks]
+    src_seed, noise_seed = np.random.SeedSequence(seed).spawn(2)
+    return gen_sources(params, T, src_seed, o["fs"]), noise_seed
 
 
 def _two_source_mixture(T, seed, overrides, lagged):
     o = _opts(overrides, fs=DEFAULT_FS, M=DEFAULT_M, noise_std=0.5,
               low_freq_hz=2.0, high_freq_hz=40.0, lag=10, weight=1.0)
-    fs = o["fs"]
-    low = ar2_from_peak(o["M"], o["low_freq_hz"] / fs)
-    high = ar2_from_peak(o["M"], o["high_freq_hz"] / fs)
-    src_seed, mix_seed = np.random.SeedSequence(seed).spawn(2)
-    sources = gen_sources([low, high], T, src_seed, fs)
+    sources, mix_seed = _sources(T, seed, o, ("low_freq_hz", "high_freq_hz"))
     c = o["weight"]
-    lags = np.array([[0, o["lag"]], [0, 0]]) if lagged else None
-    spec = MixtureSpec([low, high], np.array([[c, c], [0.0, c]]), lags,
-                       o["noise_std"])
-    series = mix(sources, spec, mix_seed)
+    lags = [[0, o["lag"]], [0, 0]] if lagged else None
+    series = mix(sources, [[c, c], [0.0, c]], lags, o["noise_std"], mix_seed)
     truth = {
         "name": "lagged_mixture" if lagged else "instant_mixture",
-        "sample_rate_hz": fs,
+        "sample_rate_hz": o["fs"],
         "low_band_hz": [0.5, 4.0], "high_band_hz": [30.0, 50.0],
         "low_peak_hz": o["low_freq_hz"], "high_peak_hz": o["high_freq_hz"],
         "shared_source": "high",
@@ -188,19 +170,12 @@ def _gamma_net(T, seed, overrides, with_alpha_in_x2):
     # sources stay below the noise floor.
     o = _opts(overrides, fs=DEFAULT_FS, M=DEFAULT_M, noise_std=0.5,
               delta_hz=2.0, alpha_hz=10.0, gamma_hz=40.0)
-    fs = o["fs"]
-    params = [ar2_from_peak(o["M"], o[k] / fs) for k in ("delta_hz", "alpha_hz", "gamma_hz")]
-    src_seed, mix_seed = np.random.SeedSequence(seed).spawn(2)
-    sources = gen_sources(params, T, src_seed, fs)
-    if with_alpha_in_x2:
-        A = np.array([[0.0, 1.0, 1.0], [1.0, 1.0, 1.0], [0.0, 0.0, 1.0]])
-    else:
-        A = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
-    spec = MixtureSpec(params, A, None, [o["noise_std"], o["noise_std"], 0.0])
-    series = mix(sources, spec, mix_seed)
+    sources, mix_seed = _sources(T, seed, o, ("delta_hz", "alpha_hz", "gamma_hz"))
+    A = np.array([[0.0, 1.0, 1.0], [1.0, float(with_alpha_in_x2), 1.0], [0.0, 0.0, 1.0]])
+    series = mix(sources, A, None, [o["noise_std"], o["noise_std"], 0.0], mix_seed)
     truth = {
         "name": "gamma_alpha_net" if with_alpha_in_x2 else "gamma_net",
-        "sample_rate_hz": fs,
+        "sample_rate_hz": o["fs"],
         "mixing": A.tolist(),
         "source_peaks_hz": [o["delta_hz"], o["alpha_hz"], o["gamma_hz"]],
         "coherent_pairs": {"gamma": [[0, 1], [0, 2], [1, 2]]},
@@ -218,18 +193,12 @@ def _gamma_net(T, seed, overrides, with_alpha_in_x2):
 def _lead_lag(T, seed, overrides):
     o = _opts(overrides, fs=DEFAULT_FS, M=DEFAULT_M, noise_std=0.5,
               delta_hz=2.0, beta_hz=15.0, gamma_hz=30.0, lag=10)
-    fs = o["fs"]
-    params = [ar2_from_peak(o["M"], o[k] / fs) for k in ("delta_hz", "beta_hz", "gamma_hz")]
-    src_seed, mix_seed = np.random.SeedSequence(seed).spawn(2)
-    sources = gen_sources(params, T, src_seed, fs)
+    sources, mix_seed = _sources(T, seed, o, ("delta_hz", "beta_hz", "gamma_hz"))
     h = o["lag"]
-    spec = MixtureSpec(params,
-                       np.array([[1.0, 0.0, 0.0], [1.0, 1.0, 1.0]]),
-                       np.array([[0, 0, 0], [h, h, h]]),
-                       o["noise_std"])
-    series = mix(sources, spec, mix_seed)
+    series = mix(sources, [[1.0, 0.0, 0.0], [1.0, 1.0, 1.0]], [[0, 0, 0], [h, h, h]],
+                 o["noise_std"], mix_seed)
     truth = {
-        "name": "lead_lag", "sample_rate_hz": fs,
+        "name": "lead_lag", "sample_rate_hz": o["fs"],
         "lead_channel": 0, "lag_channel": 1, "lag": h,
         "shared_band": "delta", "delta_peak_hz": o["delta_hz"],
     }
@@ -256,20 +225,14 @@ def _pdc_net(T, seed, overrides):
 def _pac(T, seed, overrides):
     o = _opts(overrides, fs=DEFAULT_FS, M=DEFAULT_M, theta_hz=6.0,
               gamma_hz=40.0, noise_var=0.1)
-    fs = o["fs"]
-    theta = ar2_from_peak(o["M"], o["theta_hz"] / fs)
-    gamma = ar2_from_peak(o["M"], o["gamma_hz"] / fs)
-    src_seed, noise_seed = np.random.SeedSequence(seed).spawn(2)
-    sources = gen_sources([theta, gamma], T, src_seed, fs)
-    z_t = sources.channel(0)
-    z_g = sources.channel(1)
-    rng = np.random.default_rng(noise_seed)
-    eps = rng.standard_normal((T, 2)) * np.sqrt(o["noise_var"])
+    sources, noise_seed = _sources(T, seed, o, ("theta_hz", "gamma_hz"))
+    z_t, z_g = sources.channel(0), sources.channel(1)
+    eps = np.random.default_rng(noise_seed).standard_normal((T, 2)) * np.sqrt(o["noise_var"])
     x1 = (z_g + 1.0) * z_t + 2.0 * z_g + eps[:, 0]
     x2 = 4.0 * z_t + z_t * z_g + eps[:, 1]
-    series = MultiChannelSeries(np.column_stack([x1, x2]), fs)
+    series = MultiChannelSeries(np.column_stack([x1, x2]), o["fs"])
     truth = {
-        "name": "pac", "sample_rate_hz": fs,
+        "name": "pac", "sample_rate_hz": o["fs"],
         "phase_band": "theta", "amplitude_band": "gamma",
         "theta_peak_hz": o["theta_hz"], "gamma_peak_hz": o["gamma_hz"],
         "coupled_channels": [0, 1], "noise_var": o["noise_var"],
@@ -281,19 +244,15 @@ def _pac(T, seed, overrides):
 def _spca_mix(T, seed, overrides):
     o = _opts(overrides, fs=DEFAULT_FS, M=DEFAULT_M, noise_std=0.5,
               delta_hz=2.0, alpha_hz=10.0, gamma_hz=40.0)
-    fs = o["fs"]
-    params = [ar2_from_peak(o["M"], o[k] / fs) for k in ("delta_hz", "alpha_hz", "gamma_hz")]
-    src_seed, mix_seed = np.random.SeedSequence(seed).spawn(2)
-    sources = gen_sources(params, T, src_seed, fs)
+    sources, mix_seed = _sources(T, seed, o, ("delta_hz", "alpha_hz", "gamma_hz"))
     A = np.array([[1.0, 0.0, 1.0],
                   [0.0, 0.0, 1.0],
                   [1.0, 0.0, 1.0],
                   [0.0, 1.0, 0.0],
                   [1.0, 1.0, 0.0]])
-    spec = MixtureSpec(params, A, None, o["noise_std"])
-    series = mix(sources, spec, mix_seed)
+    series = mix(sources, A, None, o["noise_std"], mix_seed)
     truth = {
-        "name": "spca_mix", "sample_rate_hz": fs, "mixing": A.tolist(),
+        "name": "spca_mix", "sample_rate_hz": o["fs"], "mixing": A.tolist(),
         "source_peaks_hz": [o["delta_hz"], o["alpha_hz"], o["gamma_hz"]],
         "band_channels": {"delta": [0, 2, 4], "alpha": [3, 4],
                           "gamma": [0, 1, 2]},

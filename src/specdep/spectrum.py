@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ConfigError, FrequencyGrid, demean, frequency_table_to_csv
+from .var import transfer_function
 
 __all__ = [
     "CrossSpectralMatrix",
@@ -228,8 +229,6 @@ def var_spectrum(model, grid, sample_rate_hz=None):
     to the process covariance (white noise of unit variance has a flat
     spectrum of height 1).
     """
-    from .var import transfer_function  # local import; var does not import spectrum
-
     if not model.is_stable():
         raise ValueError("VAR model is not stable (companion spectral radius >= 1)")
     phi = transfer_function(model, grid)

@@ -67,6 +67,16 @@ class TestSimulateCommand:
             "simulate", "--example", "chirp", "--T", "256", "--seed", "1",
             "--set", f"fs={value}", "-o", str(tmp_path / "x.csv")]) == 2
 
+    @pytest.mark.parametrize("name, setting", [
+        ("gamma_net", "fs=0"), ("pdc_net", "fs=0"), ("chirp", "fs=0"),
+        ("pac", "noise_var=-1"), ("lead_lag", "noise_std=-1"), ("lead_lag", "lag=2.5"),
+        ("lagged_mixture", "lag=" + "1" * 30)])
+    def test_bad_override_range(self, tmp_path, capsys, name, setting):
+        assert config_error(capsys, [
+            "simulate", "--example", name, "--T", "256", "--seed", "1",
+            "--set", setting, "-o", str(tmp_path / "x.csv")]) == 2
+        assert not (tmp_path / "x.csv").exists()
+
 
 class TestExitCodes:
     def test_missing_input_is_1(self, tmp_path):

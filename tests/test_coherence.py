@@ -197,7 +197,7 @@ class TestPartialCoherence:
                                128.0)
         f = smoothed(s, 8)
         with pytest.raises(ValueError, match="shrink"):
-            partial_coherence(f, cond_cap=1e6)
+            partial_coherence(f)
 
 
 class TestResidualPartialCoherence:
