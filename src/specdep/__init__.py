@@ -18,7 +18,7 @@ cli       command-line interface
 from .core import (Band, FrequencyGrid, MultiChannelSeries, band_by_name,
                    cross_correlation, cross_covariance, demean,
                    max_lag_sq_correlation, standard_bands)
-from .filters import (FirFilter, apply_filter, band_filter, decompose_rhythms,
+from .filters import (FirFilter, apply_filter, band_signals, decompose_rhythms,
                       design_fir_bandpass, frequency_response)
 from .spectrum import (Ar2Params, CrossSpectralMatrix, SmoothingKernel,
                        ar2_from_peak, ar2_spectrum, fourier_coefficients,

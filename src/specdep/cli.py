@@ -135,8 +135,9 @@ def _truth_path(out):
 
 def cmd_filter(args):
     series = _load(args)
-    y = flt.band_filter(series, range(series.n_channels), parse_band(args.band),
-                        args.order, args.mode)
+    band = parse_band(args.band)
+    picks = [(c, band) for c in range(series.n_channels)]
+    y, _ = flt.band_signals(series, picks, args.order, args.mode)
     write_series_csv(series.with_samples(y), args.out)
     return 0
 
@@ -243,8 +244,6 @@ def cmd_scau(args):
     if args.channels:
         n = args.channels.count(",") + 1
         channels = _fields(args.channels, "--channels I[,J...]", (int,) * n, ",")
-        if len(set(channels)) != n:
-            raise ConfigError(f"--channels: repeated channel in {args.channels!r}")
     s = varmod.SpectralVarSpec(channels=channels, bands=bands,
                                filter_order=args.filter_order,
                                order=args.order, order_max=args.select_max,

@@ -15,7 +15,7 @@ import numpy as np
 
 from .core import (ConfigError, TimeVaryingResult, _check_channels,
                    max_lag_sq_correlation, sliding_windows)
-from .filters import band_filter, default_order
+from .filters import band_signals
 from .spectrum import (SmoothingKernel, default_bandwidth, periodogram,
                        shrink_spectral_estimate, smooth_periodogram,
                        var_spectrum)
@@ -92,21 +92,14 @@ def band_coherence(series, p, q, band, filter_order=None, max_lag=None):
     -------
     (value, lag) : (float in [0, 1], int)
     """
-    fs = series.sample_rate_hz
-    band.validate_for(fs)
-    if filter_order is None:
-        filter_order = default_order(band, fs)
-    if max_lag is None:
-        max_lag = int(round(fs / band.center_hz))
-    series.check_channels([p, q])
+    y, (k, _) = band_signals(series, [(p, band), (q, band)], filter_order)
     if p == q:
         return 1.0, 0
-    y = band_filter(series, [p, q], band, filter_order)
-    k = filter_order
+    if max_lag is None:
+        max_lag = int(round(series.sample_rate_hz / band.center_hz))
     if series.n_samples <= 2 * k + 2 * max_lag:
         raise ConfigError("series too short for this filter order and max_lag")
-    y = y[k:-k]
-    return max_lag_sq_correlation(y[:, 0], y[:, 1], max_lag)
+    return max_lag_sq_correlation(y[k:-k, 0], y[k:-k, 1], max_lag)
 
 
 def partial_coherence(f):
@@ -149,14 +142,10 @@ def partial_coherence_residual(series, p, q, c, band, filter_order=None):
         raise ConfigError("conditioning channel must differ from p and q")
     if p == q:
         return 1.0
-    fs = series.sample_rate_hz
-    band.validate_for(fs)
-    if filter_order is None:
-        filter_order = default_order(band, fs)
-    k = filter_order
+    y, (k, _, _) = band_signals(series, [(p, band), (q, band), (c, band)], filter_order)
     if series.n_samples < 2 * k + 4:
         raise ConfigError(f"series too short for filter order {k} (T < {2 * k + 4})")
-    y = band_filter(series, [p, q, c], band, k)[k:-k]
+    y = y[k:-k]
     y = y - y.mean(axis=0, keepdims=True)
     xc = y[:, 2]
     vc = np.dot(xc, xc)

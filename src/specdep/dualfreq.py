@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import ConfigError, MultiChannelSeries, table_to_csv
-from .filters import band_filter, default_order
+from .filters import band_signals, default_order
 
 __all__ = ["DualFreqResult", "local_fourier", "local_dualfreq_periodogram",
            "dualfreq_coherence", "band_dualfreq_coherence", "dualfreq_scan"]
@@ -92,14 +92,13 @@ def band_dualfreq_coherence(series, p, band_1, q, band_2, t, N, filter_order=Non
     |mean x1 x2|^2 / (mean x1^2 mean x2^2) over the N-sample window at t.
     """
     fs = series.sample_rate_hz
-    for b in (band_1, band_2):
-        b.validate_for(fs)
     if filter_order is None:
+        for b in (band_1, band_2):
+            b.validate_for(fs)
         filter_order = max(default_order(band_1, fs), default_order(band_2, fs))
     idx = _windows([series.n_samples], [t], N)[0]
-    y1 = band_filter(series, [p], band_1, filter_order)[:, 0]
-    y2 = band_filter(series, [q], band_2, filter_order)[:, 0]
-    x1, x2 = y1[idx] - y1.mean(), y2[idx] - y2.mean()
+    y, _ = band_signals(series, [(p, band_1), (q, band_2)], filter_order)
+    x1, x2 = (y[idx] - y.mean(axis=0)).T
     cross = np.mean(x1 * x2)
     v1, v2 = np.mean(x1 ** 2), np.mean(x2 ** 2)
     if v1 <= 0 or v2 <= 0:

@@ -6,8 +6,8 @@ for the symmetric designs produced here) or ``zero_phase`` mode (symmetric
 taps centred on the current sample, so in-band sinusoids suffer no phase
 shift).  Causality matters for the lead-lag analyses: zero-phase filtering
 leaks future samples into the present, so the spectral-VAR pipeline always
-filters causally.  Every analysis that filters a channel to a band does so
-through :func:`band_filter`.
+filters causally.  Every band-filtered signal an analysis uses comes from
+:func:`band_signals`; each analysis trims the start-up transients itself.
 """
 
 import warnings
@@ -21,7 +21,7 @@ __all__ = [
     "design_fir_bandpass",
     "frequency_response",
     "apply_filter",
-    "band_filter",
+    "band_signals",
     "decompose_rhythms",
     "default_order",
     "save_taps",
@@ -143,21 +143,29 @@ def apply_filter(filt, series):
     return series.with_samples(out)
 
 
-def band_filter(series, channels, band, order=None, mode="zero_phase"):
-    """Filter the given channels of a series to one band.
+def band_signals(series, picks, order=None, mode="zero_phase"):
+    """Filter each (channel, band) pick of a series; return (y, orders).
 
-    Designs the band-pass of ``order`` (default :func:`default_order`) and
-    applies it in ``mode`` to the sub-series of those channels.
-
-    Returns
-    -------
-    ndarray, shape (T, len(channels))
+    Column-major ``y[:, i]`` is pick i filtered in ``mode`` with ``orders[i]``
+    (``order``, or the band's :func:`default_order` when None).  Bands are
+    checked against Nyquist first; each distinct (band, order) is designed
+    and applied once, to its distinct channels.
     """
     fs = series.sample_rate_hz
-    if order is None:
-        order = default_order(band, fs)
-    filt = design_fir_bandpass(band, order, fs, mode)
-    return apply_filter(filt, series.select(channels)).samples
+    picks = list(picks)
+    for _, band in picks:
+        band.validate_for(fs)
+    orders = [default_order(band, fs) if order is None else order for _, band in picks]
+    # (band, order) -> channel -> the columns of y that pick it
+    groups = {}
+    for i, ((c, band), k) in enumerate(zip(picks, orders)):
+        groups.setdefault((band, k), {}).setdefault(c, []).append(i)
+    y = np.empty((series.n_samples, len(picks)), order="F")
+    for (band, k), columns in groups.items():
+        out = apply_filter(design_fir_bandpass(band, k, fs, mode), series.select(columns))
+        for j, cols in enumerate(columns.values()):
+            y[:, cols] = out.samples[:, j:j + 1]
+    return y, orders
 
 
 def default_order(band, sample_rate_hz):
@@ -194,8 +202,8 @@ def decompose_rhythms(series, order=None, mode="zero_phase"):
         if band.high_hz > nyq:
             warnings.warn(f"band {band.name} clipped at Nyquist ({nyq} Hz)")
             band = Band(band.name, band.low_hz, nyq * 0.999)
-        out[band] = series.with_samples(
-            band_filter(series, range(series.n_channels), band, order, mode))
+        picks = [(c, band) for c in range(series.n_channels)]
+        out[band] = series.with_samples(band_signals(series, picks, order, mode)[0])
     return out
 
 

@@ -10,7 +10,7 @@ concentrated at a single phase.
 import numpy as np
 
 from .core import ConfigError, table_to_csv
-from .filters import band_filter, default_order
+from .filters import band_signals
 
 __all__ = [
     "AnalyticSignal",
@@ -31,9 +31,8 @@ class AnalyticSignal:
     instantaneous amplitude and phase (phase mapped to [0, 2 pi)).
     """
 
-    def __init__(self, values, band=None):
+    def __init__(self, values):
         self.values = np.asarray(values, dtype=complex)
-        self.band = band
 
     @property
     def amplitude(self):
@@ -44,7 +43,7 @@ class AnalyticSignal:
         return np.mod(np.angle(self.values), 2 * np.pi)
 
 
-def analytic_signal(x, band=None):
+def analytic_signal(x):
     """Analytic signal via the frequency-domain Hilbert construction.
 
     Negative-frequency bins are zeroed, strictly positive ones doubled, DC
@@ -57,7 +56,7 @@ def analytic_signal(x, band=None):
     T = x.size
     # one-sided weights: DC, doubled positive bins, Nyquist (even T), zeroed negative bins
     h = np.r_[1.0, np.full((T - 1) // 2, 2.0), np.ones(1 - T % 2), np.zeros((T - 1) // 2)]
-    return AnalyticSignal(np.fft.ifft(np.fft.fft(x) * h), band)
+    return AnalyticSignal(np.fft.ifft(np.fft.fft(x) * h))
 
 
 class PhaseAmplitudeDistribution:
@@ -133,30 +132,10 @@ def modulation_index(series, channel_phase, band_low, channel_amp, band_high,
     analytic amplitude (the two channels may coincide, and usually do).
     Filter/Hilbert edge transients (max(filter order, 64) samples per end)
     are excluded from binning.  MI = D_KL(P, uniform) / log(N), in [0, 1].
+    This is the one-cell case of :func:`pac_scan`.
     """
-    if n_bins < 4:
-        raise ConfigError("need at least 4 phase bins")
-    fs = series.sample_rate_hz
-    sigs = {}
-    trims = []
-    for ch, band in ((channel_phase, band_low), (channel_amp, band_high)):
-        band.validate_for(fs)
-        k = filter_order if filter_order is not None else default_order(band, fs)
-        trims.append(max(k, 64))
-        y = band_filter(series, [ch], band, k)[:, 0]
-        sigs[(ch, band.name)] = analytic_signal(y - y.mean(), band)
-    trim = max(trims)
-    if series.n_samples <= 2 * trim + n_bins:
-        raise ConfigError("series too short after trimming filter transients")
-    sl = slice(trim, series.n_samples - trim)
-    phase = sigs[(channel_phase, band_low.name)].phase[sl]
-    amp = sigs[(channel_amp, band_high.name)].amplitude[sl]
-    dist = phase_amplitude_distribution(phase, amp, n_bins)
-    uniform = np.full(n_bins, 1.0 / n_bins)
-    mi = kl_divergence(dist.probs, uniform) / np.log(n_bins)
-    if not -1e-12 <= mi <= 1 + 1e-12:
-        raise ValueError(f"modulation index {mi!r} outside [0, 1]")
-    return float(min(max(mi, 0.0), 1.0))
+    return float(pac_scan(series, [band_low], [band_high], n_bins,
+                          [(channel_phase, channel_amp)], filter_order)[0, 0, 0])
 
 
 def pac_scan(series, low_bands, high_bands, n_bins=18, pairs=None,
@@ -164,18 +143,40 @@ def pac_scan(series, low_bands, high_bands, n_bins=18, pairs=None,
     """Modulation indices over a grid of band pairs.
 
     ``pairs`` lists (phase_channel, amplitude_channel) tuples; by default
-    each channel is scanned against itself.  Returns an array of shape
+    each channel is scanned against itself.  Each distinct (channel, band)
+    is filtered and made analytic once.  Returns an array of shape
     (n_pairs, n_low_bands, n_high_bands).
     """
+    if n_bins < 4:
+        raise ConfigError("need at least 4 phase bins")
     if pairs is None:
         pairs = [(c, c) for c in range(series.n_channels)]
+    low = dict.fromkeys((cp, b) for cp, _ in pairs for b in low_bands)
+    high = dict.fromkeys((ca, b) for _, ca in pairs for b in high_bands)
+    picks = list({**low, **high})
+    y, orders = band_signals(series, picks, filter_order)
+    z = {pick: analytic_signal(x - x.mean()) for pick, x in zip(picks, y.T)}
+    trim = {pick: max(k, 64) for pick, k in zip(picks, orders)}
+    phase = {pick: z[pick].phase for pick in low}
+    amp = {pick: z[pick].amplitude for pick in high}
     out = np.zeros((len(pairs), len(low_bands), len(high_bands)))
     for i, (cp, ca) in enumerate(pairs):
         for j, bl in enumerate(low_bands):
             for k, bh in enumerate(high_bands):
-                out[i, j, k] = modulation_index(series, cp, bl, ca, bh,
-                                                n_bins, filter_order)
+                out[i, j, k] = _mi(phase[(cp, bl)], amp[(ca, bh)],
+                                   max(trim[(cp, bl)], trim[(ca, bh)]), n_bins)
     return out
+
+
+def _mi(phase, amp, trim, n_bins):
+    """Modulation index of amplitudes binned by phase, ``trim`` > 0 samples cut per end."""
+    if phase.size <= 2 * trim + n_bins:
+        raise ConfigError("series too short after trimming filter transients")
+    dist = phase_amplitude_distribution(phase[trim:-trim], amp[trim:-trim], n_bins)
+    mi = kl_divergence(dist.probs, np.full(n_bins, 1.0 / n_bins)) / np.log(n_bins)
+    if not -1e-12 <= mi <= 1 + 1e-12:
+        raise ValueError(f"modulation index {mi!r} outside [0, 1]")
+    return min(max(mi, 0.0), 1.0)
 
 
 def mi_table_to_csv(path, mi, pairs, low_bands, high_bands):

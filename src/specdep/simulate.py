@@ -10,7 +10,7 @@ reproduce output bit for bit.
 
 import numpy as np
 
-from .core import ConfigError, MultiChannelSeries
+from .core import ConfigError, MalformedInputError, MultiChannelSeries
 from .spectrum import Ar2Params, ar2_from_peak, ar2_stationary_var
 from .var import VarModel, simulate_var
 
@@ -309,4 +309,8 @@ def example(name, T, seed, overrides=None):
         raise ConfigError(f"unknown example {name!r}; choose from {example_names()}")
     if T < 64:
         raise ConfigError("examples need T >= 64")
-    return _REGISTRY[name](int(T), seed, overrides)
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            return _REGISTRY[name](int(T), seed, overrides)
+        except MalformedInputError:
+            raise ConfigError(f"overrides {overrides} make example {name!r} non-finite") from None

@@ -16,7 +16,7 @@ import numpy as np
 from .core import (ConfigError, FrequencyGrid, MultiChannelSeries,
                    TimeVaryingResult, demean, sliding_windows, standard_bands,
                    table_to_csv)
-from .filters import band_filter
+from .filters import band_signals
 
 __all__ = [
     "VarModel",
@@ -506,16 +506,15 @@ def spectral_var(series, spec):
         raise ConfigError("spectral-VAR needs a filter_order: its start-up is trimmed")
     channels = spec.channels if spec.channels is not None else list(range(series.n_channels))
     bands = spec.bands if spec.bands is not None else standard_bands()
-    fs = series.sample_rate_hz
-    cols, labels, tags = [], [], []
-    for c in channels:
-        for band in bands:
-            cols.append(band_filter(series, [c], band, spec.filter_order, "causal")[:, 0])
-            labels.append(f"{series.channel_labels[c]}:{band.name}")
-            tags.append((c, band.name))
-    x = np.column_stack(cols)[spec.filter_order:]
+    picks = [(c, band) for c in channels for band in bands]
+    tags = [(c, band.name) for c, band in picks]
+    if len(set(tags)) != len(tags):
+        raise ConfigError("spectral-VAR: a (channel, band) pick is repeated")
+    x, _ = band_signals(series, picks, spec.filter_order, "causal")
+    x = np.ascontiguousarray(x[spec.filter_order:])  # row-major: the fit's sums depend on it
     x = x - x.mean(axis=0, keepdims=True)
-    stacked = MultiChannelSeries(x, fs, labels)
+    labels = [f"{series.channel_labels[c]}:{name}" for c, name in tags]
+    stacked = MultiChannelSeries(x, series.sample_rate_hz, labels)
     dim = stacked.n_channels
     L = spec.order
     if L is None:

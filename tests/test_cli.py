@@ -70,12 +70,26 @@ class TestSimulateCommand:
     @pytest.mark.parametrize("name, setting", [
         ("gamma_net", "fs=0"), ("pdc_net", "fs=0"), ("chirp", "fs=0"),
         ("pac", "noise_var=-1"), ("lead_lag", "noise_std=-1"), ("lead_lag", "lag=2.5"),
-        ("lagged_mixture", "lag=" + "1" * 30)])
+        ("lagged_mixture", "lag=" + "1" * 30), ("instant_mixture", "weight=1e308"),
+        ("chirp", "noise_std=1e308")])
     def test_bad_override_range(self, tmp_path, capsys, name, setting):
         assert config_error(capsys, [
             "simulate", "--example", name, "--T", "256", "--seed", "1",
             "--set", setting, "-o", str(tmp_path / "x.csv")]) == 2
         assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("name, setting", [
+        ("instant_mixture", "weight=1e308"), ("chirp", "noise_std=1e308")])
+    def test_overflowing_override_prints_one_line(self, tmp_path, name, setting):
+        # outside pytest numpy warnings are printed, not raised
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(specdep.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "specdep.cli", "simulate", "--example", name, "--T", "256",
+             "--seed", "0", "--set", setting, "-o", str(tmp_path / "x.csv")],
+            env=env, capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("specdep: invalid configuration: ")
+        assert proc.stderr.count("\n") == 1
 
 
 class TestExitCodes:
@@ -124,6 +138,12 @@ class TestBoundaryValidation:
         assert config_error(capsys, [
             "scau", "--in", str(net_csv), "--sample-rate", "128", "--bands", "delta",
             f"--channels={channels}", "-o", str(tmp_path / "o.csv")]) == 2
+
+    @pytest.mark.parametrize("bands", ["delta,delta", "alpha,theta,alpha", "x:1:4,x:2:6"])
+    def test_scau_repeated_band(self, tmp_path, net_csv, capsys, bands):
+        assert config_error(capsys, [
+            "scau", "--in", str(net_csv), "--sample-rate", "128", f"--bands={bands}",
+            "-o", str(tmp_path / "o.csv")]) == 2
 
     @pytest.mark.parametrize("flags", [
         ["--pair", "0:2:1"], ["--pair", "0:2:x:40"], ["--pair", "0:2:4:40"],

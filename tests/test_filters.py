@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from specdep.core import Band, ConfigError, MultiChannelSeries, band_by_name
-from specdep.filters import (FirFilter, apply_filter, band_filter,
+from specdep.filters import (FirFilter, apply_filter, band_signals,
                              decompose_rhythms, default_order, design_fir_bandpass,
                              frequency_response, load_taps, save_taps)
 
@@ -181,15 +181,39 @@ class TestApply:
         assert np.all((ratio > 0.5) & (ratio < 2.0))
 
 
-class TestBandFilter:
-    @pytest.mark.parametrize("order, mode", [(None, "zero_phase"), (40, "causal")])
-    def test_equals_design_and_apply_on_selected_channels(self, order, mode):
-        x = np.random.default_rng(4).standard_normal((512, 3))
+class TestBandSignals:
+    @pytest.mark.parametrize("mode", ["zero_phase", "causal"])
+    def test_columns_equal_design_and_apply(self, mode):
+        x = np.random.default_rng(4).standard_normal((1024, 3))
         s = MultiChannelSeries(x, 128.0)
-        band = band_by_name("alpha")
-        k = default_order(band, 128.0) if order is None else order
-        ref = apply_filter(design_fir_bandpass(band, k, 128.0, mode), s.select([2, 0]))
-        assert np.array_equal(band_filter(s, [2, 0], band, order, mode), ref.samples)
+        alpha, gamma = band_by_name("alpha"), band_by_name("gamma")
+        # a repeated pick, two bands, and channels shared between the bands
+        picks = [(2, alpha), (0, gamma), (0, alpha), (2, alpha), (2, gamma)]
+        y, orders = band_signals(s, picks, mode=mode)
+        assert y.shape == (1024, 5)
+        assert orders == [default_order(b, 128.0) for _, b in picks]
+        for i, (c, b) in enumerate(picks):
+            filt = design_fir_bandpass(b, orders[i], 128.0, mode)
+            assert np.array_equal(y[:, i], apply_filter(filt, s.select([c])).samples[:, 0])
+
+    def test_one_order_for_every_pick(self):
+        s = MultiChannelSeries(np.random.default_rng(5).standard_normal((512, 2)), 128.0)
+        _, orders = band_signals(s, [(0, band_by_name("delta")), (1, band_by_name("beta"))], 40)
+        assert orders == [40, 40]
+
+    def test_nyquist_checked_before_default_order(self):
+        s = MultiChannelSeries(np.zeros((512, 1)), 128.0)
+        picks = [(0, Band("dc", 0.0, 4.0)), (0, Band("hi", 50.0, 70.0))]
+        with pytest.raises(ConfigError, match="Nyquist"):
+            band_signals(s, picks)
+        with pytest.raises(ConfigError, match="0 Hz"):
+            band_signals(s, picks[:1])
+
+    @pytest.mark.parametrize("channel", [3, -1])
+    def test_channel_outside_series(self, channel):
+        s = MultiChannelSeries(np.zeros((512, 3)), 128.0)
+        with pytest.raises(ConfigError, match="outside"):
+            band_signals(s, [(0, band_by_name("alpha")), (channel, band_by_name("alpha"))])
 
 
 class TestDecompose:

@@ -8,6 +8,7 @@ import pytest
 import specdep
 
 from specdep.core import ConfigError, MultiChannelSeries, band_by_name
+from specdep.filters import apply_filter, default_order, design_fir_bandpass
 from specdep.pac import (analytic_signal, kl_divergence, modulation_index,
                          pac_scan, phase_amplitude_distribution)
 from specdep.simulate import example
@@ -207,6 +208,54 @@ class TestPacScan:
         theta_row = mi[0, 1, :]
         assert np.argmax(theta_row) == 1  # gamma column
         assert theta_row[1] == np.max(mi[0])
+
+
+    def test_filters_each_channel_band_once(self, monkeypatch):
+        import specdep.filters as filters
+        designs, applied = [], []
+        design, apply = filters.design_fir_bandpass, filters.apply_filter
+
+        def counted_design(band, order, *args, **kwargs):
+            designs.append((band.name, order))
+            return design(band, order, *args, **kwargs)
+
+        def counted_apply(filt, series):
+            applied.append(series.n_channels)
+            return apply(filt, series)
+
+        monkeypatch.setattr(filters, "design_fir_bandpass", counted_design)
+        monkeypatch.setattr(filters, "apply_filter", counted_apply)
+        s, _ = example("pac", 4096, 3)
+        lows, highs = [band_by_name("delta"), THETA], [band_by_name("beta"), GAMMA]
+        mi = pac_scan(s, lows, highs)
+        assert mi.shape == (2, 2, 2)
+        # one design per band, each applied once to both channels
+        assert sorted(designs) == sorted((b.name, default_order(b, FS)) for b in lows + highs)
+        assert applied == [2, 2, 2, 2]
+
+    def test_matches_reference_pipeline(self):
+        s, _ = example("pac", 4096, 17)
+        lows, highs = [THETA, band_by_name("alpha")], [GAMMA, band_by_name("beta")]
+        pairs = [(0, 1), (1, 0), (0, 0)]
+
+        def analytic(c, band, k):
+            filt = design_fir_bandpass(band, k, FS)
+            y = apply_filter(filt, s.select([c])).samples[:, 0]
+            return analytic_signal(y - y.mean())
+
+        for order in (None, 96):
+            mi = pac_scan(s, lows, highs, n_bins=12, pairs=pairs, filter_order=order)
+            for i, (cp, ca) in enumerate(pairs):
+                for j, bl in enumerate(lows):
+                    for k, bh in enumerate(highs):
+                        kl = default_order(bl, FS) if order is None else order
+                        kh = default_order(bh, FS) if order is None else order
+                        trim = max(kl, kh, 64)
+                        sl = slice(trim, s.n_samples - trim)
+                        dist = phase_amplitude_distribution(
+                            analytic(cp, bl, kl).phase[sl], analytic(ca, bh, kh).amplitude[sl], 12)
+                        ref = kl_divergence(dist.probs, np.full(12, 1 / 12)) / np.log(12)
+                        assert mi[i, j, k] == min(max(ref, 0.0), 1.0)
 
 
 class TestDistributionExport:

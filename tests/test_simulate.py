@@ -197,7 +197,9 @@ class TestExamples:
     @pytest.mark.parametrize("name, overrides", [
         ("gamma_net", {"fs": 0}), ("pdc_net", {"fs": 0}), ("chirp", {"fs": 0}),
         ("pac", {"noise_var": -1}), ("lead_lag", {"noise_std": -1}),
-        ("lead_lag", {"lag": 2.5}), ("lagged_mixture", {"lag": 2.5})])
+        ("lead_lag", {"lag": 2.5}), ("lagged_mixture", {"lag": 2.5}),
+        ("instant_mixture", {"weight": 1e308}), ("chirp", {"noise_std": 1e308}),
+        ("chirp", {"amplitude": 1e308, "noise_std": 1e308})])
     def test_override_out_of_range_rejected(self, name, overrides):
         with pytest.raises(ConfigError):
             example(name, 256, 0, overrides)
