@@ -7,7 +7,10 @@ sampling rate is always an explicit flag.  Values are written at 17
 significant digits so a round trip through disk is exact to 1e-12.
 
 Exit codes: 0 success, 1 malformed input, 2 invalid configuration,
-3 numerical failure (diagnostics on standard error).
+3 numerical failure, each failure with one diagnostic line on standard
+error.  A flag the parser rejects (missing, unknown, mistyped, an invalid
+choice, no subcommand) and a negative --seed are configuration errors too;
+usage is printed only for --help.
 """
 
 import argparse
@@ -244,11 +247,9 @@ def cmd_scau(args):
     if args.channels:
         n = args.channels.count(",") + 1
         channels = _fields(args.channels, "--channels I[,J...]", (int,) * n, ",")
-    s = varmod.SpectralVarSpec(channels=channels, bands=bands,
-                               filter_order=args.filter_order,
-                               order=args.order, order_max=args.select_max,
-                               method=args.method, lam=args.lam)
-    model, edges = varmod.spectral_var(series, s)
+    model, edges = varmod.spectral_var(
+        series, channels=channels, bands=bands, filter_order=args.filter_order,
+        order=args.order, order_max=args.select_max, method=args.method, lam=args.lam)
     varmod.edges_to_csv(edges, args.out)
     if args.model_out:
         write_json(args.model_out, varmod.model_to_json(model))
@@ -264,12 +265,23 @@ def cmd_spca(args):
     return 0
 
 
-def _add_io(p, needs_input=True):
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose rejections leave as ConfigError, not exit 2."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
+def _command(sub, name, func, help, needs_input=True):
+    """Register subcommand name: its parser, the I/O flags and its handler."""
+    p = sub.add_parser(name, help=help)
     if needs_input:
         p.add_argument("--in", dest="infile", required=True, help="input CSV")
         p.add_argument("--sample-rate", type=float, required=True,
                        help="sampling rate in Hz")
     p.add_argument("-o", "--out", required=True, help="output path")
+    p.set_defaults(func=func)
+    return p
 
 
 def _add_smoothing(p):
@@ -280,126 +292,97 @@ def _add_smoothing(p):
                    help="shrink toward a VAR spectrum of this order")
 
 
+def _add_var(p, default_method):
+    """The VAR fit flags read by _fit and cmd_scau."""
+    p.add_argument("--order", type=int, default=None)
+    p.add_argument("--select-max", type=int, default=8)
+    p.add_argument("--method", choices=["ols", "lasso", "lassle"], default=default_method)
+    p.add_argument("--lambda", dest="lam", type=float, default=0.05)
+
+
 def build_parser():
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="specdep",
         description="Spectral dependence analyses for multivariate time series. "
                     "Bands are given as a name (delta, theta, alpha, beta, gamma) "
                     "or low:high in Hz; windows as N:step in samples.")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("simulate", help="generate a worked example dataset")
+    p = _command(sub, "simulate", cmd_simulate, "generate a worked example dataset",
+                 needs_input=False)
     p.add_argument("--example", required=True, choices=sim.example_names())
     p.add_argument("--T", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--set", action="append", metavar="KEY=VALUE",
                    help="override a generator parameter")
-    _add_io(p, needs_input=False)
-    p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("filter", help="band-pass filter every channel")
-    _add_io(p)
+    p = _command(sub, "filter", cmd_filter, "band-pass filter every channel")
     p.add_argument("--band", required=True)
     p.add_argument("--order", type=int, default=None)
     p.add_argument("--mode", choices=["causal", "zero_phase"], default="zero_phase")
-    p.set_defaults(func=cmd_filter)
 
-    p = sub.add_parser("spectrum", help="estimate the cross-spectral matrix")
-    _add_io(p)
+    p = _command(sub, "spectrum", cmd_spectrum, "estimate the cross-spectral matrix")
     _add_smoothing(p)
     p.add_argument("--format", choices=["csv", "json"], default="csv")
-    p.set_defaults(func=cmd_spectrum)
 
-    p = sub.add_parser("coherence", help="all-pairs coherence per frequency")
-    _add_io(p)
-    _add_smoothing(p)
-    p.set_defaults(func=cmd_coherence)
+    _add_smoothing(_command(sub, "coherence", cmd_coherence,
+                            "all-pairs coherence per frequency"))
+    _add_smoothing(_command(sub, "pcoh", lambda a: cmd_coherence(a, partial=True),
+                            "all-pairs partial coherence per frequency"))
 
-    p = sub.add_parser("pcoh", help="all-pairs partial coherence per frequency")
-    _add_io(p)
-    _add_smoothing(p)
-    p.set_defaults(func=lambda a: cmd_coherence(a, partial=True))
-
-    p = sub.add_parser("tvcoh", help="sliding-window (partial) coherence")
-    _add_io(p)
+    p = _command(sub, "tvcoh", cmd_tvcoh, "sliding-window (partial) coherence")
     p.add_argument("--window", required=True, metavar="N:STEP")
     p.add_argument("--bandwidth", type=int, default=None)
     p.add_argument("--partial", action="store_true")
-    p.set_defaults(func=cmd_tvcoh)
 
-    p = sub.add_parser("dualfreq", help="time-localized dual-frequency coherence")
-    _add_io(p)
+    p = _command(sub, "dualfreq", cmd_dualfreq, "time-localized dual-frequency coherence")
     p.add_argument("--pair", action="append", required=True,
                    metavar="P:FJ_HZ:Q:FK_HZ")
     p.add_argument("--window", type=int, required=True)
     p.add_argument("--centers", default=None, metavar="START:STOP:STEP")
     p.add_argument("--smooth", default=None, metavar="HALF:HOP")
-    p.set_defaults(func=cmd_dualfreq)
 
-    p = sub.add_parser("pac", help="phase-amplitude coupling (modulation index)")
-    _add_io(p)
+    p = _command(sub, "pac", cmd_pac, "phase-amplitude coupling (modulation index)")
     p.add_argument("--low", required=True, help="phase band(s), comma separated")
     p.add_argument("--high", required=True, help="amplitude band(s)")
     p.add_argument("--bins", type=int, default=18)
     p.add_argument("--channels", default=None,
                    help="phase,amp channel pairs like '0,0;0,1'")
     p.add_argument("--filter-order", type=int, default=None)
-    p.set_defaults(func=cmd_pac)
 
-    p = sub.add_parser("var-fit", help="fit a VAR model")
-    _add_io(p)
-    p.add_argument("--order", type=int, default=None)
-    p.add_argument("--select-max", type=int, default=8)
-    p.add_argument("--method", choices=["ols", "lasso", "lassle"], default="ols")
-    p.add_argument("--lambda", dest="lam", type=float, default=0.05)
-    p.set_defaults(func=cmd_var_fit)
+    _add_var(_command(sub, "var-fit", cmd_var_fit, "fit a VAR model"), "ols")
 
-    p = sub.add_parser("pdc", help="partial directed coherence")
-    _add_io(p)
-    p.add_argument("--order", type=int, default=None)
-    p.add_argument("--select-max", type=int, default=8)
-    p.add_argument("--method", choices=["ols", "lasso", "lassle"], default="lassle")
-    p.add_argument("--lambda", dest="lam", type=float, default=0.05)
+    p = _command(sub, "pdc", cmd_pdc, "partial directed coherence")
+    _add_var(p, "lassle")
     p.add_argument("--grid-size", type=int, default=1024)
     p.add_argument("--plot-data", default=None, help="also write tidy CSV here")
-    p.set_defaults(func=cmd_pdc)
 
-    p = sub.add_parser("tvpdc", help="sliding-window PDC")
-    _add_io(p)
+    p = _command(sub, "tvpdc", cmd_tvpdc, "sliding-window PDC")
     p.add_argument("--window", required=True, metavar="N:STEP")
     p.add_argument("--order", type=int, required=True)
     p.add_argument("--method", choices=["ols", "lassle"], default="ols")
     p.add_argument("--lambda", dest="lam", type=float, default=0.05)
-    p.set_defaults(func=cmd_tvpdc)
 
-    p = sub.add_parser("scau", help="band-to-band spectral-VAR causality")
-    _add_io(p)
+    p = _command(sub, "scau", cmd_scau, "band-to-band spectral-VAR causality")
     p.add_argument("--bands", default=None, help="comma-separated bands")
     p.add_argument("--channels", default=None, help="comma-separated indices")
     p.add_argument("--filter-order", type=int, default=100)
-    p.add_argument("--order", type=int, default=None)
-    p.add_argument("--select-max", type=int, default=8)
-    p.add_argument("--method", choices=["ols", "lasso", "lassle"], default="lassle")
-    p.add_argument("--lambda", dest="lam", type=float, default=0.05)
+    _add_var(p, "lassle")
     p.add_argument("--model-out", default=None)
-    p.set_defaults(func=cmd_scau)
 
-    p = sub.add_parser("spca", help="spectral principal components")
-    _add_io(p)
+    p = _command(sub, "spca", cmd_spca, "spectral principal components")
     _add_smoothing(p)
     p.add_argument("-Q", "--components", type=int, required=True)
     p.add_argument("--lags", type=int, default=None)
     p.add_argument("--encode", default=None,
                    help="also write the encoded components to this CSV")
-    p.set_defaults(func=cmd_spca)
 
     return ap
 
 
 def main(argv=None):
-    ap = build_parser()
-    args = ap.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except MalformedInputError as exc:
         print(f"specdep: malformed input: {exc}", file=sys.stderr)
@@ -408,7 +391,7 @@ def main(argv=None):
         print(f"specdep: invalid configuration: {exc}", file=sys.stderr)
         return 2
     except (np.linalg.LinAlgError, varmod.LassoConvergenceError, ValueError,
-            FloatingPointError, ZeroDivisionError) as exc:
+            FloatingPointError, ZeroDivisionError, MemoryError) as exc:
         print(f"specdep: numerical failure: {exc}", file=sys.stderr)
         return 3
 

@@ -309,6 +309,8 @@ def example(name, T, seed, overrides=None):
         raise ConfigError(f"unknown example {name!r}; choose from {example_names()}")
     if T < 64:
         raise ConfigError("examples need T >= 64")
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
     with np.errstate(over="ignore", invalid="ignore"):
         try:
             return _REGISTRY[name](int(T), seed, overrides)

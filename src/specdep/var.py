@@ -8,7 +8,6 @@ band-filtered oscillations on each other to obtain band-to-band directed
 edges.
 """
 
-from dataclasses import dataclass
 from math import copysign
 
 import numpy as np
@@ -21,7 +20,6 @@ from .filters import band_signals
 __all__ = [
     "VarModel",
     "PdcResult",
-    "SpectralVarSpec",
     "LassoConvergenceError",
     "simulate_var",
     "fit_ols",
@@ -468,26 +466,8 @@ def granger_edges(model, threshold=0.0):
     return np.max(mags, axis=0) > threshold
 
 
-@dataclass
-class SpectralVarSpec:
-    """Configuration of the band-to-band spectral-VAR causality analysis.
-
-    ``channels`` selects series columns (all by default); each is split into
-    ``bands`` with one-sided FIR filters of order ``filter_order``.  The
-    stacked (channel, band) series is fit with ``method``; ``order`` None
-    means BIC selection up to ``order_max``.
-    """
-
-    channels: list = None
-    bands: list = None
-    filter_order: int = 100
-    order: int = None
-    order_max: int = 8
-    method: str = "lassle"
-    lam: float = 0.05
-
-
-def spectral_var(series, spec):
+def spectral_var(series, channels=None, bands=None, filter_order=100, order=None,
+                 order_max=8, method="lassle", lam=0.05):
     """Fit a VAR on stacked one-sided band-filtered oscillations.
 
     Builds X_{p,band}(t) for every selected (channel, band) through causal
@@ -496,33 +476,38 @@ def spectral_var(series, spec):
     given), and reads band-to-band directed edges off the coefficient
     support.
 
+    ``channels`` selects series columns (all by default); each is split into
+    ``bands`` (the standard bands by default) with filters of order
+    ``filter_order``.  The stack is fit with ``method`` and ``lam``;
+    ``order`` None means BIC selection up to ``order_max``.  A (channel,
+    band) pick repeated by name or by its edges in Hz is a ConfigError.
+
     Returns
     -------
     (model, edges) : (VarModel, list of dict)
         Each edge dict has from_channel, from_band, to_channel, to_band,
         lag, coefficient.
     """
-    if spec.filter_order is None:
+    if filter_order is None:
         raise ConfigError("spectral-VAR needs a filter_order: its start-up is trimmed")
-    channels = spec.channels if spec.channels is not None else list(range(series.n_channels))
-    bands = spec.bands if spec.bands is not None else standard_bands()
+    channels = range(series.n_channels) if channels is None else channels
+    bands = standard_bands() if bands is None else bands
     picks = [(c, band) for c in channels for band in bands]
     tags = [(c, band.name) for c, band in picks]
-    if len(set(tags)) != len(tags):
+    spans = [(c, band.low_hz, band.high_hz) for c, band in picks]
+    if len(set(tags)) != len(tags) or len(set(spans)) != len(spans):
         raise ConfigError("spectral-VAR: a (channel, band) pick is repeated")
-    x, _ = band_signals(series, picks, spec.filter_order, "causal")
-    x = np.ascontiguousarray(x[spec.filter_order:])  # row-major: the fit's sums depend on it
+    x, _ = band_signals(series, picks, filter_order, "causal")
+    x = np.ascontiguousarray(x[filter_order:])  # row-major: the fit's sums depend on it
     x = x - x.mean(axis=0, keepdims=True)
     labels = [f"{series.channel_labels[c]}:{name}" for c, name in tags]
     stacked = MultiChannelSeries(x, series.sample_rate_hz, labels)
     dim = stacked.n_channels
-    L = spec.order
-    if L is None:
-        L = select_order(stacked, spec.order_max, "BIC")
+    L = select_order(stacked, order_max, "BIC") if order is None else order
     if stacked.n_samples <= 5 * dim * L:
         raise ConfigError(f"stacked dimension {dim} with order {L} needs "
                           f"T > {5 * dim * L}, have {stacked.n_samples}")
-    model = fit_var(stacked, L, spec.method, spec.lam)
+    model = fit_var(stacked, L, method, lam)
     edges = []
     for l in range(model.order):
         nz = np.argwhere(model.coeffs[l] != 0.0)

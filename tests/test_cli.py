@@ -91,6 +91,20 @@ class TestSimulateCommand:
         assert proc.stderr.startswith("specdep: invalid configuration: ")
         assert proc.stderr.count("\n") == 1
 
+    def test_negative_seed(self, tmp_path, capsys):
+        assert config_error(capsys, [
+            "simulate", "--example", "pac", "--T", "64", "--seed", "-1",
+            "-o", str(tmp_path / "x.csv")]) == 2
+
+    def test_memory_error_is_3(self, tmp_path, capsys, monkeypatch):
+        def too_big(*args):
+            raise MemoryError("Unable to allocate 745. GiB")
+        monkeypatch.setattr(cli.sim, "example", too_big)
+        assert run(["simulate", "--example", "pac", "--T", "100000000000", "--seed", "1",
+                    "-o", str(tmp_path / "x.csv")]) == 3
+        err = capsys.readouterr().err
+        assert err == "specdep: numerical failure: Unable to allocate 745. GiB\n"
+
 
 class TestExitCodes:
     def test_missing_input_is_1(self, tmp_path):
@@ -139,7 +153,8 @@ class TestBoundaryValidation:
             "scau", "--in", str(net_csv), "--sample-rate", "128", "--bands", "delta",
             f"--channels={channels}", "-o", str(tmp_path / "o.csv")]) == 2
 
-    @pytest.mark.parametrize("bands", ["delta,delta", "alpha,theta,alpha", "x:1:4,x:2:6"])
+    @pytest.mark.parametrize("bands", ["delta,delta", "alpha,theta,alpha", "x:1:4,x:2:6",
+                                       "delta,0.5:4"])
     def test_scau_repeated_band(self, tmp_path, net_csv, capsys, bands):
         assert config_error(capsys, [
             "scau", "--in", str(net_csv), "--sample-rate", "128", f"--bands={bands}",
@@ -171,7 +186,11 @@ class TestBoundaryValidation:
         ["tvcoh", "--window", "0:512"], ["tvcoh", "--window=-2:1"],
         ["tvpdc", "--window", "0:512", "--order", "2"],
         ["coherence", "--sample-rate", "0"], ["coherence", "--sample-rate", "-5"],
-        ["coherence", "--sample-rate", "nan"]])
+        ["coherence", "--sample-rate", "nan"],
+        # rejected by the argument parser itself
+        ["var-fit", "--order", "abc"], ["var-fit", "--method", "ridge"],
+        ["coherence", "--bogus", "1"],
+        ["dualfreq", "--window", "256", "--pair", "0:2:1:40", "--smooth", "-1:2"]])
     def test_config_values(self, tmp_path, net_csv, capsys, argv):
         assert config_error(capsys, [
             argv[0], "--in", str(net_csv), "--sample-rate", "128", *argv[1:],
@@ -384,3 +403,14 @@ class TestConsoleEntry:
                               capture_output=True, text=True)
         assert proc.returncode == 0
         assert "simulate" in proc.stdout
+
+    @pytest.mark.parametrize("argv", [[], ["coherence", "--in", "x.csv", "-o", "o.csv"]])
+    def test_subprocess_parse_error_is_one_line(self, argv):
+        # no subcommand; coherence without --sample-rate
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(specdep.__file__)))
+        proc = subprocess.run([sys.executable, "-m", "specdep.cli", *argv],
+                              env=env, capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("specdep: invalid configuration: ")
+        assert proc.stderr.count("\n") == 1
+        assert "usage:" not in proc.stderr + proc.stdout

@@ -190,6 +190,11 @@ class TestExamples:
             b, tb = example(name, 256, 11)
             assert np.array_equal(a.samples, b.samples), name
 
+    @pytest.mark.parametrize("name", ["pac", "pdc_net"])
+    def test_negative_seed_rejected(self, name):
+        with pytest.raises(ConfigError, match="seed"):
+            example(name, 256, -1)
+
     def test_override_unknown_rejected(self):
         with pytest.raises(ConfigError):
             example("chirp", 256, 0, {"bogus": 1})

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from specdep.core import ConfigError, FrequencyGrid, MultiChannelSeries, band_by_name, demean
 from specdep.simulate import example, pdc_net_model
 from specdep.spectrum import ar2_from_peak
-from specdep.var import (LassoConvergenceError, SpectralVarSpec, VarModel,
+from specdep.var import (LassoConvergenceError, VarModel,
                          edges_to_csv, fit_lassle, fit_lasso, fit_ols, fit_var,
                          granger_edges, lasso_kkt_residual, model_from_json,
                          model_to_json, pdc, select_order, simulate_var,
@@ -658,9 +658,8 @@ class TestSpectralVar:
     def test_single_channel_single_band_reduction(self):
         s, _ = example("lead_lag", 4096, 17)
         one = s.select([0])
-        spec = SpectralVarSpec(bands=[band_by_name("delta")], filter_order=64,
-                               order=2, method="lassle", lam=0.05)
-        model, edges = spectral_var(one, spec)
+        model, edges = spectral_var(one, bands=[band_by_name("delta")], filter_order=64,
+                                    order=2, method="lassle", lam=0.05)
         assert model.n_channels == 1
         from specdep.filters import apply_filter, design_fir_bandpass
         filt = design_fir_bandpass(band_by_name("delta"), 64, s.sample_rate_hz, "causal")
@@ -672,9 +671,8 @@ class TestSpectralVar:
         hits = 0
         for seed in range(5):
             s, t = example("lead_lag", 8192, seed + 60)
-            spec = SpectralVarSpec(bands=[band_by_name("delta")], filter_order=100,
-                                   order=12, method="lassle", lam=0.05)
-            model, edges = spectral_var(s, spec)
+            model, edges = spectral_var(s, bands=[band_by_name("delta")], filter_order=100,
+                                        order=12, method="lassle", lam=0.05)
             fwd = [e for e in edges if e["from_channel"] == 0 and e["to_channel"] == 1]
             hits += bool(fwd)
         assert hits >= 4
@@ -690,9 +688,8 @@ class TestSpectralVar:
                              4096, seed, 128.0)
             x = zs.samples + 0.3 * rng.standard_normal((4096, 2))
             s = MultiChannelSeries(x, 128.0)
-            spec = SpectralVarSpec(bands=[delta, gamma], filter_order=64,
-                                   order=3, method="lassle", lam=0.1)
-            model, edges = spectral_var(s, spec)
+            model, edges = spectral_var(s, bands=[delta, gamma], filter_order=64,
+                                        order=3, method="lassle", lam=0.1)
             cross = [e for e in edges if e["from_channel"] != e["to_channel"]]
             dim_pairs = 4 * 3  # (channel, band) pairs excluding self
             fp.append(len({(e["from_channel"], e["from_band"],
@@ -701,9 +698,8 @@ class TestSpectralVar:
 
     def test_dimension_guard(self):
         s, _ = example("gamma_net", 512, 19)
-        spec = SpectralVarSpec(filter_order=64, order=8)
         with pytest.raises(ConfigError):
-            spectral_var(s, spec)
+            spectral_var(s, filter_order=64, order=8)
 
 
 class TestSerialization:
