@@ -10,10 +10,10 @@ through :func:`frequency_table_to_csv`), every JSON document by
 :func:`sliding_windows`.
 """
 
-import csv
 import json
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -341,6 +341,13 @@ def max_lag_sq_correlation(x, y, max_lag):
     return float(best_val), int(best_lag)
 
 
+def _csv_field(text, lone=False):
+    """``text`` quoted as csv quotes it: when it holds , " CR or LF, or is empty and alone."""
+    if any(ch in text for ch in ',"\r\n') or lone and not text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def table_to_csv(path, header, columns):
     """Write a long-format table: a header row, then one CSV row per entry.
 
@@ -349,25 +356,28 @@ def table_to_csv(path, header, columns):
     an index column such as a frequency grid is passed once, not repeated.
     Float columns are written at 17 significant digits, so a round trip
     through the file is exact; ints and labels are written as they are, a
-    label holding a comma or a quote inside quotes.  A float column with fewer
-    values than the table has rows is formatted once up front; the others
-    are formatted ``TABLE_CHUNK_ROWS`` rows at a time.
+    label holding a comma or a quote inside quotes.  Labels, and float
+    columns with fewer values than the table has rows, are formatted once up
+    front; then one ``%`` on a line template made from the column types
+    formats each ``TABLE_CHUNK_ROWS`` rows.
     """
-    fmt = "{:.17g}".format
     cols = [np.asarray(c) for c in columns]
     shape = np.broadcast_shapes(*(c.shape for c in cols))
     rows = math.prod(shape)
+    line = []
     for i, c in enumerate(cols):
-        if c.dtype.kind == "f" and c.size < rows:
-            c = np.array(list(map(fmt, c.ravel().tolist())), dtype=object).reshape(c.shape)
+        if c.dtype.kind not in "fiu" or c.dtype.kind == "f" and c.size < rows:
+            text = (map("{:.17g}".format, c.ravel().tolist()) if c.dtype.kind == "f" else
+                    (_csv_field(str(v), len(cols) == 1) for v in c.ravel().tolist()))
+            c = np.array(list(text), dtype=object).reshape(c.shape)
+        line.append({"f": "%.17g", "i": "%d", "u": "%d"}.get(c.dtype.kind, "%s"))
         cols[i] = np.broadcast_to(c, shape)
+    line = ",".join(line) + "\r\n"
     with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(header)
+        fh.write(",".join(_csv_field(str(h), len(header) == 1) for h in header) + "\r\n")
         for s in range(0, rows, TABLE_CHUNK_ROWS):
             cells = [c.flat[s:s + TABLE_CHUNK_ROWS].tolist() for c in cols]
-            wr.writerows(zip(*[map(fmt, v) if c.dtype.kind == "f" else v
-                               for c, v in zip(cols, cells)]))
+            fh.write(line * len(cells[0]) % tuple(chain.from_iterable(zip(*cells))))
 
 
 def frequency_table_to_csv(path, grid, fs, columns, u=None):
@@ -387,10 +397,25 @@ def frequency_table_to_csv(path, grid, fs, columns, u=None):
 
 
 def write_json(path, obj, indent=None):
-    """Write ``obj`` to ``path`` as one JSON document.
+    """Write ``obj`` to ``path`` as one JSON document, byte for byte as ``json.dump``.
 
-    ``json.dump`` streams the encoding to the file, so a large document is
-    never held whole in memory.
+    A compact dict with string keys goes out one value, and one row of a
+    list value, at a time through ``json.dumps``: its C encoder is faster
+    than the pure-Python one ``json.dump`` runs, and memory stays bounded by
+    one row.  Any other document goes through ``json.dump``.
     """
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=indent)
+        if indent is not None or not isinstance(obj, dict) or not all(
+                isinstance(k, str) for k in obj):
+            return json.dump(obj, fh, indent=indent)
+        fh.write("{")
+        for i, (key, value) in enumerate(obj.items()):
+            fh.write(", " * (i > 0) + json.dumps(key) + ": ")
+            if isinstance(value, list):
+                fh.write("[")
+                for j, row in enumerate(value):
+                    fh.write(", " * (j > 0) + json.dumps(row))
+                fh.write("]")
+            else:
+                fh.write(json.dumps(value))
+        fh.write("}")

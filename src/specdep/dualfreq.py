@@ -19,11 +19,17 @@ __all__ = ["DualFreqResult", "local_fourier", "local_dualfreq_periodogram",
            "dualfreq_coherence", "band_dualfreq_coherence", "dualfreq_scan"]
 
 
-def _windows(length, t, N):
-    """Indices (piece, N) of windows [t - N/2 + 1, t + N/2]; names the first to leave."""
+def _window_length(N):
+    """``N`` as an int, checked to be an even window length of at least 2."""
     N = int(N)
     if N % 2 != 0 or N < 2:
         raise ConfigError(f"window length must be even and >= 2, got {N}")
+    return N
+
+
+def _windows(length, t, N):
+    """Indices (piece, N) of windows [t - N/2 + 1, t + N/2]; names the first to leave."""
+    N = _window_length(N)
     lo = np.asarray(t) - (N // 2 - 1)
     bad = (lo < 0) | (lo + N > length)
     if bad.any():
@@ -128,6 +134,7 @@ def dualfreq_scan(data, centers, N, pairs, smoothing=None):
     sample; ``data`` and ``smoothing`` are as in :func:`dualfreq_coherence`.
     The DualFreqResult's entries form the long-format export table.
     """
+    N = _window_length(N)  # before the default hop N // 2 is derived from it
     if isinstance(data, MultiChannelSeries):
         trials, (half, hop) = [data], map(int, (8, N // 2) if smoothing is None else smoothing)
     else:
@@ -158,6 +165,6 @@ def dualfreq_scan(data, centers, N, pairs, smoothing=None):
             raise ValueError("zero local power at one of the (channel, frequency) pairs")
         if bad.size:
             raise ValueError(f"dual-frequency coherence {float(vals[i, bad[0]])!r} exceeds 1")
-    return DualFreqResult(int(N), [
+    return DualFreqResult(N, [
         {"t": t, "p": p, "freq_j": wj, "q": q, "freq_k": wk, "value": min(float(v), 1.0)}
         for t, row in zip(ts, vals) for (p, wj, q, wk), v in zip(pairs, row)])

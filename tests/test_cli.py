@@ -183,6 +183,8 @@ class TestBoundaryValidation:
         ["dualfreq", "--window", "256", "--pair", "0:-5:1:40"],
         ["filter", "--band", "0:64"],
         ["dualfreq", "--window", "256", "--pair", "0:2:1:40", "--centers", "1200:1100:1"],
+        ["dualfreq", "--window", "0", "--pair", "0:2:1:40"],
+        ["dualfreq", "--window", "1", "--pair", "0:2:1:40"],
         ["tvcoh", "--window", "0:512"], ["tvcoh", "--window=-2:1"],
         ["tvpdc", "--window", "0:512", "--order", "2"],
         ["coherence", "--sample-rate", "0"], ["coherence", "--sample-rate", "-5"],
@@ -195,6 +197,13 @@ class TestBoundaryValidation:
         assert config_error(capsys, [
             argv[0], "--in", str(net_csv), "--sample-rate", "128", *argv[1:],
             "-o", str(tmp_path / "o.csv")]) == 2
+
+    @pytest.mark.parametrize("window", ["0", "1"])
+    def test_dualfreq_window_named(self, tmp_path, net_csv, capsys, window):
+        """Without --smooth, a bad window is reported as the window, not as smoothing."""
+        run(["dualfreq", "--in", str(net_csv), "--sample-rate", "128", "--window", window,
+             "--pair", "0:2:1:40", "-o", str(tmp_path / "o.csv")])
+        assert "window length must be even and >= 2" in capsys.readouterr().err
 
     @pytest.mark.parametrize("method", ["ols", "lasso", "lassle"])
     def test_var_fit_interpolating_order(self, tmp_path, capsys, method):

@@ -1,0 +1,122 @@
+"""The table and JSON writers against the writers they replaced.
+
+``reference_table_to_csv`` is the ``csv.writer`` implementation that
+``core.table_to_csv`` replaced, kept verbatim, and ``reference_write_json``
+is plain ``json.dump``.  The library writers must produce the same bytes on
+any input, and on whole CLI outputs.
+"""
+
+import csv
+import json
+import math
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from specdep import cli, core
+from specdep.core import TABLE_CHUNK_ROWS, table_to_csv, write_json
+
+
+def reference_table_to_csv(path, header, columns):
+    fmt = "{:.17g}".format
+    cols = [np.asarray(c) for c in columns]
+    shape = np.broadcast_shapes(*(c.shape for c in cols))
+    rows = math.prod(shape)
+    for i, c in enumerate(cols):
+        if c.dtype.kind == "f" and c.size < rows:
+            c = np.array(list(map(fmt, c.ravel().tolist())), dtype=object).reshape(c.shape)
+        cols[i] = np.broadcast_to(c, shape)
+    with open(path, "w", newline="") as fh:
+        wr = csv.writer(fh)
+        wr.writerow(header)
+        for s in range(0, rows, TABLE_CHUNK_ROWS):
+            cells = [c.flat[s:s + TABLE_CHUNK_ROWS].tolist() for c in cols]
+            wr.writerows(zip(*[map(fmt, v) if c.dtype.kind == "f" else v
+                               for c, v in zip(cols, cells)]))
+
+
+def reference_write_json(path, obj, indent=None):
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=indent)
+
+
+SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, 0.0, -0.0, 1e-300, 5e-324, 1 / 3]
+labels = st.text(st.sampled_from(list('ab ,"\r\n')), max_size=4)
+
+
+@st.composite
+def tables(draw):
+    """(header, columns): float, int and label columns broadcast against one shape."""
+    shape = draw(st.sampled_from([(TABLE_CHUNK_ROWS - 1,), (TABLE_CHUNK_ROWS,),
+                                  (1, TABLE_CHUNK_ROWS + 1)])
+                 | st.lists(st.integers(0, 4), min_size=1, max_size=3).map(tuple))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    floats = draw(st.lists(st.floats() | st.sampled_from(SPECIAL_FLOATS), min_size=1))
+    ints = draw(st.lists(st.integers(-2 ** 63, 2 ** 63 - 1), min_size=1))
+    texts = draw(st.lists(labels, min_size=1))
+    columns = []
+    for _ in range(draw(st.integers(1, 4))):
+        # each axis kept or collapsed to 1, leading axes possibly dropped
+        sub = tuple(n if draw(st.booleans()) else 1 for n in shape)
+        sub = sub[draw(st.integers(0, len(sub))):]
+        pool = draw(st.sampled_from([floats, ints, texts]))
+        columns.append(np.array(pool)[rng.integers(0, len(pool), sub)])
+    return draw(st.lists(labels, min_size=len(columns), max_size=len(columns))), columns
+
+
+json_docs = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text()
+    | st.floats() | st.sampled_from(SPECIAL_FLOATS),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4) | st.integers(), inner, max_size=4),
+    max_leaves=24)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(tables())
+@example(([""], [np.array([1.0, -0.0])]))
+@example((["x"], [np.array(["", "a"])]))
+@example((["freq", "freq_hz", "p"], [np.array([[0.0], [0.5]]), np.array(""), np.arange(2)]))
+def test_table_bytes_match_csv_writer(tmp_path_factory, table):
+    header, columns = table
+    d = tmp_path_factory.getbasetemp()
+    table_to_csv(d / "new.csv", header, columns)
+    reference_table_to_csv(d / "ref.csv", header, columns)
+    assert (d / "new.csv").read_bytes() == (d / "ref.csv").read_bytes()
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(json_docs)
+@example({"a": [], "b": [[1, [math.nan, -0.0]], [], [-math.inf]], "c": 'q"\\\n'})
+@example({})
+def test_json_bytes_match_json_dump(tmp_path_factory, doc):
+    d = tmp_path_factory.getbasetemp()
+    write_json(d / "new.json", doc)
+    reference_write_json(d / "ref.json", doc)
+    assert (d / "new.json").read_bytes() == (d / "ref.json").read_bytes()
+
+
+def test_cli_outputs_match_reference_writers(tmp_path, monkeypatch):
+    """coherence, tvcoh --partial and spca --encode write what the old writers wrote."""
+    for name, example_name in [("net", "pdc_net"), ("mix", "spca_mix")]:
+        assert cli.main(["simulate", "--example", example_name, "--T", "1024", "--seed", "5",
+                         "-o", str(tmp_path / f"{name}.csv")]) == 0
+
+    def outputs(tag):
+        out = tmp_path / tag
+        out.mkdir()
+        for argv in (["coherence", "--in", tmp_path / "net.csv", "-o", out / "coh.csv"],
+                     ["tvcoh", "--in", tmp_path / "net.csv", "--window", "256:128",
+                      "--partial", "-o", out / "tvcoh.csv"],
+                     ["spca", "--in", tmp_path / "mix.csv", "-Q", "2",
+                      "--encode", out / "enc.csv", "-o", out / "spca.json"]):
+            assert cli.main([str(a) for a in argv] + ["--sample-rate", "128"]) == 0
+        return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+    new = outputs("new")
+    for module in (core, cli):
+        monkeypatch.setattr(module, "table_to_csv", reference_table_to_csv)
+    monkeypatch.setattr(cli, "write_json", reference_write_json)
+    assert outputs("ref") == new
+    assert len(new) == 4
