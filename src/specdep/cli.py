@@ -9,8 +9,8 @@ significant digits so a round trip through disk is exact to 1e-12.
 Exit codes: 0 success, 1 malformed input, 2 invalid configuration,
 3 numerical failure, each failure with one diagnostic line on standard
 error.  A flag the parser rejects (missing, unknown, mistyped, an invalid
-choice, no subcommand) and a negative --seed are configuration errors too;
-usage is printed only for --help.
+choice, no subcommand), a negative --seed and an output path that cannot be
+written are configuration errors too; usage is printed only for --help.
 """
 
 import argparse
@@ -220,9 +220,9 @@ def cmd_pdc(args):
     edges = varmod.granger_edges(model, None if args.method == "ols" else 0.0)
     out = {
         "model": varmod.model_to_json(model),
-        "frequencies": grid.frequencies.tolist(),
-        "pdc": res.values.tolist(),
-        "edges": [[int(q), int(p)] for p, q in zip(*np.nonzero(edges))],
+        "frequencies": grid.frequencies,
+        "pdc": res.values,
+        "edges": np.argwhere(edges)[:, ::-1],
     }
     write_json(args.out, out)
     if args.plot_data:
@@ -389,6 +389,10 @@ def main(argv=None):
         return 1
     except ConfigError as exc:
         print(f"specdep: invalid configuration: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # read_series_csv maps read errors, so this is an output path
+        print(f"specdep: invalid configuration: cannot write {exc.filename}: {exc.strerror}",
+              file=sys.stderr)
         return 2
     except (np.linalg.LinAlgError, varmod.LassoConvergenceError, ValueError,
             FloatingPointError, ZeroDivisionError, MemoryError) as exc:

@@ -46,8 +46,6 @@ class CoherenceResult:
     grid: object
     values: np.ndarray            # (n, P, P) real in [0, 1]
     coherency: np.ndarray = None  # (n, P, P) complex, optional
-    sample_rate_hz: float = None
-    channel_labels: list = None
 
 
 def _normalized(m):
@@ -77,7 +75,7 @@ def coherence(f, p, q):
 def coherence_matrix(f):
     """All-pairs coherence as a CoherenceResult (diagonal is exactly 1)."""
     tau, vals = _normalized(f.values)
-    return CoherenceResult(f.grid, vals, tau, f.sample_rate_hz, f.channel_labels)
+    return CoherenceResult(f.grid, vals, tau)
 
 
 def band_coherence(series, p, q, band, filter_order=None, max_lag=None):
@@ -204,10 +202,8 @@ def _tv(series, N, step, kernel, partial):
     for _, win in windows:
         f = estimate_spectrum(win, kernel)
         out.append(partial_coherence(f) if partial else coherence_matrix(f).values)
-    return TimeVaryingResult(np.array([u for u, _ in windows]), N, int(step),
-                             f.grid, np.stack(out),
-                             "partial_coherence" if partial else "coherence",
-                             series.sample_rate_hz)
+    return TimeVaryingResult(np.array([u for u, _ in windows]), f.grid, np.stack(out),
+                             "partial_coherence" if partial else "coherence")
 
 
 def edge_list(series, bands, threshold=0.0, filter_order=None):

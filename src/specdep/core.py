@@ -217,8 +217,12 @@ class FrequencyGrid:
         return out
 
     def index_of(self, freq):
-        """Index of the grid frequency closest to ``freq`` (cycles/sample)."""
-        return int(np.argmin(np.abs(self.frequencies - freq)))
+        """Index of the grid frequency nearest ``freq`` in [-0.5, 0.5], distance
+        wrapping so that -0.5 is the Nyquist bin; a tie goes to the first index."""
+        if not abs(freq) <= 0.5:
+            raise ConfigError(f"frequency {freq} outside [-0.5, 0.5] cycles per sample")
+        d = np.abs(self.frequencies - freq)
+        return int(np.argmin(np.minimum(d, 1 - d)))
 
     def index_of_hz(self, freq_hz, sample_rate_hz):
         return self.index_of(freq_hz / sample_rate_hz)
@@ -243,12 +247,9 @@ class TimeVaryingResult:
     """Sliding-window results indexed by rescaled time u = t/T in (0, 1)."""
 
     centers: np.ndarray
-    window: int
-    step: int
     grid: object
     values: np.ndarray            # (n_windows, n, P, P)
     kind: str = "coherence"
-    sample_rate_hz: float = None
 
 
 def sliding_windows(series, N, step):
@@ -396,26 +397,19 @@ def frequency_table_to_csv(path, grid, fs, columns, u=None):
     table_to_csv(path, header, cols)
 
 
-def write_json(path, obj, indent=None):
-    """Write ``obj`` to ``path`` as one JSON document, byte for byte as ``json.dump``.
+def _json_default(obj):
+    """A numpy array as its nested lists; anything else JSON cannot encode raises."""
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
-    A compact dict with string keys goes out one value, and one row of a
-    list value, at a time through ``json.dumps``: its C encoder is faster
-    than the pure-Python one ``json.dump`` runs, and memory stays bounded by
-    one row.  Any other document goes through ``json.dump``.
+
+def write_json(path, obj, indent=None):
+    """Write ``obj`` to ``path`` as one JSON document, in one ``json.dumps`` call.
+
+    Each numpy array in ``obj`` is written as its ``tolist()``, expanded only
+    while it is encoded: the bytes of ``json.dump`` on the listed document.
+    Anything else JSON cannot encode raises ``TypeError``.
     """
     with open(path, "w") as fh:
-        if indent is not None or not isinstance(obj, dict) or not all(
-                isinstance(k, str) for k in obj):
-            return json.dump(obj, fh, indent=indent)
-        fh.write("{")
-        for i, (key, value) in enumerate(obj.items()):
-            fh.write(", " * (i > 0) + json.dumps(key) + ": ")
-            if isinstance(value, list):
-                fh.write("[")
-                for j, row in enumerate(value):
-                    fh.write(", " * (j > 0) + json.dumps(row))
-                fh.write("]")
-            else:
-                fh.write(json.dumps(value))
-        fh.write("}")
+        fh.write(json.dumps(obj, indent=indent, default=_json_default))

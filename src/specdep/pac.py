@@ -186,12 +186,3 @@ def mi_table_to_csv(path, mi, pairs, low_bands, high_bands):
     table_to_csv(path, ["low_band", "high_band", "channel_low", "channel_high", "MI"],
                  [low, [b.name for b in high_bands], chan[..., 0], chan[..., 1], mi])
 
-
-def distribution_to_json(dist):
-    """Phase-bin distribution as plain data for comodulogram plotting."""
-    return {
-        "n_bins": dist.n_bins,
-        "bin_centers": dist.bin_centers.tolist(),
-        "probs": dist.probs.tolist(),
-        "mean_amplitudes": dist.mean_amplitudes.tolist(),
-    }

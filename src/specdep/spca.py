@@ -277,11 +277,11 @@ def spca_to_json(sol):
         "lag_truncation": sol.lag_truncation,
         "sample_rate_hz": sol.sample_rate_hz,
         "degenerate_freqs": sol.degenerate_freqs,
-        "eigenvalues": sol.eigenvalues.tolist(),
-        "loadings_re": sol.loadings.real.tolist(),
-        "loadings_im": sol.loadings.imag.tolist(),
-        "decode_filters": sol.decode_filters.tolist(),
-        "encode_filters": sol.encode_filters.tolist(),
+        "eigenvalues": sol.eigenvalues,
+        "loadings_re": sol.loadings.real,
+        "loadings_im": sol.loadings.imag,
+        "decode_filters": sol.decode_filters,
+        "encode_filters": sol.encode_filters,
     }
 
 

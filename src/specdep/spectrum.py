@@ -281,9 +281,9 @@ def csm_to_json(csm):
         "n": csm.grid.n,
         "sample_rate_hz": csm.sample_rate_hz,
         "channel_labels": csm.channel_labels,
-        "frequencies": csm.grid.frequencies.tolist(),
-        "re": csm.values.real.tolist(),
-        "im": csm.values.imag.tolist(),
+        "frequencies": csm.grid.frequencies,
+        "re": csm.values.real,
+        "im": csm.values.imag,
     }
 
 

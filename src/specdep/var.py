@@ -442,8 +442,7 @@ def tv_pdc(series, L, N, step, method="ols", lam=0.05):
     grid = FrequencyGrid(N)
     values = np.stack([pdc(fit_var(win, L, method, lam), grid).values
                        for _, win in windows])
-    return TimeVaryingResult(np.array([u for u, _ in windows]), N, int(step),
-                             grid, values, "pdc", series.sample_rate_hz)
+    return TimeVaryingResult(np.array([u for u, _ in windows]), grid, values, "pdc")
 
 
 def granger_edges(model, threshold=0.0):
@@ -524,8 +523,8 @@ def model_to_json(model):
     return {
         "P": model.n_channels,
         "L": model.order,
-        "coeffs": [m.tolist() for m in model.coeffs],
-        "noise_cov": model.noise_cov.tolist(),
+        "coeffs": model.coeffs,
+        "noise_cov": model.noise_cov,
     }
 
 

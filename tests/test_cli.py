@@ -130,6 +130,35 @@ class TestExitCodes:
         assert run(["pcoh", "--in", str(p), "--sample-rate", "128",
                     "-o", str(tmp_path / "o.csv")]) == 3
 
+    @staticmethod
+    def write_error(capsys, argv, path):
+        """Exit code of a run that must fail to write ``path`` with one line."""
+        code = run(argv)
+        err = capsys.readouterr().err
+        assert err.startswith(f"specdep: invalid configuration: cannot write {path}: ")
+        assert err.count("\n") == 1
+        return code
+
+    @pytest.mark.parametrize("cmd", [["coherence"], ["var-fit", "--order", "1"]])
+    @pytest.mark.parametrize("target", ["missing/o.out", "dir"])
+    def test_unwritable_output_is_2(self, tmp_path, net_csv, capsys, cmd, target):
+        # a CSV and the JSON writer, into a missing directory or onto a directory
+        out = tmp_path / target
+        if target == "dir":
+            out.mkdir()
+        argv = [*cmd, "--in", str(net_csv), "--sample-rate", "128", "-o", str(out)]
+        assert self.write_error(capsys, argv, out) == 2
+
+    @pytest.mark.parametrize("csv_path, blocked", [("missing/x.csv", "missing/x.csv"),
+                                                   ("x.csv", "x.truth.json")])
+    def test_unwritable_simulate_output_is_2(self, tmp_path, capsys, csv_path, blocked):
+        # the CSV into a missing directory, or a directory where the truth file goes
+        if blocked.endswith(".json"):
+            (tmp_path / blocked).mkdir()
+        argv = ["simulate", "--example", "pdc_net", "--T", "256", "--seed", "1",
+                "-o", str(tmp_path / csv_path)]
+        assert self.write_error(capsys, argv, tmp_path / blocked) == 2
+
 
 def config_error(capsys, args):
     """Exit code and stderr of a run that must fail as a configuration error."""

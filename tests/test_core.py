@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specdep.core import (Band, ConfigError, FrequencyGrid, MalformedInputError,
                           MultiChannelSeries, band_by_name, cross_correlation,
@@ -87,6 +89,29 @@ class TestFrequencyGrid:
     def test_odd_rejected(self):
         with pytest.raises(ConfigError):
             FrequencyGrid(9)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.integers(1, 512).map(lambda m: 2 * m))
+    def test_index_of_every_grid_frequency(self, n):
+        # k/n sits at position k + n/2 - 1, and -1/2 at the Nyquist bin's, n - 1
+        g = FrequencyGrid(n)
+        for k in range(-(n // 2), n // 2 + 1):
+            expected = n - 1 if k == -(n // 2) else k + n // 2 - 1
+            assert g.index_of(k / n) == expected
+
+    def test_index_of_nearest_and_ties(self):
+        g = FrequencyGrid(8)
+        assert g.index_of(-0.5) == g.index_of(0.49) == 7
+        assert g.index_of(-0.49) == 7 and g.index_of(-0.43) == 0
+        assert g.index_of(1 / 16) == 3  # midway between 0 and 1/8: first index
+        assert g.index_of_hz(60.0, 128.0) == 7
+
+    @pytest.mark.parametrize("freq", [0.7, -0.51, np.inf, np.nan])
+    def test_index_of_outside_rejected(self, freq):
+        with pytest.raises(ConfigError):
+            FrequencyGrid(8).index_of(freq)
+        with pytest.raises(ConfigError):
+            FrequencyGrid(8).index_of_hz(freq * 128.0, 128.0)
 
     def test_band_indices_half_open(self):
         # fs = n puts every grid frequency on a whole Hz, so 16 Hz is on the grid

@@ -66,6 +66,7 @@ class TestPhaseAmplitudeDistribution:
         phase = np.linspace(0, 2 * np.pi, 400000, endpoint=False)
         amp = 1.0 + np.cos(phase)
         dist = phase_amplitude_distribution(phase, amp, n)
+        assert dist.probs.sum() == pytest.approx(1.0, abs=1e-12)
         # analytic bin means of 1 + cos over each bin
         edges = dist.bin_edges
         expect = np.diff(edges) + np.diff(np.sin(edges))
@@ -256,21 +257,6 @@ class TestPacScan:
                             analytic(cp, bl, kl).phase[sl], analytic(ca, bh, kh).amplitude[sl], 12)
                         ref = kl_divergence(dist.probs, np.full(12, 1 / 12)) / np.log(12)
                         assert mi[i, j, k] == min(max(ref, 0.0), 1.0)
-
-
-class TestDistributionExport:
-    def test_json_payload(self):
-        from specdep.pac import distribution_to_json
-        rng = np.random.default_rng(14)
-        phase = rng.random(5000) * 2 * np.pi
-        amp = 1.0 + 0.5 * np.cos(phase)
-        dist = phase_amplitude_distribution(phase, amp, 12)
-        payload = distribution_to_json(dist)
-        assert payload["n_bins"] == 12
-        assert len(payload["probs"]) == 12
-        assert sum(payload["probs"]) == pytest.approx(1.0, abs=1e-12)
-        import json
-        json.dumps(payload)
 
 
 class TestOptimizedMode:

@@ -2,7 +2,8 @@
 
 ``reference_table_to_csv`` is the ``csv.writer`` implementation that
 ``core.table_to_csv`` replaced, kept verbatim, and ``reference_write_json``
-is plain ``json.dump``.  The library writers must produce the same bytes on
+is plain ``json.dump``, handed documents with every numpy array turned into
+lists by ``listed``.  The library writers must produce the same bytes on
 any input, and on whole CLI outputs.
 """
 
@@ -11,10 +12,12 @@ import json
 import math
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from specdep import cli, core
+from specdep import cli, core, var
 from specdep.core import TABLE_CHUNK_ROWS, table_to_csv, write_json
 
 
@@ -39,6 +42,17 @@ def reference_table_to_csv(path, header, columns):
 def reference_write_json(path, obj, indent=None):
     with open(path, "w") as fh:
         json.dump(obj, fh, indent=indent)
+
+
+def listed(obj):
+    """``obj`` with every numpy array in it replaced by its ``tolist()``."""
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, dict):
+        return {k: listed(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [listed(v) for v in obj]
+    return obj
 
 
 SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, 0.0, -0.0, 1e-300, 5e-324, 1 / 3]
@@ -73,6 +87,17 @@ json_docs = st.recursive(
     max_leaves=24)
 
 
+# float, int and bool arrays of 0 to 3 dimensions, empty ones included
+shapes = hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=3)
+np_arrays = (hnp.arrays(np.float64, shapes, elements=st.floats() | st.sampled_from(SPECIAL_FLOATS))
+             | hnp.arrays(np.int64, shapes) | hnp.arrays(np.bool_, shapes))
+array_docs = st.recursive(
+    np_arrays | st.none() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=12)
+
+
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(tables())
 @example(([""], [np.array([1.0, -0.0])]))
@@ -97,8 +122,27 @@ def test_json_bytes_match_json_dump(tmp_path_factory, doc):
     assert (d / "new.json").read_bytes() == (d / "ref.json").read_bytes()
 
 
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(array_docs, st.sampled_from([None, 1]))
+@example({"a": np.array([[math.nan, -0.0], [math.inf, -math.inf]]),
+          "b": [np.zeros((0, 2)), np.array(True), {"c": np.arange(3)}]}, None)
+def test_json_arrays_match_json_dump_of_lists(tmp_path_factory, doc, indent):
+    d = tmp_path_factory.getbasetemp()
+    write_json(d / "new.json", doc, indent=indent)
+    reference_write_json(d / "ref.json", listed(doc), indent=indent)
+    assert (d / "new.json").read_bytes() == (d / "ref.json").read_bytes()
+
+
+@pytest.mark.parametrize("doc", [{"a": 1j}, [np.arange(2) + 0j], {"s": {1, 2}},
+                                 np.array([object()], dtype=object)])
+def test_json_rejects_what_json_cannot_encode(tmp_path, doc):
+    with pytest.raises(TypeError):
+        write_json(tmp_path / "o.json", doc)
+
+
 def test_cli_outputs_match_reference_writers(tmp_path, monkeypatch):
-    """coherence, tvcoh --partial and spca --encode write what the old writers wrote."""
+    """Every JSON output, and the CSV outputs of coherence, tvcoh --partial, spca
+    --encode, pdc --plot-data and scau, are what the old writers wrote."""
     for name, example_name in [("net", "pdc_net"), ("mix", "spca_mix")]:
         assert cli.main(["simulate", "--example", example_name, "--T", "1024", "--seed", "5",
                          "-o", str(tmp_path / f"{name}.csv")]) == 0
@@ -110,13 +154,24 @@ def test_cli_outputs_match_reference_writers(tmp_path, monkeypatch):
                      ["tvcoh", "--in", tmp_path / "net.csv", "--window", "256:128",
                       "--partial", "-o", out / "tvcoh.csv"],
                      ["spca", "--in", tmp_path / "mix.csv", "-Q", "2",
-                      "--encode", out / "enc.csv", "-o", out / "spca.json"]):
+                      "--encode", out / "enc.csv", "-o", out / "spca.json"],
+                     ["spectrum", "--in", tmp_path / "net.csv", "--format", "json",
+                      "-o", out / "csm.json"],
+                     ["var-fit", "--in", tmp_path / "net.csv", "--method", "lasso",
+                      "--order", "3", "-o", out / "var.json"],
+                     ["pdc", "--in", tmp_path / "net.csv", "--order", "2", "--grid-size", "64",
+                      "--plot-data", out / "pdc.csv", "-o", out / "pdc.json"],
+                     ["scau", "--in", tmp_path / "net.csv", "--bands", "delta,beta",
+                      "--order", "2", "--model-out", out / "scau.json", "-o", out / "scau.csv"]):
             assert cli.main([str(a) for a in argv] + ["--sample-rate", "128"]) == 0
         return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
 
+    def reference_write_listed(path, obj, indent=None):
+        reference_write_json(path, listed(obj), indent)
+
     new = outputs("new")
-    for module in (core, cli):
+    for module in (core, cli, var):
         monkeypatch.setattr(module, "table_to_csv", reference_table_to_csv)
-    monkeypatch.setattr(cli, "write_json", reference_write_json)
+    monkeypatch.setattr(cli, "write_json", reference_write_listed)
     assert outputs("ref") == new
-    assert len(new) == 4
+    assert len(new) == 10
