@@ -11,6 +11,7 @@ edges.
 from math import copysign
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import (ConfigError, FrequencyGrid, MultiChannelSeries,
                    TimeVaryingResult, demean, sliding_windows, standard_bands,
@@ -188,10 +189,9 @@ def _lag_design(x, L):
         raise ConfigError("order must be >= 0")
     if L and T <= P * L + max(P, L):
         raise ConfigError(f"T={T} too short to identify a VAR({L}) in {P} channels")
-    Z = np.empty((T - L, P * L))
-    for l in range(1, L + 1):
-        Z[:, (l - 1) * P:l * P] = x[L - l:T - l]
-    return Z, x[L:]
+    # window i of x[:T-1] is x[i..i+L-1]; reversed, it is row i's lags 1..L
+    lags = sliding_window_view(x[:T - 1], L, axis=0)[:, :, ::-1]
+    return np.ascontiguousarray(lags.transpose(0, 2, 1)).reshape(T - L, P * L), x[L:]
 
 
 def _coeffs_from_rows(B):
@@ -241,12 +241,20 @@ def fit_ols(series, L):
     return model
 
 
-def _column_sds(Z, Y):
-    """Column standard deviations of Z and Y, the units of a LASSO problem."""
-    zsd = Z.std(axis=0)
+def _column_sds(Z, Y, G):
+    """Column standard deviations of Z and Y, the units of a LASSO problem.
+
+    Z's come from its Gram matrix G = Z'Z: var = diag(G)/n - mean^2.
+    """
+    zsd = np.sqrt(np.maximum(G.diagonal() / Z.shape[0] - Z.mean(axis=0) ** 2, 0.0))
     if np.any(zsd <= 0):
         raise np.linalg.LinAlgError("constant regressor column in LASSO fit")
     return zsd, Y.std(axis=0)
+
+
+# an active run stops after the sweep that logs this many updates, which
+# bounds its (updates, m) table of prefix sums
+_LASSO_RUN_UPDATES = 1024
 
 
 def _check_lam(lam):
@@ -262,24 +270,80 @@ def _cd_lasso(G, c, lam, tol, max_sweeps):
     regressors and response, and keeps g = G b current, so a sweep costs
     O(m^2) whatever n is.  Returns the coefficient vector and whether the
     largest update of a sweep fell below ``tol``.
+
+    The iterates are those of the plain cyclic sweep over every coordinate,
+    bit for bit, but most sweeps visit only the coordinates that were
+    nonzero when a run of sweeps began (active-set cycling: Friedman,
+    Hastie & Tibshirani, J. Stat. Softw. 33(1), 2010), with g kept as floats
+    on them alone.  A skipped zero coordinate j stays zero at its turn iff
+    |c_j - g_j| - lam <= 0 for the g_j it would have seen there.  Those g_j
+    are prefix sums of the run's updates step * G[j'], added in the order
+    the full sweeps would add them, so one cumsum checks every skipped turn
+    of the run.  From the first sweep where one would have moved, the run
+    is undone and that sweep is redone over every coordinate.
     """
     m = c.size
     diag = G.diagonal().tolist()
-    c = c.tolist()
+    cl = c.tolist()
     b = [0.0] * m
     g = np.zeros(m)
-    for _ in range(max_sweeps):
-        delta = 0.0
-        for j in range(m):
-            bj = b[j]
-            rho = c[j] - g.item(j) + diag[j] * bj
-            bnew = copysign(max(abs(rho) - lam, 0.0), rho) / diag[j]
-            if bnew != bj:
-                g += (bnew - bj) * G[j]
-                b[j] = bnew
-                delta = max(delta, abs(bnew - bj))
-        if delta < tol:
+    # a run of one sweep visits every coordinate; the active runs after it
+    # grow 8, 32, 128, ... sweeps, so an undone run wastes few sweeps
+    done, run, act = 0, 1, list(range(m))
+    while done < max_sweeps:
+        ga = g[act].tolist()
+        coords = list(zip(act, [cl[j] for j in act], [diag[j] for j in act],
+                          G[np.ix_(act, act)].tolist()))
+        # update i of the run moved b[j] by steps[i] in its sweep s, keyed
+        # s*m + j; sweep s began at update starts[s], with b as in begun[s]
+        keys, steps, starts, begun = [], [], [], []
+        converged = False
+        for s in range(min(run, max_sweeps - done)):
+            starts.append(len(keys))
+            begun.append(b[:])
+            delta = 0.0
+            for k, (j, cj, dj, row) in enumerate(coords):
+                bj = b[j]
+                rho = cj - ga[k] + dj * bj
+                bnew = copysign(max(abs(rho) - lam, 0.0), rho) / dj
+                if bnew != bj:
+                    step = bnew - bj
+                    ga = [x + step * y for x, y in zip(ga, row)]
+                    b[j] = bnew
+                    delta = max(delta, abs(bnew - bj))
+                    keys.append(s * m + j)
+                    steps.append(step)
+            if delta < tol:
+                converged = True
+                break
+            if len(keys) >= _LASSO_RUN_UPDATES:
+                break
+        if len(act) == m:  # nothing skipped: ga is all of g
+            g = np.array(ga)
+        else:
+            keys = np.array(keys, dtype=np.intp)
+            # gs[i] is g after the run's first i updates
+            gs = np.cumsum(np.concatenate(
+                (g[None], np.asarray(steps)[:, None] * G[keys % m])), axis=0)
+            out = np.ones(m, dtype=bool)
+            out[act] = False
+            skip = np.flatnonzero(out)
+            # skipped j's turn in sweep s follows the updates keyed below s*m + j
+            seen = gs[np.searchsorted(keys, np.arange(0, len(starts) * m, m)[:, None] + skip),
+                      skip]
+            moved = np.flatnonzero(~(np.abs(c[skip] - seen) - lam <= 0).all(axis=1))
+            if moved.size:
+                s = moved[0]
+                b, g = begun[s], gs[starts[s]]
+                done += s
+                run, act = 1, list(range(m))
+                continue
+            g = gs[-1]
+        done += len(starts)
+        if converged:
             return np.array(b), True
+        run = 8 if run == 1 else 4 * run
+        act = [j for j in range(m) if b[j] != 0.0]
     return np.array(b), False
 
 
@@ -296,7 +360,7 @@ def fit_lasso(series, L, lam, tol=1e-7, max_sweeps=10000):
     """
     _check_lam(lam)
     Z, Y, G, C = _var_problem(series, L)
-    zsd, ysd = _column_sds(Z, Y)
+    zsd, ysd = _column_sds(Z, Y, G)
     nzsd = Z.shape[0] * zsd
     Gs = G / np.outer(nzsd, zsd)
     B = np.zeros_like(C)
@@ -321,7 +385,7 @@ def lasso_kkt_residual(series, L, lam, model):
     """
     _check_lam(lam)
     Z, Y, G, C = _var_problem(series, L)
-    zsd, ysd = _column_sds(Z, Y)
+    zsd, ysd = _column_sds(Z, Y, G)
     live = ysd > 0
     B = _rows_from_coeffs(model.coeffs)[:, live]
     # the standardized gradient is the raw one, z_j'(y - Zb), over n zsd_j ysd

@@ -130,6 +130,17 @@ class TestExitCodes:
         assert run(["pcoh", "--in", str(p), "--sample-rate", "128",
                     "-o", str(tmp_path / "o.csv")]) == 3
 
+    @pytest.mark.parametrize("value", [0.1, 1 / 3, np.pi, 1e-300])
+    def test_constant_channel_lasso_is_3(self, tmp_path, capsys, value):
+        x = np.random.default_rng(5).standard_normal((512, 3))
+        x[:, 1] = value
+        p = tmp_path / "const.csv"
+        cli.write_series_csv(MultiChannelSeries(x, 128.0), p)
+        assert run(["var-fit", "--in", str(p), "--sample-rate", "128", "--order", "2",
+                    "--method", "lasso", "-o", str(tmp_path / "m.json")]) == 3
+        assert capsys.readouterr().err == (
+            "specdep: numerical failure: constant regressor column in LASSO fit\n")
+
     @staticmethod
     def write_error(capsys, argv, path):
         """Exit code of a run that must fail to write ``path`` with one line."""
@@ -233,6 +244,23 @@ class TestBoundaryValidation:
         run(["dualfreq", "--in", str(net_csv), "--sample-rate", "128", "--window", window,
              "--pair", "0:2:1:40", "-o", str(tmp_path / "o.csv")])
         assert "window length must be even and >= 2" in capsys.readouterr().err
+
+    def test_dualfreq_default_smoothing_named(self, tmp_path, capsys):
+        """The default smoothing around the default centre leaves an 8192-sample
+        series: the message names that centre and the smoothing, not a piece."""
+        p = tmp_path / "net.csv"
+        assert run(["simulate", "--example", "pdc_net", "--T", "8192", "--seed", "1",
+                    "-o", str(p)]) == 0
+        argv = ["dualfreq", "--in", str(p), "--sample-rate", "128", "--window", "1024",
+                "--pair", "0:0.1:1:0.1", "-o", str(tmp_path / "o.csv")]
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("specdep: invalid configuration: ") and err.count("\n") == 1
+        assert "centre t=4096" in err and "default smoothing (8 hops of N/2" in err
+        assert run(argv + ["--smooth", "4:1024"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "centre t=4096 with --smooth 4:1024" in err
+        assert run(argv + ["--smooth", "4:512"]) == 0
 
     @pytest.mark.parametrize("method", ["ols", "lasso", "lassle"])
     def test_var_fit_interpolating_order(self, tmp_path, capsys, method):

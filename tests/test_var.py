@@ -1,3 +1,5 @@
+from math import copysign
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,7 +14,8 @@ from specdep.var import (LassoConvergenceError, VarModel,
                          model_to_json, pdc, select_order, simulate_var,
                          spectral_var, transfer_function, tv_pdc)
 from specdep.coherence import tv_coherence
-from specdep.var import _coeffs_from_rows, _lag_design, _rows_from_coeffs, _var_recursion
+from specdep.var import (_cd_lasso, _coeffs_from_rows, _lag_design, _rows_from_coeffs,
+                         _var_recursion)
 
 
 def stable_var2():
@@ -155,6 +158,25 @@ def reference_ols(series, L):
     se = np.sqrt(np.maximum(np.diag(noise_cov)[:, None]
                             * np.diag(np.linalg.inv(G)).reshape(L, 1, P), 0.0))
     return B.reshape(L, P, P).transpose(0, 2, 1), noise_cov, se
+
+
+def lag_design_by_slices(x, L):
+    """Reference: the lag design filled one lag block of columns at a time."""
+    T, P = x.shape
+    Z = np.empty((T - L, P * L))
+    for l in range(1, L + 1):
+        Z[:, (l - 1) * P:l * P] = x[L - l:T - l]
+    return Z, x[L:]
+
+
+@pytest.mark.parametrize("P", range(1, 6))
+def test_lag_design_matches_per_lag_slices(P):
+    x = np.random.default_rng(P).standard_normal((128, P))
+    for L in range(17):
+        Z, Y = _lag_design(x, L)
+        Z_ref, Y_ref = lag_design_by_slices(x, L)
+        assert Z.shape == (128 - L, P * L) and Z.flags.c_contiguous
+        assert np.array_equal(Z, Z_ref) and np.array_equal(Y, Y_ref)
 
 
 class TestFitOls:
@@ -490,6 +512,87 @@ class TestGramLasso:
         for s in (ma_series(256, P, seed), example("pdc_net", 1024, seed % 6)[0]):
             for criterion in ("AIC", "BIC"):
                 assert select_order(s, L_max, criterion) == reference(s, L_max, criterion)
+
+
+def cd_lasso_cyclic(G, c, lam, tol, max_sweeps):
+    """Reference: the plain cyclic descent, every coordinate in every sweep."""
+    m = c.size
+    diag = G.diagonal().tolist()
+    c = c.tolist()
+    b = [0.0] * m
+    g = np.zeros(m)
+    for _ in range(max_sweeps):
+        delta = 0.0
+        for j in range(m):
+            bj = b[j]
+            rho = c[j] - g.item(j) + diag[j] * bj
+            bnew = copysign(max(abs(rho) - lam, 0.0), rho) / diag[j]
+            if bnew != bj:
+                g += (bnew - bj) * G[j]
+                b[j] = bnew
+                delta = max(delta, abs(bnew - bj))
+        if delta < tol:
+            return np.array(b), True
+    return np.array(b), False
+
+
+class TestActiveSetLasso:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(m=st.integers(1, 60), corr=st.floats(0.0, 0.95),
+           lam_frac=st.one_of(st.just(0.0), st.floats(0.0, 1.3)),
+           sweeps=st.sampled_from([1, 2, 3, 10000]), seed=st.integers(0, 2 ** 16))
+    def test_matches_cyclic_descent(self, m, corr, lam_frac, sweeps, seed):
+        """Same coefficient bytes (signed zeros too) and convergence flag as
+        the full cyclic sweep, on correlated Grams, for lam from 0 to past lam_max."""
+        rng = np.random.default_rng(seed)
+        n = m + 2 + int(rng.integers(0, 3 * m + 40))
+        Z = rng.standard_normal((n, m))
+        Z += corr * (np.roll(Z, 1, axis=1) + Z[:, :1])  # neighbour and common-factor terms
+        y = Z @ (rng.standard_normal(m) * (rng.random(m) < 0.3)) + rng.standard_normal(n)
+        Z -= Z.mean(axis=0)
+        y -= y.mean()
+        zsd, ysd = Z.std(axis=0), y.std()
+        G = Z.T @ Z / np.outer(n * zsd, zsd)
+        c = Z.T @ y / (n * zsd * ysd)
+        lam = lam_frac * float(np.max(np.abs(c)))
+        b, conv = _cd_lasso(G, c, lam, 1e-7, sweeps)
+        b_ref, conv_ref = cd_lasso_cyclic(G, c, lam, 1e-7, sweeps)
+        assert conv == conv_ref
+        assert b.tobytes() == b_ref.tobytes()
+
+    def test_matches_cyclic_descent_on_var_fits(self, monkeypatch):
+        # VAR fits grow their support over many sweeps, so runs are undone often
+        import specdep.var as var
+        problems = []
+
+        def spy(*args):
+            problems.append(args)
+            return _cd_lasso(*args)
+
+        monkeypatch.setattr(var, "_cd_lasso", spy)
+        for seed in range(4):
+            x, _ = example("pdc_net", 1024, seed)
+            for L, lam in ((2, 0.1), (6, 0.02), (15, 0.05), (15, 0.1)):
+                fit_lasso(x, L, lam)
+        assert len(problems) == 64
+        for args in problems:
+            b, conv = _cd_lasso(*args)
+            b_ref, conv_ref = cd_lasso_cyclic(*args)
+            assert conv == conv_ref
+            assert b.tobytes() == b_ref.tobytes()
+
+    @pytest.mark.parametrize("value", [0.1, 1 / 3, np.pi, 1e-300])
+    def test_demeaned_constant_raises(self, value):
+        # these constants demean to ~1e-16 constants, not to zeros
+        x = np.random.default_rng(5).standard_normal((512, 3))
+        x[:, 1] = value
+        s = MultiChannelSeries(x, 1.0)
+        assert np.all(demean(s).samples[:, 1] != 0.0)
+        for fit in (fit_lasso, fit_lassle):
+            with pytest.raises(np.linalg.LinAlgError):
+                fit(s, 2, 0.1)
+        with pytest.raises(np.linalg.LinAlgError):
+            lasso_kkt_residual(s, 2, 0.1, VarModel(np.zeros((2, 3, 3)), np.eye(3)))
 
 
 class TestTransferFunction:
