@@ -4,8 +4,8 @@ Submodules
 ----------
 core      containers, bands, lag-domain correlation
 filters   FIR design and causal / zero-phase application
-spectrum  cross-spectral matrix estimation (periodogram, smoothing, AR/VAR,
-          shrinkage)
+spectrum  cross-spectral matrix estimation (periodogram, smoothing, VAR
+          spectra, AR(2) oscillators, shrinkage)
 coherence coherence and partial coherence, static and time-varying
 dualfreq  dual-frequency (cross-oscillation) coherence
 pac       phase-amplitude coupling (modulation index)
@@ -20,16 +20,15 @@ from .core import (Band, FrequencyGrid, MultiChannelSeries, band_by_name,
                    max_lag_sq_correlation, standard_bands)
 from .filters import (FirFilter, apply_filter, band_signals, decompose_rhythms,
                       design_fir_bandpass, frequency_response)
-from .spectrum import (Ar2Params, CrossSpectralMatrix, SmoothingKernel,
-                       ar2_from_peak, ar2_spectrum, fourier_coefficients,
-                       periodogram, shrink_spectral_estimate,
-                       smooth_periodogram, var_spectrum)
+from .spectrum import (CrossSpectralMatrix, SmoothingKernel, ar2_from_peak,
+                       fourier_coefficients, periodogram,
+                       shrink_spectral_estimate, smooth_periodogram,
+                       var_spectrum)
 from .coherence import (band_coherence, coherence, coherence_matrix, coherency,
                         estimate_spectrum, partial_coherence,
                         partial_coherence_residual, tv_coherence,
                         tv_partial_coherence)
-from .dualfreq import (band_dualfreq_coherence, dualfreq_coherence,
-                       local_dualfreq_periodogram, local_fourier)
+from .dualfreq import band_dualfreq_coherence, dualfreq_coherence, local_fourier
 from .pac import (analytic_signal, kl_divergence, modulation_index, pac_scan,
                   phase_amplitude_distribution)
 from .var import (VarModel, fit_lassle, fit_lasso, fit_ols, fit_var,

@@ -32,7 +32,6 @@ __all__ = [
     "estimate_spectrum",
     "tv_coherence",
     "tv_partial_coherence",
-    "edge_list",
 ]
 
 # largest spectral-matrix condition number partial_coherence inverts
@@ -107,7 +106,8 @@ def partial_coherence(f):
     partial coherence between p and q (given all other channels) is
     |Lambda_pq|^2.  The diagonal is reported as 1 by convention.  Raises
     when the spectral matrix condition number exceeds ``_COND_CAP``; shrink
-    the estimate (see spectrum.shrink_spectral_estimate) in that case.
+    the estimate (spectrum.shrink_spectral_estimate, or the CLI's
+    --shrink-order) in that case.
 
     Returns
     -------
@@ -121,8 +121,8 @@ def partial_coherence(f):
         k = int(np.nonzero(bad)[0][0])
         raise ValueError(
             f"spectral matrix ill-conditioned at grid index {k} (frequency "
-            f"{f.grid.frequencies[k]:.6f}); use shrink_spectral_estimate to "
-            f"obtain a well-conditioned estimate")
+            f"{f.grid.frequencies[k]:.6f}); shrink the estimate toward a VAR "
+            f"spectrum (shrink_spectral_estimate, or --shrink-order on the command line)")
     return _normalized(np.linalg.inv(v))[1]
 
 
@@ -205,16 +205,3 @@ def _tv(series, N, step, kernel, partial):
     return TimeVaryingResult(np.array([u for u, _ in windows]), f.grid, np.stack(out),
                              "partial_coherence" if partial else "coherence")
 
-
-def edge_list(series, bands, threshold=0.0, filter_order=None):
-    """Band-coherence network edges: (p, q, band, value, lag) per pair/band."""
-    edges = []
-    P = series.n_channels
-    for band in bands:
-        for p in range(P):
-            for q in range(p + 1, P):
-                val, lag = band_coherence(series, p, q, band, filter_order)
-                if val > threshold:
-                    edges.append({"p": p, "q": q, "band": band.name,
-                                  "value": val, "lag": lag})
-    return edges

@@ -8,15 +8,15 @@ kernel computes one window centre at a time.  A filtered variant measures
 the windowed cross-moment of two band-limited signals.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .core import ConfigError, MultiChannelSeries, table_to_csv
 from .filters import band_signals, default_order
 
-__all__ = ["DualFreqResult", "local_fourier", "local_dualfreq_periodogram",
-           "dualfreq_coherence", "band_dualfreq_coherence", "dualfreq_scan"]
+__all__ = ["DualFreqResult", "local_fourier", "dualfreq_coherence",
+           "band_dualfreq_coherence", "dualfreq_scan"]
 
 
 def _window_length(N):
@@ -67,16 +67,6 @@ def local_fourier(series, t, N, omega):
     return d[0] if np.isscalar(omega) else d
 
 
-def local_dualfreq_periodogram(series, t, N, omega_j, omega_k):
-    """Rank-1 local dual-frequency periodogram d(t, w_j) d*(t, w_k).
-
-    The second factor is conjugate-transposed, so omega_j == omega_k reduces
-    to the ordinary local periodogram matrix.
-    """
-    d = local_fourier(series, t, N, [omega_j, omega_k])
-    return np.outer(d[0], d[1].conj())
-
-
 def dualfreq_coherence(data, t, N, p, omega_j, q, omega_k, smoothing=None):
     """Time-localized dual-frequency coherence at window centre t.
 
@@ -119,8 +109,7 @@ def band_dualfreq_coherence(series, p, band_1, q, band_2, t, N, filter_order=Non
 class DualFreqResult:
     """Batch of dual-frequency coherence values for export."""
 
-    window: int
-    entries: list = field(default_factory=list)  # dicts: t, p, freq_j, q, freq_k, value
+    entries: list  # dicts: t, p, freq_j, q, freq_k, value
 
     def to_csv(self, path):
         keys = ["t", "p", "freq_j", "q", "freq_k", "value"]
@@ -165,6 +154,6 @@ def dualfreq_scan(data, centers, N, pairs, smoothing=None):
             raise ValueError("zero local power at one of the (channel, frequency) pairs")
         if bad.size:
             raise ValueError(f"dual-frequency coherence {float(vals[i, bad[0]])!r} exceeds 1")
-    return DualFreqResult(N, [
+    return DualFreqResult([
         {"t": t, "p": p, "freq_j": wj, "q": q, "freq_k": wk, "value": min(float(v), 1.0)}
         for t, row in zip(ts, vals) for (p, wj, q, wk), v in zip(pairs, row)])

@@ -13,8 +13,6 @@ from .core import ConfigError, table_to_csv
 from .filters import band_signals
 
 __all__ = [
-    "AnalyticSignal",
-    "PhaseAmplitudeDistribution",
     "analytic_signal",
     "phase_amplitude_distribution",
     "kl_divergence",
@@ -24,31 +22,13 @@ __all__ = [
 ]
 
 
-class AnalyticSignal:
-    """Complex analytic extension of a real signal.
-
-    ``values`` has the input as its real part; modulus and angle give the
-    instantaneous amplitude and phase (phase mapped to [0, 2 pi)).
-    """
-
-    def __init__(self, values):
-        self.values = np.asarray(values, dtype=complex)
-
-    @property
-    def amplitude(self):
-        return np.abs(self.values)
-
-    @property
-    def phase(self):
-        return np.mod(np.angle(self.values), 2 * np.pi)
-
-
 def analytic_signal(x):
     """Analytic signal via the frequency-domain Hilbert construction.
 
     Negative-frequency bins are zeroed, strictly positive ones doubled, DC
-    and Nyquist kept, and the result inverse-transformed; the real part
-    equals the input.
+    and Nyquist kept, and the result inverse-transformed.  The returned
+    complex array has the input as its real part; its modulus and angle are
+    the instantaneous amplitude and phase.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 1 or x.size < 16:
@@ -56,36 +36,20 @@ def analytic_signal(x):
     T = x.size
     # one-sided weights: DC, doubled positive bins, Nyquist (even T), zeroed negative bins
     h = np.r_[1.0, np.full((T - 1) // 2, 2.0), np.ones(1 - T % 2), np.zeros((T - 1) // 2)]
-    return AnalyticSignal(np.fft.ifft(np.fft.fft(x) * h))
-
-
-class PhaseAmplitudeDistribution:
-    """Mean amplitude per phase bin, normalized to a distribution.
-
-    Bin j covers [2 pi (j-1)/N, 2 pi j/N); ``probs`` sums to one.
-    """
-
-    def __init__(self, n_bins, probs, mean_amplitudes):
-        self.n_bins = int(n_bins)
-        self.probs = np.asarray(probs, dtype=float)
-        self.mean_amplitudes = np.asarray(mean_amplitudes, dtype=float)
-
-    @property
-    def bin_edges(self):
-        return 2 * np.pi * np.arange(self.n_bins + 1) / self.n_bins
-
-    @property
-    def bin_centers(self):
-        return 2 * np.pi * (np.arange(self.n_bins) + 0.5) / self.n_bins
+    return np.fft.ifft(np.fft.fft(x) * h)
 
 
 def phase_amplitude_distribution(phase, amplitude, n_bins):
     """Bin amplitudes by phase and normalize the bin means to sum to one.
 
-    Phases are wrapped into [0, 2 pi).  Every bin must receive at least one
-    sample.  The bin means are a conditional expectation; dividing by their
-    sum turns them into the distribution compared against uniform by the
-    modulation index.
+    Phases are wrapped into [0, 2 pi); bin j covers [2 pi j/N, 2 pi (j+1)/N).
+    Every bin must receive at least one sample.  The bin means are a
+    conditional expectation; dividing by their sum turns them into the
+    distribution compared against uniform by the modulation index.
+
+    Returns
+    -------
+    (probs, mean_amplitudes) : (ndarray, ndarray), each of length ``n_bins``
     """
     phase = np.mod(np.asarray(phase, dtype=float), 2 * np.pi)
     amplitude = np.asarray(amplitude, dtype=float)
@@ -104,7 +68,7 @@ def phase_amplitude_distribution(phase, amplitude, n_bins):
     total = means.sum()
     if total <= 0:
         raise ValueError("all-zero amplitudes; distribution undefined")
-    return PhaseAmplitudeDistribution(n_bins, means / total, means)
+    return means / total, means
 
 
 def kl_divergence(p, q):
@@ -157,8 +121,8 @@ def pac_scan(series, low_bands, high_bands, n_bins=18, pairs=None,
     y, orders = band_signals(series, picks, filter_order)
     z = {pick: analytic_signal(x - x.mean()) for pick, x in zip(picks, y.T)}
     trim = {pick: max(k, 64) for pick, k in zip(picks, orders)}
-    phase = {pick: z[pick].phase for pick in low}
-    amp = {pick: z[pick].amplitude for pick in high}
+    phase = {pick: np.mod(np.angle(z[pick]), 2 * np.pi) for pick in low}
+    amp = {pick: np.abs(z[pick]) for pick in high}
     out = np.zeros((len(pairs), len(low_bands), len(high_bands)))
     for i, (cp, ca) in enumerate(pairs):
         for j, bl in enumerate(low_bands):
@@ -172,8 +136,8 @@ def _mi(phase, amp, trim, n_bins):
     """Modulation index of amplitudes binned by phase, ``trim`` > 0 samples cut per end."""
     if phase.size <= 2 * trim + n_bins:
         raise ConfigError("series too short after trimming filter transients")
-    dist = phase_amplitude_distribution(phase[trim:-trim], amp[trim:-trim], n_bins)
-    mi = kl_divergence(dist.probs, np.full(n_bins, 1.0 / n_bins)) / np.log(n_bins)
+    probs, _ = phase_amplitude_distribution(phase[trim:-trim], amp[trim:-trim], n_bins)
+    mi = kl_divergence(probs, np.full(n_bins, 1.0 / n_bins)) / np.log(n_bins)
     if not -1e-12 <= mi <= 1 + 1e-12:
         raise ValueError(f"modulation index {mi!r} outside [0, 1]")
     return min(max(mi, 0.0), 1.0)

@@ -1,8 +1,9 @@
 """Seeded generators for the worked examples.
 
-Latent sources are unit-variance AR(2) oscillators (standardized by their
-closed-form stationary standard deviation, so mixing weights stay comparable
-across bandwidths).  :func:`example` builds the named scenario and returns
+Latent sources are unit-variance AR(2) oscillators, each the one-channel
+VAR(2) model from :func:`spectrum.ar2_from_peak`, standardized by its
+closed-form stationary standard deviation so mixing weights stay comparable
+across bandwidths.  :func:`example` builds the named scenario and returns
 the observed series together with a ground-truth descriptor listing the
 structure an analysis should recover.  Identical (name, T, seed, overrides)
 reproduce output bit for bit.
@@ -11,7 +12,7 @@ reproduce output bit for bit.
 import numpy as np
 
 from .core import ConfigError, MalformedInputError, MultiChannelSeries
-from .spectrum import Ar2Params, ar2_from_peak, ar2_stationary_var
+from .spectrum import ar2_from_peak
 from .var import VarModel, simulate_var
 
 __all__ = [
@@ -26,29 +27,34 @@ DEFAULT_FS = 128.0
 DEFAULT_M = 1.05
 
 
-def gen_sources(params_list, T, seed, sample_rate_hz=DEFAULT_FS):
+def _stationary_var(model):
+    """Closed-form stationary variance of a one-channel VAR(2) oscillator."""
+    p1, p2 = model.coeffs[:, 0, 0]
+    return model.noise_cov[0, 0] * (1 - p2) / ((1 + p2) * ((1 - p2) ** 2 - p1 ** 2))
+
+
+def gen_sources(sources, T, seed, sample_rate_hz=DEFAULT_FS):
     """Independent standardized latent sources, one channel each.
 
-    AR(2) sources are divided by their closed-form stationary standard
-    deviation so each has (population) unit variance; "white" entries are
+    Each entry of ``sources`` is a one-channel VAR(2) oscillator (see
+    :func:`spectrum.ar2_from_peak`), divided by its closed-form stationary
+    standard deviation so it has (population) unit variance, or "white" for
     unit Gaussian noise.  Per-source RNG streams derive from ``seed``.
     """
     if not isinstance(seed, np.random.SeedSequence):
         seed = np.random.SeedSequence(seed)
-    streams = seed.spawn(len(params_list))
+    streams = seed.spawn(len(sources))
     cols = []
     labels = []
-    for k, params in enumerate(params_list):
-        if isinstance(params, str) and params == "white":
+    for k, src in enumerate(sources):
+        if isinstance(src, str) and src == "white":
             rng = np.random.default_rng(streams[k])
             cols.append(rng.standard_normal(T))
-        elif isinstance(params, Ar2Params):
-            model = VarModel(np.array([[[params.phi1]], [[params.phi2]]]),
-                             np.array([[params.noise_var]]))
-            z = simulate_var(model, T, streams[k]).samples[:, 0]
-            cols.append(z / np.sqrt(ar2_stationary_var(params)))
+        elif isinstance(src, VarModel) and src.coeffs.shape == (2, 1, 1):
+            z = simulate_var(src, T, streams[k]).samples[:, 0]
+            cols.append(z / np.sqrt(_stationary_var(src)))
         else:
-            raise ConfigError(f"source {k}: expected Ar2Params or 'white'")
+            raise ConfigError(f"source {k}: expected a one-channel VAR(2) model or 'white'")
         labels.append(f"Z{k + 1}")
     return MultiChannelSeries(np.column_stack(cols), sample_rate_hz, labels)
 
@@ -102,21 +108,18 @@ def pdc_net_model(M=1.049787, fs=DEFAULT_FS, noise_cov=None):
     stationary variance so the channels are comparable; near-unit-root
     oscillators otherwise dwarf the rest by orders of magnitude.
     """
-    delta = ar2_from_peak(M, 2 / fs)
-    beta = ar2_from_peak(M, 20 / fs)
-    gamma = ar2_from_peak(M, 40 / fs)
+    delta, beta, gamma = (ar2_from_peak(M, hz / fs) for hz in (2, 20, 40))
     phi1 = np.zeros((4, 4))
     phi2 = np.zeros((4, 4))
-    phi1[0, 0], phi2[0, 0] = beta.phi1, beta.phi2
+    for c, osc in ((0, beta), (2, delta), (3, gamma)):
+        phi1[c, c], phi2[c, c] = osc.coeffs[:, 0, 0]
     phi1[0, 1] = 0.5
     phi1[1, 2] = 1.0
     phi2[1, 3] = 1.0
-    phi1[2, 2], phi2[2, 2] = delta.phi1, delta.phi2
-    phi1[3, 3], phi2[3, 3] = gamma.phi1, gamma.phi2
     if noise_cov is None:
-        noise_cov = np.diag([1.0 / ar2_stationary_var(beta), 1.0,
-                             1.0 / ar2_stationary_var(delta),
-                             1.0 / ar2_stationary_var(gamma)])
+        noise_cov = np.diag([1.0 / _stationary_var(beta), 1.0,
+                             1.0 / _stationary_var(delta),
+                             1.0 / _stationary_var(gamma)])
     return VarModel(np.stack([phi1, phi2]), noise_cov)
 
 
@@ -138,14 +141,15 @@ def _opts(overrides, **defaults):
 
 def _sources(T, seed, o, peaks):
     """AR(2) sources peaking at o[k] Hz for k in ``peaks``, and the noise seed."""
-    params = [ar2_from_peak(o["M"], o[k] / o["fs"]) for k in peaks]
+    models = [ar2_from_peak(o["M"], o[k] / o["fs"]) for k in peaks]
     src_seed, noise_seed = np.random.SeedSequence(seed).spawn(2)
-    return gen_sources(params, T, src_seed, o["fs"]), noise_seed
+    return gen_sources(models, T, src_seed, o["fs"]), noise_seed
 
 
 def _two_source_mixture(T, seed, overrides, lagged):
+    lag = {"lag": 10} if lagged else {}  # an instant mixture has no lag to override
     o = _opts(overrides, fs=DEFAULT_FS, M=DEFAULT_M, noise_std=0.5,
-              low_freq_hz=2.0, high_freq_hz=40.0, lag=10, weight=1.0)
+              low_freq_hz=2.0, high_freq_hz=40.0, weight=1.0, **lag)
     sources, mix_seed = _sources(T, seed, o, ("low_freq_hz", "high_freq_hz"))
     c = o["weight"]
     lags = [[0, o["lag"]], [0, 0]] if lagged else None
@@ -157,7 +161,7 @@ def _two_source_mixture(T, seed, overrides, lagged):
         "low_peak_hz": o["low_freq_hz"], "high_peak_hz": o["high_freq_hz"],
         "shared_source": "high",
         "coherent_band": "high",
-        "lag": o["lag"] if lagged else 0,
+        "lag": o.get("lag", 0),
     }
     return series, truth
 

@@ -13,7 +13,7 @@ one-sided machinery in :mod:`specdep.var`.
 
 import numpy as np
 
-from .core import ConfigError, FrequencyGrid, MultiChannelSeries
+from .core import ConfigError, MultiChannelSeries
 
 __all__ = [
     "PcaSolution",
@@ -27,7 +27,6 @@ __all__ = [
     "reconstruction_error",
     "band_loadings",
     "spca_to_json",
-    "spca_from_json",
 ]
 
 
@@ -153,6 +152,8 @@ def spca_fit(spectral_estimate, Q, lag_truncation=None):
     lag_truncation = int(lag_truncation)
     if not 0 <= lag_truncation < n // 2:
         raise ConfigError("lag truncation must be >= 0 and below half the grid size")
+    if np.all(np.einsum("kpp->k", f.values).real <= 0):
+        raise ValueError("zero total power at every frequency; no components to extract")
 
     half = n // 2  # positive bins k = 0..n/2 live at grid indices half-1 .. n-1
     pos = f.values[half - 1:]
@@ -284,11 +285,3 @@ def spca_to_json(sol):
         "encode_filters": sol.encode_filters,
     }
 
-
-def spca_from_json(obj):
-    grid = FrequencyGrid(obj["n"])
-    loadings = np.asarray(obj["loadings_re"]) + 1j * np.asarray(obj["loadings_im"])
-    return SpcaSolution(grid, loadings, np.asarray(obj["eigenvalues"]),
-                        obj["lag_truncation"], np.asarray(obj["decode_filters"]),
-                        np.asarray(obj["encode_filters"]), obj.get("sample_rate_hz"),
-                        obj.get("degenerate_freqs", []))

@@ -1,10 +1,11 @@
 """Cross-spectral matrix estimation.
 
 Estimators: the P x P periodogram matrix from the discrete Fourier
-coefficients, kernel-smoothed periodograms, closed-form AR(2) and VAR
-spectra, and a shrinkage estimator that mixes the smoothed periodogram with
-a parametric VAR spectrum, frequency by frequency, according to mean-squared
-error proxies.
+coefficients, kernel-smoothed periodograms, closed-form VAR spectra (an
+AR(2) oscillator is the one-channel VAR(2) from :func:`ar2_from_peak`), and
+a shrinkage estimator that mixes the smoothed periodogram with a parametric
+VAR spectrum, frequency by frequency, according to mean-squared error
+proxies.
 """
 
 from dataclasses import dataclass
@@ -12,24 +13,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ConfigError, FrequencyGrid, demean, frequency_table_to_csv
-from .var import transfer_function
+from .var import VarModel, transfer_function
 
 __all__ = [
     "CrossSpectralMatrix",
-    "Ar2Params",
     "SmoothingKernel",
     "fourier_coefficients",
     "periodogram",
     "smooth_periodogram",
     "ar2_from_peak",
-    "ar2_spectrum",
-    "ar2_stationary_var",
     "var_spectrum",
     "shrink_spectral_estimate",
     "default_bandwidth",
     "csm_to_csv",
     "csm_to_json",
-    "csm_from_json",
 ]
 
 
@@ -83,61 +80,22 @@ class CrossSpectralMatrix:
                 f"fs={self.sample_rate_hz})")
 
 
-@dataclass(frozen=True)
-class Ar2Params:
-    """A causal AR(2) oscillator parameterized by its complex root pair.
+def ar2_from_peak(M, psi, noise_var=1.0):
+    """A causal AR(2) oscillator as the one-channel VAR(2) model.
 
-    The roots of 1 - phi1 u - phi2 u^2 are M exp(+-i 2 pi psi), |M| > 1,
+    The roots of 1 - phi1 u - phi2 u^2 are M exp(+-i 2 pi psi), M > 1,
     giving a spectral peak at frequency ``psi`` (cycles/sample) whose width
-    shrinks as M -> 1+.  phi1 = (2/M) cos(2 pi psi) and phi2 = -1/M^2 hold
-    exactly by construction.
+    shrinks as M -> 1+: phi1 = (2/M) cos(2 pi psi) and phi2 = -1/M^2.
     """
-
-    root_magnitude: float
-    peak_freq: float
-    noise_var: float = 1.0
-
-    def __post_init__(self):
-        if not self.root_magnitude > 1:
-            raise ConfigError(f"root magnitude must exceed 1, got {self.root_magnitude}")
-        if not abs(self.peak_freq) < 0.5:
-            raise ConfigError(f"peak frequency must lie in (-0.5, 0.5), got {self.peak_freq}")
-        if not self.noise_var > 0:
-            raise ConfigError("noise variance must be positive")
-
-    @property
-    def phi1(self):
-        return (2.0 / self.root_magnitude) * np.cos(2 * np.pi * self.peak_freq)
-
-    @property
-    def phi2(self):
-        return -1.0 / self.root_magnitude ** 2
-
-    def roots(self):
-        """Roots of the AR polynomial 1 - phi1 u - phi2 u^2."""
-        return np.roots([-self.phi2, -self.phi1, 1.0])
-
-
-def ar2_from_peak(root_magnitude, peak_freq, noise_var=1.0):
-    """AR(2) parameters from root magnitude M > 1 and peak frequency psi."""
-    return Ar2Params(float(root_magnitude), float(peak_freq), float(noise_var))
-
-
-def ar2_stationary_var(params):
-    """Closed-form stationary variance of the AR(2) process."""
-    p1, p2 = params.phi1, params.phi2
-    return params.noise_var * (1 - p2) / ((1 + p2) * ((1 - p2) ** 2 - p1 ** 2))
-
-
-def ar2_spectrum(params, grid_or_freqs):
-    """AR(2) spectral density sigma^2 / |1 - phi1 e^{-i2pw} - phi2 e^{-i4pw}|^2."""
-    if isinstance(grid_or_freqs, FrequencyGrid):
-        w = grid_or_freqs.frequencies
-    else:
-        w = np.asarray(grid_or_freqs, dtype=float)
-    z = np.exp(-2j * np.pi * w)
-    denom = np.abs(1.0 - params.phi1 * z - params.phi2 * z ** 2) ** 2
-    return params.noise_var / denom
+    M, psi, noise_var = float(M), float(psi), float(noise_var)
+    if not M > 1:
+        raise ConfigError(f"root magnitude must exceed 1, got {M}")
+    if not abs(psi) < 0.5:
+        raise ConfigError(f"peak frequency must lie in (-0.5, 0.5), got {psi}")
+    if not noise_var > 0:
+        raise ConfigError("noise variance must be positive")
+    phi1 = (2.0 / M) * np.cos(2 * np.pi * psi)
+    return VarModel([[[phi1]], [[-1.0 / M ** 2]]], [[noise_var]])
 
 
 @dataclass(frozen=True)
@@ -286,9 +244,3 @@ def csm_to_json(csm):
         "im": csm.values.imag,
     }
 
-
-def csm_from_json(obj):
-    grid = FrequencyGrid(obj["n"])
-    vals = np.asarray(obj["re"]) + 1j * np.asarray(obj["im"])
-    return CrossSpectralMatrix(grid, vals, obj.get("sample_rate_hz"),
-                               obj.get("channel_labels"))

@@ -71,7 +71,8 @@ class TestSimulateCommand:
         ("gamma_net", "fs=0"), ("pdc_net", "fs=0"), ("chirp", "fs=0"),
         ("pac", "noise_var=-1"), ("lead_lag", "noise_std=-1"), ("lead_lag", "lag=2.5"),
         ("lagged_mixture", "lag=" + "1" * 30), ("instant_mixture", "weight=1e308"),
-        ("chirp", "noise_std=1e308")])
+        ("chirp", "noise_std=1e308"), ("instant_mixture", "lag=5000"),
+        ("pdc_net", "M=0.9")])
     def test_bad_override_range(self, tmp_path, capsys, name, setting):
         assert config_error(capsys, [
             "simulate", "--example", name, "--T", "256", "--seed", "1",
@@ -129,6 +130,29 @@ class TestExitCodes:
         cli.write_series_csv(MultiChannelSeries(dup, 128.0), p)
         assert run(["pcoh", "--in", str(p), "--sample-rate", "128",
                     "-o", str(tmp_path / "o.csv")]) == 3
+
+    def test_ill_conditioned_pcoh_names_the_flag(self, tmp_path, capsys):
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal(256)
+        dup = np.column_stack([x, x + 1e-10 * rng.standard_normal(256)])
+        p = tmp_path / "dup.csv"
+        cli.write_series_csv(MultiChannelSeries(dup, 128.0), p)
+        assert run(["pcoh", "--in", str(p), "--sample-rate", "128",
+                    "-o", str(tmp_path / "o.csv")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("specdep: numerical failure: spectral matrix ill-conditioned")
+        assert "--shrink-order" in err
+        assert err.count("\n") == 1
+
+    def test_constant_series_spca_is_3(self, tmp_path, capsys):
+        p = tmp_path / "const.csv"
+        cli.write_series_csv(MultiChannelSeries(np.ones((256, 2)), 128.0), p)
+        assert run(["spca", "--in", str(p), "--sample-rate", "128", "-Q", "1",
+                    "-o", str(tmp_path / "s.json")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("specdep: numerical failure: zero total power at every frequency")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "s.json").exists()
 
     @pytest.mark.parametrize("value", [0.1, 1 / 3, np.pi, 1e-300])
     def test_constant_channel_lasso_is_3(self, tmp_path, capsys, value):

@@ -127,6 +127,12 @@ class TestBandCoherence:
             val, _ = band_coherence(s, p, q, band_by_name("gamma"))
             assert val > 0.6
 
+    def test_gamma_net_coherent_in_gamma_only(self):
+        s, _ = example("gamma_net", 4096, 21)
+        for p, q in [(0, 1), (0, 2), (1, 2)]:
+            assert band_coherence(s, p, q, band_by_name("gamma"))[0] > 0.6
+            assert band_coherence(s, p, q, band_by_name("delta"))[0] <= 0.6
+
     def test_symmetry_with_negated_lag(self):
         s, _ = example("lagged_mixture", 4096, 8)
         v1, l1 = band_coherence(s, 0, 1, band_by_name("gamma"), max_lag=40)
@@ -302,14 +308,3 @@ class TestTimeVarying:
             tv_coherence(s, 2048, 64)  # longer than the series
         with pytest.raises(ConfigError):
             tv_coherence(s, 64, 32, SmoothingKernel("daniell", 20))
-
-
-class TestExports:
-    def test_edge_list_finds_gamma_network(self):
-        from specdep.coherence import edge_list
-        s, t = example("gamma_net", 4096, 21)
-        edges = edge_list(s, [band_by_name("gamma")], threshold=0.6)
-        pairs = {(e["p"], e["q"]) for e in edges}
-        assert pairs == {(0, 1), (0, 2), (1, 2)}
-        delta_edges = edge_list(s, [band_by_name("delta")], threshold=0.6)
-        assert delta_edges == []

@@ -5,8 +5,7 @@ from hypothesis import strategies as st
 
 from specdep.core import ConfigError, MultiChannelSeries, band_by_name
 from specdep.dualfreq import (band_dualfreq_coherence, dualfreq_coherence,
-                              dualfreq_scan, local_dualfreq_periodogram,
-                              local_fourier)
+                              dualfreq_scan, local_fourier)
 from specdep.simulate import example
 
 
@@ -146,18 +145,6 @@ class TestLocalFourier:
 
 
 class TestLocalDualFreqPeriodogram:
-    def test_same_frequency_reduces_to_periodogram(self):
-        rng = np.random.default_rng(1)
-        s = series_of(rng.standard_normal((256, 2)))
-        w = 10 / 64
-        I = local_dualfreq_periodogram(s, 128, 64, w, w)
-        d = local_fourier(s, 128, 64, w)
-        assert np.allclose(I, np.outer(d, d.conj()), atol=1e-12)
-
-    def test_zero_input(self):
-        s = series_of(np.full((256, 2), 1e-300))
-        assert np.allclose(local_dualfreq_periodogram(s, 128, 64, 0.1, 0.3), 0.0)
-
     def test_stationary_cross_frequency_averages_out(self):
         # across independent trials, off-frequency products shrink relative
         # to same-frequency power (oscillations at distinct frequencies are

@@ -6,6 +6,7 @@ import pytest
 from specdep.core import ConfigError
 from specdep.simulate import example, example_names, gen_sources, mix, pdc_net_model
 from specdep.spectrum import ar2_from_peak
+from specdep.var import VarModel
 
 
 class TestGenSources:
@@ -37,6 +38,16 @@ class TestGenSources:
         p = ar2_from_peak(1.2, 0.15)
         vs = [gen_sources([p], 2 ** 14, seed).samples.var() for seed in range(5)]
         assert abs(np.median(vs) - 1.0) < 0.02
+
+    @pytest.mark.parametrize("source", [
+        "pink", 0.5, None, np.zeros(3),
+        VarModel([[[0.5]]], [[1.0]]),                       # VAR(1)
+        VarModel(np.zeros((2, 2, 2)), np.eye(2)),           # two channels
+        VarModel([[[0.5]], [[-0.1]], [[0.1]]], [[1.0]])],  # VAR(3)
+        ids=["name", "float", "none", "array", "var1", "two_channel", "var3"])
+    def test_rejects_non_oscillator(self, source):
+        with pytest.raises(ConfigError, match="source 1"):
+            gen_sources(["white", source], 64, 0)
 
 
 class TestMix:
@@ -117,7 +128,7 @@ _BASE = {"fs": 128.0, "M": 1.05}
 _REFERENCE_SCENARIOS = {
     # name: (default options, override set, source peak keys)
     "instant_mixture": (dict(_BASE, noise_std=0.5, low_freq_hz=2.0, high_freq_hz=40.0,
-                             lag=10, weight=1.0),
+                             weight=1.0),
                         {"weight": 0.5, "noise_std": 0.1}, ("low_freq_hz", "high_freq_hz")),
     "lagged_mixture": (dict(_BASE, noise_std=0.5, low_freq_hz=2.0, high_freq_hz=40.0,
                             lag=10, weight=1.0),
@@ -199,12 +210,20 @@ class TestExamples:
         with pytest.raises(ConfigError):
             example("chirp", 256, 0, {"bogus": 1})
 
+    def test_instant_mixture_rejects_lag(self):
+        # only the lagged scenario plants a lag; the instant one must not ignore it
+        with pytest.raises(ConfigError, match="unknown overrides \\['lag'\\]"):
+            example("instant_mixture", 256, 0, {"lag": 5})
+        _, truth = example("instant_mixture", 256, 0)
+        assert truth["lag"] == 0
+
     @pytest.mark.parametrize("name, overrides", [
         ("gamma_net", {"fs": 0}), ("pdc_net", {"fs": 0}), ("chirp", {"fs": 0}),
         ("pac", {"noise_var": -1}), ("lead_lag", {"noise_std": -1}),
         ("lead_lag", {"lag": 2.5}), ("lagged_mixture", {"lag": 2.5}),
         ("instant_mixture", {"weight": 1e308}), ("chirp", {"noise_std": 1e308}),
-        ("chirp", {"amplitude": 1e308, "noise_std": 1e308})])
+        ("chirp", {"amplitude": 1e308, "noise_std": 1e308}),
+        ("pdc_net", {"M": 0.9}), ("pac", {"M": 1.0})])
     def test_override_out_of_range_rejected(self, name, overrides):
         with pytest.raises(ConfigError):
             example(name, 256, 0, overrides)
@@ -220,7 +239,8 @@ class TestExamples:
         model = pdc_net_model()
         assert np.allclose(t["coeffs"], model.coeffs)
         beta = ar2_from_peak(1.049787, 20 / 128)
-        assert model.coeffs[0][0, 0] == pytest.approx(beta.phi1)
+        assert model.coeffs[0][0, 0] == pytest.approx(beta.coeffs[0, 0, 0])
+        assert model.coeffs[1][0, 0] == pytest.approx(beta.coeffs[1, 0, 0])
         assert model.coeffs[0][0, 1] == 0.5
         assert model.coeffs[1][1, 3] == 1.0
         assert sorted(map(tuple, t["edges"])) == [(1, 0, 1), (2, 1, 1), (3, 1, 2)]

@@ -1,14 +1,16 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from specdep.coherence import coherence, estimate_spectrum
-from specdep.core import Band, FrequencyGrid, MultiChannelSeries
+from specdep.core import Band, FrequencyGrid, MultiChannelSeries, write_json
 from specdep.simulate import example
 from specdep.spca import (_fix_signs, band_loadings, pca_decode, pca_encode,
                           pca_fit, reconstruction_error, spca_decode, spca_encode,
-                          spca_fit, spca_from_json, spca_to_json)
+                          spca_fit, spca_to_json)
 from specdep.spectrum import CrossSpectralMatrix
 
 
@@ -193,13 +195,33 @@ class TestSpcaFit:
         sol = spca_fit(f, 1, lag_truncation=4)
         assert len(sol.degenerate_freqs) > 0
 
-    def test_json_roundtrip(self):
+    def test_zero_power_everywhere_rejected(self):
+        with pytest.raises(ValueError, match="zero total power at every frequency"):
+            spca_fit(constant_spectrum(32, np.zeros((2, 2))), 1, lag_truncation=4)
+        constant = MultiChannelSeries(np.full((256, 3), 1.0), 128.0)  # demeans to exact 0
+        with pytest.raises(ValueError, match="zero total power at every frequency"):
+            spca_fit(estimate_spectrum(constant), 1)
+
+    def test_zero_power_somewhere_still_fits(self):
+        f = constant_spectrum(32, np.eye(2))
+        f.values[:5] = 0.0
+        sol = spca_fit(f, 1, lag_truncation=4)
+        assert np.all(np.isfinite(sol.decode_filters))
+
+    def test_json_roundtrip(self, tmp_path):
         s, _ = example("spca_mix", 1024, 8)
         sol = spca_fit(estimate_spectrum(s), 2, lag_truncation=32)
-        back = spca_from_json(spca_to_json(sol))
-        assert np.allclose(back.loadings, sol.loadings)
-        assert np.allclose(back.encode_filters, sol.encode_filters)
-        assert back.sample_rate_hz == sol.sample_rate_hz
+        path = tmp_path / "spca.json"
+        write_json(path, spca_to_json(sol))
+        back = json.loads(path.read_text())
+        loadings = np.asarray(back["loadings_re"]) + 1j * np.asarray(back["loadings_im"])
+        assert np.allclose(loadings, sol.loadings)
+        assert np.allclose(back["encode_filters"], sol.encode_filters)
+        assert np.allclose(back["decode_filters"], sol.decode_filters)
+        assert np.allclose(back["eigenvalues"], sol.eigenvalues)
+        assert (back["n"], back["Q"], back["lag_truncation"]) == (1024, 2, 32)
+        assert back["sample_rate_hz"] == sol.sample_rate_hz
+        assert back["degenerate_freqs"] == sol.degenerate_freqs
 
 
 class TestSpcaEncodeDecode:

@@ -1,18 +1,31 @@
+import json
+
 import numpy as np
 import pytest
 
-from specdep.core import ConfigError, FrequencyGrid, MultiChannelSeries
-from specdep.spectrum import (Ar2Params, CrossSpectralMatrix, SmoothingKernel,
-                              ar2_from_peak, ar2_spectrum, ar2_stationary_var,
-                              csm_from_json, csm_to_json, default_bandwidth,
-                              fourier_coefficients, periodogram,
-                              shrink_spectral_estimate, smooth_periodogram,
-                              var_spectrum)
+from specdep.core import ConfigError, FrequencyGrid, MultiChannelSeries, write_json
+from specdep.simulate import _stationary_var
+from specdep.spectrum import (CrossSpectralMatrix, SmoothingKernel, ar2_from_peak,
+                              csm_to_json, default_bandwidth, fourier_coefficients,
+                              periodogram, shrink_spectral_estimate,
+                              smooth_periodogram, var_spectrum)
 from specdep.var import VarModel, simulate_var
 
 
 def series(x, fs=128.0):
     return MultiChannelSeries(x, fs)
+
+
+def ar2_density(model, w):
+    """Closed-form AR(2) density sigma^2 / |1 - phi1 e^{-i2pw} - phi2 e^{-i4pw}|^2."""
+    phi1, phi2 = model.coeffs[:, 0, 0]
+    z = np.exp(-2j * np.pi * np.asarray(w, dtype=float))
+    return model.noise_cov[0, 0] / np.abs(1.0 - phi1 * z - phi2 * z ** 2) ** 2
+
+
+def ar2_spec(M, psi, grid):
+    """The one-channel spectrum of ar2_from_peak(M, psi) on ``grid``."""
+    return var_spectrum(ar2_from_peak(M, psi), grid).values[:, 0, 0].real
 
 
 class TestFourierCoefficients:
@@ -118,17 +131,23 @@ class TestSmoothing:
 
 class TestAr2:
     def test_printed_alpha_narrowband(self):
-        p = ar2_from_peak(1.05, 10 / 50)
-        assert p.phi1 == pytest.approx((2 / 1.05) * np.cos(2 * np.pi * 0.2))
-        assert p.phi2 == pytest.approx(-1 / 1.05 ** 2)
+        phi1, phi2 = ar2_from_peak(1.05, 10 / 50).coeffs[:, 0, 0]
+        assert phi1 == pytest.approx((2 / 1.05) * np.cos(2 * np.pi * 0.2))
+        assert phi2 == pytest.approx(-1 / 1.05 ** 2)
 
     def test_quarter_cycle_zero_phi1(self):
-        assert ar2_from_peak(1.3, 0.25).phi1 == pytest.approx(0.0, abs=1e-15)
+        assert ar2_from_peak(1.3, 0.25).coeffs[0, 0, 0] == pytest.approx(0.0, abs=1e-15)
 
     def test_printed_delta_coefficients(self):
-        p = ar2_from_peak(1.049787, 2 / 128)
-        assert p.phi2 == pytest.approx(-1 / 1.049787 ** 2)
-        assert p.phi1 == pytest.approx((2 / 1.049787) * np.cos(2 * np.pi * 2 / 128))
+        phi1, phi2 = ar2_from_peak(1.049787, 2 / 128).coeffs[:, 0, 0]
+        assert phi2 == pytest.approx(-1 / 1.049787 ** 2)
+        assert phi1 == pytest.approx((2 / 1.049787) * np.cos(2 * np.pi * 2 / 128))
+
+    def test_one_channel_var2(self):
+        model = ar2_from_peak(1.08, 0.1, noise_var=2.0)
+        assert isinstance(model, VarModel)
+        assert model.coeffs.shape == (2, 1, 1)
+        assert np.array_equal(model.noise_cov, [[2.0]])
 
     def test_noncausal_rejected(self):
         with pytest.raises(ConfigError):
@@ -136,18 +155,22 @@ class TestAr2:
         with pytest.raises(ConfigError):
             ar2_from_peak(0.9, 0.1)
 
+    @pytest.mark.parametrize("M, psi, noise_var", [(1.1, 0.5, 1.0), (1.1, -0.5, 1.0),
+                                                   (1.1, 0.1, 0.0), (1.1, 0.1, -1.0)])
+    def test_peak_and_noise_rejected(self, M, psi, noise_var):
+        with pytest.raises(ConfigError):
+            ar2_from_peak(M, psi, noise_var)
+
     def test_root_roundtrip(self):
-        p = ar2_from_peak(1.17, 0.31)
-        roots = p.roots()
+        roots = 1 / np.linalg.eigvals(ar2_from_peak(1.17, 0.31).companion())
         mags = np.abs(roots)
         phases = np.abs(np.angle(roots)) / (2 * np.pi)
         assert np.allclose(mags, 1.17, atol=1e-10)
         assert np.allclose(phases, 0.31, atol=1e-10)
 
     def test_spectrum_peak_location(self):
-        p = ar2_from_peak(1.05, 0.2)
         grid = FrequencyGrid(1024)
-        spec = ar2_spectrum(p, grid)
+        spec = ar2_spec(1.05, 0.2, grid)
         pos = grid.frequencies > 0
         peak = grid.frequencies[pos][np.argmax(spec[pos])]
         assert 0.195 <= peak <= 0.205
@@ -156,21 +179,23 @@ class TestAr2:
         grid = FrequencyGrid(4096)
 
         def half_power_width(M):
-            spec = ar2_spectrum(ar2_from_peak(M, 0.2), grid)
+            spec = ar2_spec(M, 0.2, grid)
             return np.mean(spec > spec.max() / 2)
 
         assert half_power_width(1.5) > half_power_width(1.05)
 
     def test_spectrum_symmetric(self):
-        p = ar2_from_peak(1.1, 0.13)
-        w = np.linspace(0.01, 0.49, 25)
-        assert np.allclose(ar2_spectrum(p, w), ar2_spectrum(p, -w))
+        grid = FrequencyGrid(50)
+        spec = ar2_spec(1.1, 0.13, grid)
+        k = np.arange(1, 25)
+        pos = [grid.index_of(w) for w in k / 50]
+        neg = [grid.index_of(w) for w in -k / 50]
+        assert np.allclose(spec[pos], spec[neg])
 
     def test_stationary_var_matches_simulation(self):
-        p = ar2_from_peak(1.08, 0.1, noise_var=2.0)
-        model = VarModel(np.array([[[p.phi1]], [[p.phi2]]]), [[p.noise_var]])
+        model = ar2_from_peak(1.08, 0.1, noise_var=2.0)
         s = simulate_var(model, 2 ** 16, 0)
-        assert np.var(s.samples) == pytest.approx(ar2_stationary_var(p), rel=0.1)
+        assert np.var(s.samples) == pytest.approx(_stationary_var(model), rel=0.1)
 
 
 class TestVarSpectrum:
@@ -182,21 +207,22 @@ class TestVarSpectrum:
     def test_diagonal_var2_matches_ar2(self):
         pa = ar2_from_peak(1.05, 0.1)
         pb = ar2_from_peak(1.2, 0.35, noise_var=0.5)
-        phi1 = np.diag([pa.phi1, pb.phi1])
-        phi2 = np.diag([pa.phi2, pb.phi2])
+        phi1 = np.diag([pa.coeffs[0, 0, 0], pb.coeffs[0, 0, 0]])
+        phi2 = np.diag([pa.coeffs[1, 0, 0], pb.coeffs[1, 0, 0]])
         model = VarModel(np.stack([phi1, phi2]), np.diag([1.0, 0.5]))
         grid = FrequencyGrid(256)
         f = var_spectrum(model, grid)
-        assert np.allclose(f.values[:, 0, 0].real, ar2_spectrum(pa, grid), atol=1e-8)
-        assert np.allclose(f.values[:, 1, 1].real, ar2_spectrum(pb, grid), atol=1e-8)
+        w = grid.frequencies
+        assert np.allclose(f.values[:, 0, 0].real, ar2_density(pa, w), atol=1e-8)
+        assert np.allclose(f.values[:, 1, 1].real, ar2_density(pb, w), atol=1e-8)
         assert np.allclose(f.values[:, 0, 1], 0.0, atol=1e-12)
 
     def test_single_channel_matches_ar2_pointwise(self):
-        p = ar2_from_peak(1.07, 0.22, noise_var=1.7)
-        model = VarModel(np.array([[[p.phi1]], [[p.phi2]]]), [[p.noise_var]])
+        model = ar2_from_peak(1.07, 0.22, noise_var=1.7)
         grid = FrequencyGrid(512)
         f = var_spectrum(model, grid)
-        assert np.allclose(f.values[:, 0, 0].real, ar2_spectrum(p, grid), atol=1e-8)
+        assert np.allclose(f.values[:, 0, 0].real, ar2_density(model, grid.frequencies),
+                           atol=1e-8)
 
     def test_unstable_rejected(self):
         model = VarModel(np.array([[[1.01]]]), [[1.0]])
@@ -279,13 +305,19 @@ class TestShrink:
 
 
 class TestSerialization:
-    def test_json_roundtrip(self):
+    def test_json_roundtrip(self, tmp_path):
         rng = np.random.default_rng(13)
         f = periodogram(series(rng.standard_normal((64, 2))))
-        g = csm_from_json(csm_to_json(f))
+        path = tmp_path / "csm.json"
+        write_json(path, csm_to_json(f))
+        obj = json.loads(path.read_text())
+        g = CrossSpectralMatrix(FrequencyGrid(obj["n"]),
+                                np.asarray(obj["re"]) + 1j * np.asarray(obj["im"]),
+                                obj["sample_rate_hz"], obj["channel_labels"])
         assert np.allclose(g.values, f.values)
         assert g.grid == f.grid
         assert g.sample_rate_hz == f.sample_rate_hz
+        assert np.array_equal(obj["frequencies"], f.grid.frequencies)
 
     def test_csv_long_format(self, tmp_path):
         from specdep.spectrum import csm_to_csv

@@ -39,7 +39,7 @@ WRITERS = {
     "mi": lambda p: mi_table_to_csv(
         p, np.array([[[-0.0, 1e-300]], [[0.1, 1.0]]]), [(0, 0), (1, 0)],
         [Band("a,b", 4, 8)], [Band("gamma", 30, 50), Band("hi", 60, 80)]),
-    "dualfreq": lambda p: DualFreqResult(256, [
+    "dualfreq": lambda p: DualFreqResult([
         {"t": 100, "p": 0, "freq_j": 0.1, "q": 1, "freq_k": -0.0, "value": 1e-300},
         {"t": 300, "p": 1, "freq_j": 0.25, "q": 0, "freq_k": 1 / 3, "value": 0.1},
     ]).to_csv(p),

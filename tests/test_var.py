@@ -32,8 +32,7 @@ class TestSimulate:
         assert np.max(np.abs(cov - np.eye(3))) < 0.05
 
     def test_ar2_spectral_peak(self):
-        p = ar2_from_peak(1.05, 0.2)
-        model = VarModel(np.array([[[p.phi1]], [[p.phi2]]]), [[1.0]])
+        model = ar2_from_peak(1.05, 0.2)
         s = simulate_var(model, 2 ** 14, 1)
         from specdep.spectrum import SmoothingKernel, periodogram, smooth_periodogram
         f = smooth_periodogram(periodogram(s), SmoothingKernel("daniell", 32))
@@ -129,11 +128,11 @@ class TestVarRecursion:
     @pytest.mark.parametrize("T", ["1", "B-1", "B", "B+1", 5000])
     def test_matches_lfilter(self, T):
         lfilter = pytest.importorskip("scipy.signal").lfilter
-        p = ar2_from_peak(1.05, 0.2)
-        model = VarModel([[[p.phi1]], [[p.phi2]]], [[2.0]])
+        model = ar2_from_peak(1.05, 0.2, noise_var=2.0)
+        phi1, phi2 = model.coeffs[:, 0, 0]
         w = driving_noise(model, resolve_length(T, 1, 2), 9)
         got = _var_recursion(model, w)[:, 0]
-        ref = lfilter([1.0], [1.0, -p.phi1, -p.phi2], w[:, 0])
+        ref = lfilter([1.0], [1.0, -phi1, -phi2], w[:, 0])
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_simulate_var_runs_the_kernel(self):
@@ -620,9 +619,9 @@ class TestTransferFunction:
 
 class TestPdc:
     def test_diagonal_model(self):
-        p = ar2_from_peak(1.1, 0.2)
-        phi1 = np.diag([p.phi1, 0.4])
-        phi2 = np.diag([p.phi2, 0.0])
+        p1, p2 = ar2_from_peak(1.1, 0.2).coeffs[:, 0, 0]
+        phi1 = np.diag([p1, 0.4])
+        phi2 = np.diag([p2, 0.0])
         model = VarModel(np.stack([phi1, phi2]), np.eye(2))
         res = pdc(model, FrequencyGrid(128))
         off = res.values.copy()
