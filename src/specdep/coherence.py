@@ -13,26 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (ConfigError, TimeVaryingResult, _check_channels,
+from .core import (ConfigError, TimeVaryingResult, _check_channels, _public,
                    max_lag_sq_correlation, sliding_windows)
 from .filters import band_signals
 from .spectrum import (SmoothingKernel, default_bandwidth, periodogram,
                        shrink_spectral_estimate, smooth_periodogram,
                        var_spectrum)
 from .var import fit_ols
-
-__all__ = [
-    "CoherenceResult",
-    "coherency",
-    "coherence",
-    "coherence_matrix",
-    "band_coherence",
-    "partial_coherence",
-    "partial_coherence_residual",
-    "estimate_spectrum",
-    "tv_coherence",
-    "tv_partial_coherence",
-]
 
 # largest spectral-matrix condition number partial_coherence inverts
 _COND_CAP = 1e10
@@ -205,3 +192,5 @@ def _tv(series, N, step, kernel, partial):
     return TimeVaryingResult(np.array([u for u, _ in windows]), f.grid, np.stack(out),
                              "partial_coherence" if partial else "coherence")
 
+
+__all__ = _public(globals())  # stays last: it lists the definitions above

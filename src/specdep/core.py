@@ -17,25 +17,6 @@ from itertools import chain
 
 import numpy as np
 
-__all__ = [
-    "MultiChannelSeries",
-    "Band",
-    "FrequencyGrid",
-    "MalformedInputError",
-    "ConfigError",
-    "standard_bands",
-    "band_by_name",
-    "demean",
-    "cross_covariance",
-    "cross_correlation",
-    "max_lag_sq_correlation",
-    "TimeVaryingResult",
-    "sliding_windows",
-    "table_to_csv",
-    "frequency_table_to_csv",
-    "write_json",
-]
-
 # Rows formatted per write.  Formatting a whole long table at once (245,760
 # rows for tvcoh on 8192 samples) raised the writer's peak RSS from 40 to 56 MB.
 TABLE_CHUNK_ROWS = 4096
@@ -269,9 +250,14 @@ def sliding_windows(series, N, step):
 
 
 def demean(series):
-    """Remove each channel's sample mean.  Idempotent."""
+    """Remove each channel's sample mean.  Idempotent.
+
+    A constant channel becomes exact zeros: its first sample is subtracted,
+    as its computed mean can differ from the value by a rounding error.
+    """
     x = series.samples
-    return series.with_samples(x - x.mean(axis=0, keepdims=True))
+    flat = np.ptp(x, axis=0, keepdims=True) == 0
+    return series.with_samples(x - np.where(flat, x[:1], x.mean(axis=0, keepdims=True)))
 
 
 def cross_covariance(series, p, q, h):
@@ -413,3 +399,14 @@ def write_json(path, obj, indent=None):
     """
     with open(path, "w") as fh:
         fh.write(json.dumps(obj, indent=indent, default=_json_default))
+
+
+def _public(namespace):
+    """A module's public interface: in definition order, the classes and
+    functions ``namespace`` defines itself whose names have no leading _."""
+    module = namespace["__name__"]
+    return [name for name, value in namespace.items()
+            if not name.startswith("_") and getattr(value, "__module__", None) == module]
+
+
+__all__ = _public(globals())  # stays last: it lists the definitions above

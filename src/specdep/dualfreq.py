@@ -12,11 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigError, MultiChannelSeries, table_to_csv
+from .core import ConfigError, MultiChannelSeries, _public, table_to_csv
 from .filters import band_signals, default_order
-
-__all__ = ["DualFreqResult", "local_fourier", "dualfreq_coherence",
-           "band_dualfreq_coherence", "dualfreq_scan"]
 
 
 def _window_length(N):
@@ -157,3 +154,6 @@ def dualfreq_scan(data, centers, N, pairs, smoothing=None):
     return DualFreqResult([
         {"t": t, "p": p, "freq_j": wj, "q": q, "freq_k": wk, "value": min(float(v), 1.0)}
         for t, row in zip(ts, vals) for (p, wj, q, wk), v in zip(pairs, row)])
+
+
+__all__ = _public(globals())  # stays last: it lists the definitions above

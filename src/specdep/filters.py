@@ -14,19 +14,7 @@ import warnings
 
 import numpy as np
 
-from .core import Band, ConfigError, standard_bands
-
-__all__ = [
-    "FirFilter",
-    "design_fir_bandpass",
-    "frequency_response",
-    "apply_filter",
-    "band_signals",
-    "decompose_rhythms",
-    "default_order",
-    "save_taps",
-    "load_taps",
-]
+from .core import Band, ConfigError, _public, standard_bands
 
 MAX_DECOMPOSE_ORDER = 512
 
@@ -40,13 +28,9 @@ class FirFilter:
         Filter taps, at least one.
     mode : {'causal', 'zero_phase'}
         ``zero_phase`` requires symmetric taps (c_k == c_{K-k} within 1e-9).
-    band : Band, optional
-        The band the filter targets, if any.
-    sample_rate_hz : float, optional
-        Rate the design refers to (Hz).
     """
 
-    def __init__(self, coeffs, mode="zero_phase", band=None, sample_rate_hz=None):
+    def __init__(self, coeffs, mode="zero_phase"):
         coeffs = np.asarray(coeffs, dtype=float)
         if coeffs.ndim != 1 or coeffs.size < 1:
             raise ConfigError("coeffs must be a non-empty 1-D sequence")
@@ -60,16 +44,13 @@ class FirFilter:
                 raise ConfigError("zero_phase mode requires symmetric coefficients")
         self.coeffs = coeffs
         self.mode = mode
-        self.band = band
-        self.sample_rate_hz = sample_rate_hz
 
     @property
     def order(self):
         return self.coeffs.size - 1
 
     def __repr__(self):
-        b = f", band={self.band.name}" if self.band is not None else ""
-        return f"FirFilter(order={self.order}, mode={self.mode!r}{b})"
+        return f"FirFilter(order={self.order}, mode={self.mode!r})"
 
 
 def design_fir_bandpass(band, order, sample_rate_hz, mode="zero_phase"):
@@ -102,7 +83,7 @@ def design_fir_bandpass(band, order, sample_rate_hz, mode="zero_phase"):
     if gain <= 0:
         raise ConfigError("degenerate design: zero gain at band centre")
     taps /= gain
-    return FirFilter(taps, mode, band, sample_rate_hz)
+    return FirFilter(taps, mode)
 
 
 def _response(coeffs, omega):
@@ -214,10 +195,13 @@ def save_taps(path, coeffs):
             fh.write(f"{c:.17g}\n")
 
 
-def load_taps(path, mode="zero_phase", band=None, sample_rate_hz=None):
+def load_taps(path, mode="zero_phase"):
     """Read a plain-text coefficient list (one real per line) as a FirFilter."""
     with open(path) as fh:
         vals = [float(line) for line in fh if line.strip()]
     if not vals:
         raise ConfigError(f"no coefficients in {path}")
-    return FirFilter(np.array(vals), mode, band, sample_rate_hz)
+    return FirFilter(np.array(vals), mode)
+
+
+__all__ = _public(globals())  # stays last: it lists the definitions above

@@ -9,17 +9,8 @@ concentrated at a single phase.
 
 import numpy as np
 
-from .core import ConfigError, table_to_csv
+from .core import ConfigError, _public, table_to_csv
 from .filters import band_signals
-
-__all__ = [
-    "analytic_signal",
-    "phase_amplitude_distribution",
-    "kl_divergence",
-    "modulation_index",
-    "pac_scan",
-    "mi_table_to_csv",
-]
 
 
 def analytic_signal(x):
@@ -150,3 +141,5 @@ def mi_table_to_csv(path, mi, pairs, low_bands, high_bands):
     table_to_csv(path, ["low_band", "high_band", "channel_low", "channel_high", "MI"],
                  [low, [b.name for b in high_bands], chan[..., 0], chan[..., 1], mi])
 
+
+__all__ = _public(globals())  # stays last: it lists the definitions above

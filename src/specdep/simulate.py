@@ -11,17 +11,9 @@ reproduce output bit for bit.
 
 import numpy as np
 
-from .core import ConfigError, MalformedInputError, MultiChannelSeries
+from .core import ConfigError, MalformedInputError, MultiChannelSeries, _public
 from .spectrum import ar2_from_peak
 from .var import VarModel, simulate_var
-
-__all__ = [
-    "gen_sources",
-    "mix",
-    "example",
-    "example_names",
-    "pdc_net_model",
-]
 
 DEFAULT_FS = 128.0
 DEFAULT_M = 1.05
@@ -320,3 +312,6 @@ def example(name, T, seed, overrides=None):
             return _REGISTRY[name](int(T), seed, overrides)
         except MalformedInputError:
             raise ConfigError(f"overrides {overrides} make example {name!r} non-finite") from None
+
+
+__all__ = _public(globals())  # stays last: it lists the definitions above

@@ -13,21 +13,7 @@ one-sided machinery in :mod:`specdep.var`.
 
 import numpy as np
 
-from .core import ConfigError, MultiChannelSeries
-
-__all__ = [
-    "PcaSolution",
-    "SpcaSolution",
-    "pca_fit",
-    "pca_encode",
-    "pca_decode",
-    "spca_fit",
-    "spca_encode",
-    "spca_decode",
-    "reconstruction_error",
-    "band_loadings",
-    "spca_to_json",
-]
+from .core import ConfigError, MultiChannelSeries, _public
 
 
 class PcaSolution:
@@ -285,3 +271,5 @@ def spca_to_json(sol):
         "encode_filters": sol.encode_filters,
     }
 
+
+__all__ = _public(globals())  # stays last: it lists the definitions above

@@ -12,22 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigError, FrequencyGrid, demean, frequency_table_to_csv
+from .core import ConfigError, FrequencyGrid, _public, demean, frequency_table_to_csv
 from .var import VarModel, transfer_function
-
-__all__ = [
-    "CrossSpectralMatrix",
-    "SmoothingKernel",
-    "fourier_coefficients",
-    "periodogram",
-    "smooth_periodogram",
-    "ar2_from_peak",
-    "var_spectrum",
-    "shrink_spectral_estimate",
-    "default_bandwidth",
-    "csm_to_csv",
-    "csm_to_json",
-]
 
 
 class CrossSpectralMatrix:
@@ -244,3 +230,5 @@ def csm_to_json(csm):
         "im": csm.values.imag,
     }
 
+
+__all__ = _public(globals())  # stays last: it lists the definitions above

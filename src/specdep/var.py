@@ -13,31 +13,10 @@ from math import copysign
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import (ConfigError, FrequencyGrid, MultiChannelSeries,
+from .core import (ConfigError, FrequencyGrid, MultiChannelSeries, _public,
                    TimeVaryingResult, demean, sliding_windows, standard_bands,
                    table_to_csv)
 from .filters import band_signals
-
-__all__ = [
-    "VarModel",
-    "PdcResult",
-    "LassoConvergenceError",
-    "simulate_var",
-    "fit_ols",
-    "fit_lasso",
-    "fit_lassle",
-    "fit_var",
-    "lasso_kkt_residual",
-    "select_order",
-    "transfer_function",
-    "pdc",
-    "tv_pdc",
-    "granger_edges",
-    "spectral_var",
-    "model_to_json",
-    "model_from_json",
-    "edges_to_csv",
-]
 
 
 class LassoConvergenceError(RuntimeError):
@@ -601,3 +580,6 @@ def model_from_json(obj):
 def edges_to_csv(edges, path):
     keys = ["from_channel", "from_band", "to_channel", "to_band", "lag", "coefficient"]
     table_to_csv(path, keys, [[e[k] for e in edges] for k in keys])
+
+
+__all__ = _public(globals())  # stays last: it lists the definitions above

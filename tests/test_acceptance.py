@@ -158,7 +158,7 @@ def test_criterion_07_printed_alpha_taps(tmp_path):
     designed 10th-order alpha filter rejects 2 Hz and 40 Hz four-fold."""
     path = tmp_path / "alpha.taps"
     save_taps(path, PRINTED_ALPHA_TAPS)
-    filt = load_taps(path, mode="zero_phase", band=ALPHA, sample_rate_hz=128.0)
+    filt = load_taps(path, mode="zero_phase")
     verbatim = np.array_equal(filt.coeffs, np.asarray(PRINTED_ALPHA_TAPS))
     w = np.arange(0.0, 0.5 + 1e-12, 0.005 / 128)
     mags = np.abs(frequency_response(filt, w))

@@ -154,6 +154,17 @@ class TestExitCodes:
         assert err.count("\n") == 1
         assert not (tmp_path / "s.json").exists()
 
+    @pytest.mark.parametrize("value", [0.1, np.pi])
+    def test_inexact_constant_spca_is_3(self, tmp_path, capsys, value):
+        # the computed mean of these constants is off by a rounding error
+        p = tmp_path / "const.csv"
+        cli.write_series_csv(MultiChannelSeries(np.full((256, 2), value), 128.0), p)
+        assert run(["spca", "--in", str(p), "--sample-rate", "128", "-Q", "1",
+                    "-o", str(tmp_path / "s.json")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("specdep: numerical failure: zero total power at every frequency")
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("value", [0.1, 1 / 3, np.pi, 1e-300])
     def test_constant_channel_lasso_is_3(self, tmp_path, capsys, value):
         x = np.random.default_rng(5).standard_normal((512, 3))

@@ -1,8 +1,13 @@
+import ast
+import importlib
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import specdep
 from specdep.core import (Band, ConfigError, FrequencyGrid, MalformedInputError,
                           MultiChannelSeries, band_by_name, cross_correlation,
                           cross_covariance, demean, max_lag_sq_correlation,
@@ -137,6 +142,13 @@ class TestDemean:
     def test_simple_column(self):
         s = make_series(np.array([[1.0], [2.0], [3.0]]))
         assert np.allclose(demean(s).samples[:, 0], [-1.0, 0.0, 1.0])
+
+    def test_other_columns_subtract_their_mean(self):
+        x = np.random.default_rng(1).standard_normal((100, 3)) + 0.1
+        x[:, 1] = 0.1
+        d = demean(make_series(x)).samples
+        assert np.all(d[:, 1] == 0.0)
+        assert d[:, [0, 2]].tobytes() == (x - x.mean(axis=0))[:, [0, 2]].tobytes()
 
 
 class TestCrossCovariance:
@@ -301,3 +313,53 @@ class TestWriteJson:
         path = tmp_path / "o.json"
         write_json(path, self.OBJ, indent=indent)
         assert path.read_bytes() == expected
+
+
+def _package_imports():
+    """{submodule: names} that ``specdep/__init__.py`` imports from it."""
+    with open(specdep.__file__) as fh:
+        tree = ast.parse(fh.read())
+    return {node.module: [a.name for a in node.names] for node in tree.body
+            if isinstance(node, ast.ImportFrom) and node.level == 1}
+
+
+PACKAGE_IMPORTS = _package_imports()
+
+
+@pytest.fixture(params=sorted(PACKAGE_IMPORTS))
+def module(request):
+    return importlib.import_module(f"specdep.{request.param}")
+
+
+class TestExports:
+    def test_nine_submodules_feed_the_package(self):
+        assert len(PACKAGE_IMPORTS) == 9
+
+    def test_package_names_exported_by_their_module(self, module):
+        imported = PACKAGE_IMPORTS[module.__name__.split(".")[1]]
+        assert set(imported) <= set(module.__all__)
+
+    def test_exports_are_the_public_definitions(self, module):
+        defined = [name for name, obj in vars(module).items()
+                   if (inspect.isclass(obj) or inspect.isfunction(obj))
+                   and obj.__module__ == module.__name__ and not name.startswith("_")]
+        assert sorted(module.__all__) == sorted(defined)
+
+    def test_star_import_binds_exactly_all(self, module):
+        namespace = {}
+        exec(f"from {module.__name__} import *", namespace)
+        del namespace["__builtins__"]
+        assert set(namespace) == set(module.__all__)
+
+    def test_imported_and_private_names_left_out(self):
+        from specdep import core, spectrum, var
+        assert "ConfigError" in vars(var) and "ConfigError" not in var.__all__
+        assert "_cd_lasso" in vars(var) and "_cd_lasso" not in var.__all__
+        assert "_public" not in core.__all__
+        assert "ConfigError" in core.__all__
+        assert all("np" not in mod.__all__ for mod in (core, spectrum, var))
+
+    def test_dataclasses_and_exceptions_exported(self):
+        from specdep import spectrum, var
+        assert "SmoothingKernel" in spectrum.__all__
+        assert "LassoConvergenceError" in var.__all__

@@ -62,8 +62,7 @@ class TestDesign:
 
 class TestPrintedTaps:
     def test_accepted_as_fixture_and_peaks_in_alpha(self):
-        filt = FirFilter(PRINTED_ALPHA_TAPS, mode="zero_phase",
-                         band=band_by_name("alpha"), sample_rate_hz=128.0)
+        filt = FirFilter(PRINTED_ALPHA_TAPS, mode="zero_phase")
         w = np.arange(0, 0.5 + 1e-9, 0.01 / 128)
         mags = np.abs(frequency_response(filt, w))
         peak_hz = w[np.argmax(mags)] * 128.0
@@ -76,8 +75,7 @@ class TestPrintedTaps:
     def test_roundtrip_through_text_file(self, tmp_path):
         path = tmp_path / "alpha.taps"
         save_taps(path, PRINTED_ALPHA_TAPS)
-        filt = load_taps(path, mode="zero_phase", band=band_by_name("alpha"),
-                         sample_rate_hz=128.0)
+        filt = load_taps(path, mode="zero_phase")
         assert np.array_equal(filt.coeffs, np.asarray(PRINTED_ALPHA_TAPS))
 
 
