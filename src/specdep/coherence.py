@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (ConfigError, TimeVaryingResult, _check_channels, _public,
+from .core import (ConfigError, TimeVaryingResult, _check_channels, _public, demean,
                    max_lag_sq_correlation, sliding_windows)
 from .filters import band_signals
 from .spectrum import (SmoothingKernel, default_bandwidth, periodogram,
@@ -131,7 +131,7 @@ def partial_coherence_residual(series, p, q, c, band, filter_order=None):
     if series.n_samples < 2 * k + 4:
         raise ConfigError(f"series too short for filter order {k} (T < {2 * k + 4})")
     y = y[k:-k]
-    y = y - y.mean(axis=0, keepdims=True)
+    y = demean(y)
     xc = y[:, 2]
     vc = np.dot(xc, xc)
     if vc <= 0:

@@ -216,9 +216,6 @@ class FrequencyGrid:
     def __eq__(self, other):
         return isinstance(other, FrequencyGrid) and self.n == other.n
 
-    def __len__(self):
-        return self.n
-
     def __repr__(self):
         return f"FrequencyGrid(n={self.n})"
 
@@ -249,15 +246,15 @@ def sliding_windows(series, N, step):
             for s in range(0, T - N + 1, step)]
 
 
-def demean(series):
-    """Remove each channel's sample mean.  Idempotent.
+def demean(x):
+    """``x`` less its mean along axis 0: the one centring rule.  Idempotent.
 
-    A constant channel becomes exact zeros: its first sample is subtracted,
+    A constant column becomes exact zeros: its first sample is subtracted,
     as its computed mean can differ from the value by a rounding error.
+    The shape is kept, so a 1-D signal stays 1-D.
     """
-    x = series.samples
     flat = np.ptp(x, axis=0, keepdims=True) == 0
-    return series.with_samples(x - np.where(flat, x[:1], x.mean(axis=0, keepdims=True)))
+    return x - np.where(flat, x[:1], x.mean(axis=0, keepdims=True))
 
 
 def cross_covariance(series, p, q, h):
@@ -272,9 +269,7 @@ def cross_covariance(series, p, q, h):
     h = int(h)
     if abs(h) >= T:
         raise ConfigError(f"lag {h} out of range for T={T}")
-    x = series.channel(p) - series.channel(p).mean()
-    y = series.channel(q) - series.channel(q).mean()
-    return _lagged_dot(x, y, h) / T
+    return _lagged_dot(demean(series.channel(p)), demean(series.channel(q)), h) / T
 
 
 def _lagged_dot(x, y, h):
@@ -314,8 +309,7 @@ def max_lag_sq_correlation(x, y, max_lag):
     max_lag = int(max_lag)
     if not 0 <= max_lag < T / 2:
         raise ConfigError(f"max_lag must satisfy 0 <= max_lag < T/2, got {max_lag}")
-    x = x - x.mean()
-    y = y - y.mean()
+    x, y = demean(x), demean(y)
     denom = np.sqrt(np.dot(x, x) * np.dot(y, y))
     if denom <= 0:
         raise ValueError("degenerate (zero-variance) input")

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigError, MultiChannelSeries, _public, table_to_csv
+from .core import ConfigError, MultiChannelSeries, _public, demean, table_to_csv
 from .filters import band_signals, default_order
 
 
@@ -91,7 +91,7 @@ def band_dualfreq_coherence(series, p, band_1, q, band_2, t, N, filter_order=Non
         filter_order = max(default_order(band_1, fs), default_order(band_2, fs))
     idx = _windows([series.n_samples], [t], N)[0]
     y, _ = band_signals(series, [(p, band_1), (q, band_2)], filter_order)
-    x1, x2 = (y[idx] - y.mean(axis=0)).T
+    x1, x2 = demean(y)[idx].T
     cross = np.mean(x1 * x2)
     v1, v2 = np.mean(x1 ** 2), np.mean(x2 ** 2)
     if v1 <= 0 or v2 <= 0:
@@ -118,6 +118,7 @@ def dualfreq_scan(data, centers, N, pairs, smoothing=None):
 
     ``pairs`` lists (p, omega_j, q, omega_k), frequencies in cycles per
     sample; ``data`` and ``smoothing`` are as in :func:`dualfreq_coherence`.
+    Each trial is centred once, before its windows are taken.
     The DualFreqResult's entries form the long-format export table.
     """
     N = _window_length(N)  # before the default hop N // 2 is derived from it
@@ -138,7 +139,7 @@ def dualfreq_scan(data, centers, N, pairs, smoothing=None):
     w, inv = np.unique(np.concatenate([wj, wk]), return_inverse=True)
     lengths = np.array([tr.n_samples for tr in trials])
     start, length = (np.cumsum(lengths) - lengths)[trial], lengths[trial]
-    x = np.concatenate([tr.samples for tr in trials])
+    x = np.concatenate([demean(tr.samples) for tr in trials])
     vals = np.empty((len(ts), len(p)))
     for i, t in enumerate(ts):
         D = _coefficients(x, start, length, t + shift, N, w)

@@ -9,7 +9,7 @@ concentrated at a single phase.
 
 import numpy as np
 
-from .core import ConfigError, _public, table_to_csv
+from .core import ConfigError, _public, demean, table_to_csv
 from .filters import band_signals
 
 
@@ -110,7 +110,7 @@ def pac_scan(series, low_bands, high_bands, n_bins=18, pairs=None,
     high = dict.fromkeys((ca, b) for _, ca in pairs for b in high_bands)
     picks = list({**low, **high})
     y, orders = band_signals(series, picks, filter_order)
-    z = {pick: analytic_signal(x - x.mean()) for pick, x in zip(picks, y.T)}
+    z = {pick: analytic_signal(demean(x)) for pick, x in zip(picks, y.T)}
     trim = {pick: max(k, 64) for pick, k in zip(picks, orders)}
     phase = {pick: np.mod(np.angle(z[pick]), 2 * np.pi) for pick in low}
     amp = {pick: np.abs(z[pick]) for pick in high}

@@ -13,7 +13,7 @@ one-sided machinery in :mod:`specdep.var`.
 
 import numpy as np
 
-from .core import ConfigError, MultiChannelSeries, _public
+from .core import ConfigError, MultiChannelSeries, _public, demean
 
 
 class PcaSolution:
@@ -211,7 +211,7 @@ def spca_encode(series, sol):
         raise ConfigError("channel count does not match the SPCA solution")
     if series.n_samples <= 2 * sol.lag_truncation:
         raise ConfigError("series shorter than twice the filter lag range")
-    x = series.samples - series.samples.mean(axis=0)
+    x = demean(series.samples)
     y = _apply_lag_filter(x, sol.encode_filters, sol.lag_truncation)
     labels = [f"SPC{i + 1}" for i in range(sol.n_components)]
     return MultiChannelSeries(y, series.sample_rate_hz, labels)
@@ -242,9 +242,7 @@ def reconstruction_error(series, sol):
     if x.shape[0] <= 2 * trim + 1:
         raise ConfigError("series too short for the solution's lag range")
     sl = slice(trim, x.shape[0] - trim) if trim else slice(None)
-    x = x[sl] - x[sl].mean(axis=0)
-    xhat = xhat[sl] - xhat[sl].mean(axis=0)
-    return float(np.mean(np.sum((x - xhat) ** 2, axis=1)))
+    return float(np.mean(np.sum((demean(x[sl]) - demean(xhat[sl])) ** 2, axis=1)))
 
 
 def band_loadings(sol, band):

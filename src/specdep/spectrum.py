@@ -124,7 +124,7 @@ def fourier_coefficients(series):
     T = series.n_samples
     if T % 2 != 0:
         raise ConfigError(f"series length must be even, got {T}")
-    x = demean(series).samples
+    x = demean(series.samples)
     grid = FrequencyGrid(T)
     F = np.fft.fft(x, axis=0)
     # FFT sums over t = 0..T-1; the definition indexes time from 1.

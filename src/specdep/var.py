@@ -197,7 +197,7 @@ def _var_problem(series, L):
     :func:`_lag_design`).  Every estimator reads only the Gram matrix G = Z'Z
     and C = Z'Y, or a block or rescaling of them; Z and Y give residuals.
     """
-    Z, Y = _lag_design(demean(series).samples, int(L))
+    Z, Y = _lag_design(demean(series.samples), int(L))
     return Z, Y, Z.T @ Z, Z.T @ Y
 
 
@@ -540,8 +540,7 @@ def spectral_var(series, channels=None, bands=None, filter_order=100, order=None
     if len(set(tags)) != len(tags) or len(set(spans)) != len(spans):
         raise ConfigError("spectral-VAR: a (channel, band) pick is repeated")
     x, _ = band_signals(series, picks, filter_order, "causal")
-    x = np.ascontiguousarray(x[filter_order:])  # row-major: the fit's sums depend on it
-    x = x - x.mean(axis=0, keepdims=True)
+    x = demean(np.ascontiguousarray(x[filter_order:]))  # row-major: the fit's sums depend on it
     labels = [f"{series.channel_labels[c]}:{name}" for c, name in tags]
     stacked = MultiChannelSeries(x, series.sample_rate_hz, labels)
     dim = stacked.n_channels

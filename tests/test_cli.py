@@ -27,6 +27,17 @@ def net_csv(tmp_path):
     return out
 
 
+@pytest.fixture()
+def dup_csv(tmp_path):
+    """Two channels that differ by 1e-10 noise: an ill-conditioned spectrum."""
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal(256)
+    out = tmp_path / "dup.csv"
+    cli.write_series_csv(MultiChannelSeries(
+        np.column_stack([x, x + 1e-10 * rng.standard_normal(256)]), 128.0), out)
+    return out
+
+
 class TestSimulateCommand:
     def test_writes_csv_and_truth(self, tmp_path):
         out = tmp_path / "x.csv"
@@ -122,22 +133,12 @@ class TestExitCodes:
         assert run(["filter", "--in", str(net_csv), "--sample-rate", "128",
                     "--band", "30:500", "-o", str(tmp_path / "o.csv")]) == 2
 
-    def test_numerical_failure_is_3(self, tmp_path):
-        rng = np.random.default_rng(0)
-        x = rng.standard_normal(256)
-        dup = np.column_stack([x, x + 1e-10 * rng.standard_normal(256)])
-        p = tmp_path / "dup.csv"
-        cli.write_series_csv(MultiChannelSeries(dup, 128.0), p)
-        assert run(["pcoh", "--in", str(p), "--sample-rate", "128",
+    def test_numerical_failure_is_3(self, tmp_path, dup_csv):
+        assert run(["pcoh", "--in", str(dup_csv), "--sample-rate", "128",
                     "-o", str(tmp_path / "o.csv")]) == 3
 
-    def test_ill_conditioned_pcoh_names_the_flag(self, tmp_path, capsys):
-        rng = np.random.default_rng(0)
-        x = rng.standard_normal(256)
-        dup = np.column_stack([x, x + 1e-10 * rng.standard_normal(256)])
-        p = tmp_path / "dup.csv"
-        cli.write_series_csv(MultiChannelSeries(dup, 128.0), p)
-        assert run(["pcoh", "--in", str(p), "--sample-rate", "128",
+    def test_ill_conditioned_pcoh_names_the_flag(self, tmp_path, capsys, dup_csv):
+        assert run(["pcoh", "--in", str(dup_csv), "--sample-rate", "128",
                     "-o", str(tmp_path / "o.csv")]) == 3
         err = capsys.readouterr().err
         assert err.startswith("specdep: numerical failure: spectral matrix ill-conditioned")
@@ -175,6 +176,39 @@ class TestExitCodes:
                     "--method", "lasso", "-o", str(tmp_path / "m.json")]) == 3
         assert capsys.readouterr().err == (
             "specdep: numerical failure: constant regressor column in LASSO fit\n")
+
+    @pytest.mark.parametrize("value", [0.1, 1 / 3, np.pi, 1.0])
+    def test_constant_series_dualfreq_is_3(self, tmp_path, capsys, value):
+        # each trial is centred, so a constant has no local power at any frequency
+        p = tmp_path / "const.csv"
+        cli.write_series_csv(MultiChannelSeries(np.full((256, 2), value), 128.0), p)
+        assert run(["dualfreq", "--in", str(p), "--sample-rate", "128", "--pair", "0:2:1:40",
+                    "--window", "16", "-o", str(tmp_path / "d.csv")]) == 3
+        assert capsys.readouterr().err == ("specdep: numerical failure: zero local power "
+                                           "at one of the (channel, frequency) pairs\n")
+
+    def test_shrink_order_keeps_ill_conditioned_pcoh_at_3(self, tmp_path, capsys, dup_csv):
+        assert run(["pcoh", "--in", str(dup_csv), "--sample-rate", "128", "--shrink-order", "2",
+                    "-o", str(tmp_path / "o.csv")]) == 3
+        assert capsys.readouterr().err.count("\n") == 1
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "empty file"),
+        ("a,b\r\n", "no data rows"),
+        ("a,b\r\n1,2\r\n3\r\n", "row 3 has 1 fields, expected 2")])
+    def test_unreadable_csv_is_1(self, tmp_path, capsys, text, message):
+        p = tmp_path / "in.csv"
+        p.write_text(text)
+        assert run(["coherence", "--in", str(p), "--sample-rate", "128",
+                    "-o", str(tmp_path / "o.csv")]) == 1
+        assert capsys.readouterr().err == f"specdep: malformed input: {p}: {message}\n"
+
+    def test_override_without_value_is_2(self, tmp_path, capsys):
+        assert run(["simulate", "--example", "pdc_net", "--T", "256", "--seed", "1",
+                    "--set", "M", "-o", str(tmp_path / "x.csv")]) == 2
+        assert capsys.readouterr().err == (
+            "specdep: invalid configuration: override must be key=value, got 'M'\n")
+        assert not (tmp_path / "x.csv").exists()
 
     @staticmethod
     def write_error(capsys, argv, path):
@@ -443,6 +477,14 @@ class TestOtherCommands:
                         "--bandwidth", "16", "-o", str(out)]) == 0
             row = next(csv.DictReader(out.read_text().splitlines()))
             assert 0.0 <= float(row["value"]) <= 1.0
+
+    @pytest.mark.parametrize("cmd", ["coherence", "pcoh", "spectrum", "spca"])
+    def test_shrink_order(self, tmp_path, net_csv, cmd):
+        out = tmp_path / f"{cmd}.out"
+        extra = ["-Q", "2"] if cmd == "spca" else []
+        assert run([cmd, "--in", str(net_csv), "--sample-rate", "128", "--shrink-order", "2",
+                    *extra, "-o", str(out)]) == 0
+        assert out.stat().st_size > 0
 
     def test_tvcoh(self, tmp_path, net_csv):
         out = tmp_path / "tv.csv"

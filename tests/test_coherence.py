@@ -12,7 +12,9 @@ from specdep.core import (ConfigError, FrequencyGrid, MultiChannelSeries, band_b
 from specdep.filters import default_order
 from specdep.simulate import example, gen_sources
 from specdep.spectrum import (CrossSpectralMatrix, SmoothingKernel, ar2_from_peak,
-                              periodogram, smooth_periodogram)
+                              default_bandwidth, periodogram, shrink_spectral_estimate,
+                              smooth_periodogram, var_spectrum)
+from specdep.var import fit_ols
 
 
 def white(T, P, seed, fs=128.0):
@@ -204,6 +206,18 @@ class TestPartialCoherence:
         f = smoothed(s, 8)
         with pytest.raises(ValueError, match="shrink"):
             partial_coherence(f)
+
+
+class TestShrinkOrder:
+    def test_is_shrinkage_toward_the_var_spectrum(self):
+        s, _ = example("pdc_net", 4096, 7)
+        kern = SmoothingKernel("daniell", default_bandwidth(s.n_samples))
+        f = smooth_periodogram(periodogram(s), kern)
+        h = var_spectrum(fit_ols(s, 2), f.grid, s.sample_rate_hz)
+        want = shrink_spectral_estimate(f, h, kern)
+        got = estimate_spectrum(s, kern, shrink_order=2).validate()
+        assert np.array_equal(got.values, want.values)
+        assert 0.0 <= np.max(partial_coherence(got)) <= 1.0
 
 
 class TestResidualPartialCoherence:

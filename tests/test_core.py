@@ -128,25 +128,25 @@ class TestFrequencyGrid:
 class TestDemean:
     def test_constant_column_zeroed(self):
         s = make_series(np.column_stack([np.full(64, 3.0), np.arange(64.0)]))
-        d = demean(s)
-        assert np.all(d.samples[:, 0] == 0.0)
+        d = demean(s.samples)
+        assert np.all(d[:, 0] == 0.0)
 
     def test_idempotent(self):
         rng = np.random.default_rng(0)
         s = make_series(rng.standard_normal((256, 3)) + 5.0)
-        d1 = demean(s)
+        d1 = demean(s.samples)
         d2 = demean(d1)
-        scale = np.sqrt(np.mean(d1.samples ** 2))
-        assert np.max(np.abs(d2.samples - d1.samples)) < 1e-12 * scale
+        scale = np.sqrt(np.mean(d1 ** 2))
+        assert np.max(np.abs(d2 - d1)) < 1e-12 * scale
 
     def test_simple_column(self):
         s = make_series(np.array([[1.0], [2.0], [3.0]]))
-        assert np.allclose(demean(s).samples[:, 0], [-1.0, 0.0, 1.0])
+        assert np.allclose(demean(s.samples)[:, 0], [-1.0, 0.0, 1.0])
 
     def test_other_columns_subtract_their_mean(self):
         x = np.random.default_rng(1).standard_normal((100, 3)) + 0.1
         x[:, 1] = 0.1
-        d = demean(make_series(x)).samples
+        d = demean(make_series(x).samples)
         assert np.all(d[:, 1] == 0.0)
         assert d[:, [0, 2]].tobytes() == (x - x.mean(axis=0))[:, [0, 2]].tobytes()
 
@@ -203,6 +203,14 @@ class TestCrossCorrelation:
         s = make_series(np.column_stack([np.ones(64), np.arange(64.0)]))
         with pytest.raises(ValueError):
             cross_correlation(s, 0, 1, 0)
+
+    @pytest.mark.parametrize("value", [0.1, 1 / 3, np.pi])
+    def test_inexact_constant_is_zero_variance(self, value):
+        # the computed mean of these constants is off by a rounding error
+        x = np.random.default_rng(3).standard_normal((512, 2))
+        x[:, 1] = value
+        with pytest.raises(ValueError, match="zero-variance"):
+            cross_correlation(make_series(x), 0, 1, 3)
 
     def test_rescaling_invariance(self):
         rng = np.random.default_rng(5)
@@ -261,6 +269,12 @@ class TestMaxLagSqCorrelation:
     def test_degenerate_errors(self):
         with pytest.raises(ValueError):
             max_lag_sq_correlation(np.ones(64), np.arange(64.0), 5)
+
+    @pytest.mark.parametrize("value", [0.1, 1 / 3, np.pi])
+    def test_inexact_constant_is_zero_variance(self, value):
+        x = np.random.default_rng(3).standard_normal(512)
+        with pytest.raises(ValueError, match="zero-variance"):
+            max_lag_sq_correlation(x, np.full(512, value), 3)
 
     def test_lag_convention_matches_cross_correlation(self):
         # both read sum_t x(t+h) y(t): the maximum is rho_xy(h)^2 at the lag found

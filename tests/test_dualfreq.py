@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specdep.core import ConfigError, MultiChannelSeries, band_by_name
+from specdep.core import ConfigError, MultiChannelSeries, band_by_name, demean
 from specdep.dualfreq import (band_dualfreq_coherence, dualfreq_coherence,
                               dualfreq_scan, local_fourier)
 from specdep.simulate import example
@@ -32,15 +32,17 @@ def reference_local_fourier(series, t, N, omega):
 
 
 def reference_coherence(data, t, N, p, omega_j, q, omega_k, smoothing=None):
+    # each trial is centred once, before its windows are taken
     if isinstance(data, MultiChannelSeries):
         half, hop = (8, N // 2) if smoothing is None else smoothing
         if half < 0 or hop < 1:
             raise ConfigError("smoothing must be (half_width >= 0, hop >= 1)")
         offsets = np.arange(-half, half + 1)
         weights = (half + 1) - np.abs(offsets)
+        data = data.with_samples(demean(data.samples))
         pieces = [(data, c, w) for c, w in zip(t + offsets * hop, weights / weights.sum())]
     else:
-        trials = list(data)
+        trials = [tr.with_samples(demean(tr.samples)) for tr in data]
         pieces = [(tr, t, 1.0 / len(trials)) for tr in trials]
     num, pow_j, pow_k = 0.0j, 0.0, 0.0
     for series, c, w in pieces:

@@ -145,7 +145,7 @@ class TestVarRecursion:
 def reference_ols(series, L):
     """Coefficients, noise covariance and standard errors of an OLS fit that
     forms its own Z'Z and Z'Y."""
-    x = demean(series).samples
+    x = demean(series.samples)
     T, P = x.shape
     if L == 0:
         return np.zeros((0, P, P)), (x.T @ x) / T, np.zeros((0, P, P))
@@ -194,7 +194,7 @@ class TestFitOls:
         rng = np.random.default_rng(4)
         s = MultiChannelSeries(rng.standard_normal((1024, 2)) * [1.0, 2.0], 1.0)
         fit = fit_ols(s, 0)
-        x = demean(s).samples
+        x = demean(s.samples)
         assert fit.order == 0
         assert np.allclose(fit.noise_cov, (x.T @ x) / 1024)
 
@@ -202,7 +202,7 @@ class TestFitOls:
         x, _ = example("pdc_net", 1024, 3)
         L, P = 3, 4
         model = fit_ols(x, L)
-        Z, _ = _lag_design(demean(x).samples, L)
+        Z, _ = _lag_design(demean(x.samples), L)
         ginv_diag = np.diag(np.linalg.inv(Z.T @ Z))
         for p in range(P):
             se_flat = np.sqrt(np.maximum(model.noise_cov[p, p] * ginv_diag, 0.0))
@@ -250,7 +250,7 @@ class TestFitLasso:
     def test_large_lambda_all_zero(self):
         s = simulate_var(stable_var2(), 2048, 6)
         # the implementation's zero threshold in standardized coordinates
-        x = demean(s).samples
+        x = demean(s.samples)
         T = x.shape[0]
         Z = np.hstack([x[1:T - 1], x[:T - 2]])
         Y = x[2:]
@@ -276,7 +276,7 @@ class TestFitLasso:
         lam = 0.05
 
         def objective(model):
-            x = demean(s).samples
+            x = demean(s.samples)
             T = x.shape[0]
             Z = np.hstack([x[1:T - 1], x[:T - 2]])
             Y = x[2:]
@@ -341,7 +341,7 @@ class TestFitLassle:
 def test_order_zero_fits(P):
     # the empty problem: no coefficients, and the noise covariance x'x/T
     s = ma_series(300, P, 2)
-    x = demean(s).samples
+    x = demean(s.samples)
     for fit in (fit_ols(s, 0), fit_lasso(s, 0, 0.1), fit_lassle(s, 0, 0.1)):
         assert fit.coeffs.shape == (0, P, P)
         assert np.array_equal(fit.noise_cov, (x.T @ x) / 300)
@@ -406,7 +406,7 @@ def _cd_lasso_residual(Zs, ys, lam, tol, max_sweeps):
 
 def reference_lasso(series, L, lam, max_sweeps=10000, tol=1e-7):
     """Per-equation residual-form LASSO and LASSLE rows, KKT and convergence."""
-    x = demean(series).samples
+    x = demean(series.samples)
     Z, Y = _lag_design(x, L)
     n, P = Y.shape
     zsd = Z.std(axis=0)
@@ -495,7 +495,7 @@ class TestGramLasso:
     @given(P=st.integers(1, 3), L_max=st.integers(1, 6), seed=st.integers(0, 2 ** 16))
     def test_select_order_matches_per_order_designs(self, P, L_max, seed):
         def reference(s, L_max, criterion):
-            x = demean(s).samples
+            x = demean(s.samples)
             T, P = x.shape
             n = T - L_max
             scores = []
@@ -587,7 +587,7 @@ class TestActiveSetLasso:
         x = np.random.default_rng(5).standard_normal((512, 3))
         x[:, 1] = value
         s = MultiChannelSeries(x, 1.0)
-        assert np.all(demean(s).samples[:, 1] == 0.0)
+        assert np.all(demean(s.samples)[:, 1] == 0.0)
         for fit in (fit_lasso, fit_lassle):
             with pytest.raises(np.linalg.LinAlgError):
                 fit(s, 2, 0.1)
