@@ -156,7 +156,14 @@ def cmd_spectrum(args):
 
 def cmd_coherence(args, partial=False):
     series, f = _spectrum(args)
-    vals = partial_coherence(f) if partial else coherence_matrix(f).values
+    try:
+        vals = partial_coherence(f) if partial else coherence_matrix(f).values
+    except ValueError as exc:  # its advice would name the --shrink-order that was given
+        where, advice, _ = str(exc).partition("; shrink")
+        if args.shrink_order is None or not advice:
+            raise
+        raise ValueError(f"{where}; the estimate shrunk toward a VAR({args.shrink_order}) "
+                         "spectrum is still ill-conditioned") from None
     frequency_table_to_csv(args.out, f.grid, series.sample_rate_hz, {"value": vals})
     return 0
 

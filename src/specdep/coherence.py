@@ -76,14 +76,15 @@ def band_coherence(series, p, q, band, filter_order=None, max_lag=None):
     -------
     (value, lag) : (float in [0, 1], int)
     """
-    y, (k, _) = band_signals(series, [(p, band), (q, band)], filter_order)
+    y, valid = band_signals(series, [(p, band), (q, band)], filter_order)
     if p == q:
         return 1.0, 0
     if max_lag is None:
         max_lag = int(round(series.sample_rate_hz / band.center_hz))
-    if series.n_samples <= 2 * k + 2 * max_lag:
+    x1, x2 = y[valid[0]].T
+    if len(x1) <= 2 * max_lag:
         raise ConfigError("series too short for this filter order and max_lag")
-    return max_lag_sq_correlation(y[k:-k, 0], y[k:-k, 1], max_lag)
+    return max_lag_sq_correlation(x1, x2, max_lag)
 
 
 def partial_coherence(f):
@@ -116,37 +117,30 @@ def partial_coherence(f):
 def partial_coherence_residual(series, p, q, c, band, filter_order=None):
     """Band partial coherence of (p, q) given channel c, via regression.
 
-    All three channels are zero-phase filtered to the band; p and q are each
-    regressed on c (lag 0, with intercept) and the squared correlation of
-    the residuals is returned.  A residual that is numerically zero (e.g.
-    q == c) gives 0 by convention.  Filter order K needs T >= 2K + 4, so
-    that four samples remain after trimming.
+    All three channels are zero-phase filtered to the band and cut to the
+    samples clear of filter transients; p and q are each regressed on c (lag
+    0, with intercept) and the squared correlation of the residuals is
+    returned.  A residual that is numerically zero (e.g. q == c) gives 0 by
+    convention.  Four samples must remain after the cut.
     """
     series.check_channels([p, q, c])
     if c == p or c == q:
         raise ConfigError("conditioning channel must differ from p and q")
     if p == q:
         return 1.0
-    y, (k, _, _) = band_signals(series, [(p, band), (q, band), (c, band)], filter_order)
-    if series.n_samples < 2 * k + 4:
-        raise ConfigError(f"series too short for filter order {k} (T < {2 * k + 4})")
-    y = y[k:-k]
+    y, valid = band_signals(series, [(p, band), (q, band), (c, band)], filter_order)
+    y = y[valid[0]]
+    if len(y) < 4:
+        raise ConfigError(f"series too short: {len(y)} samples clear of filter transients, need 4")
     y = demean(y)
-    xc = y[:, 2]
-    vc = np.dot(xc, xc)
+    xc, vc = y[:, 2], np.dot(y[:, 2], y[:, 2])
     if vc <= 0:
         raise ValueError("degenerate conditioning channel (no in-band power)")
-    resid = []
-    scale = np.sqrt(np.mean(y ** 2, axis=0))
-    for i in (0, 1):
-        beta = np.dot(xc, y[:, i]) / vc
-        r = y[:, i] - beta * xc
-        if np.sqrt(np.mean(r ** 2)) < 1e-10 * max(scale[i], 1e-300):
-            return 0.0
-        resid.append(r)
-    rho = np.dot(resid[0], resid[1]) / np.sqrt(
-        np.dot(resid[0], resid[0]) * np.dot(resid[1], resid[1]))
-    return float(rho ** 2)
+    r = y[:, :2] - np.outer(xc, xc @ y[:, :2] / vc)
+    scale = np.maximum(np.sqrt(np.mean(y[:, :2] ** 2, axis=0)), 1e-300)
+    if np.any(np.sqrt(np.mean(r ** 2, axis=0)) < 1e-10 * scale):
+        return 0.0
+    return max_lag_sq_correlation(r[:, 0], r[:, 1], 0)[0]
 
 
 def estimate_spectrum(series, kernel=None, shrink_order=None):

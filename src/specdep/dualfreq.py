@@ -5,15 +5,16 @@ periodogram d(t, w_j) d*(t, w_k).  Averaging it across trials (or smoothing
 across time within a single trial) and normalizing by the same-frequency
 local power yields the time-localized dual-frequency coherence, which one
 kernel computes one window centre at a time.  A filtered variant measures
-the windowed cross-moment of two band-limited signals.
+the windowed squared correlation of two band-limited signals.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigError, MultiChannelSeries, _public, demean, table_to_csv
-from .filters import band_signals, default_order
+from .core import (ConfigError, MultiChannelSeries, _public, demean, max_lag_sq_correlation,
+                   table_to_csv)
+from .filters import band_signals
 
 
 def _window_length(N):
@@ -80,26 +81,19 @@ def dualfreq_coherence(data, t, N, p, omega_j, q, omega_k, smoothing=None):
 def band_dualfreq_coherence(series, p, band_1, q, band_2, t, N, filter_order=None):
     """Windowed band-to-band coherence of two zero-phase filtered signals.
 
-    Channel p is filtered to band_1 and channel q to band_2; the estimate is
-    the squared windowed cross-moment normalized by the windowed powers:
-    |mean x1 x2|^2 / (mean x1^2 mean x2^2) over the N-sample window at t.
+    Channel p is filtered to band_1 and channel q to band_2 (each with its
+    band's default order unless ``filter_order`` is given); the estimate is
+    the squared correlation of the two over the N-sample window at t, which
+    must lie in the samples both keep clear of filter transients.
     """
-    fs = series.sample_rate_hz
-    if filter_order is None:
-        for b in (band_1, band_2):
-            b.validate_for(fs)
-        filter_order = max(default_order(band_1, fs), default_order(band_2, fs))
+    y, valid = band_signals(series, [(p, band_1), (q, band_2)], filter_order)
+    lo, hi = max(v.start for v in valid), min(v.stop for v in valid)
     idx = _windows([series.n_samples], [t], N)[0]
-    y, _ = band_signals(series, [(p, band_1), (q, band_2)], filter_order)
-    x1, x2 = demean(y)[idx].T
-    cross = np.mean(x1 * x2)
-    v1, v2 = np.mean(x1 ** 2), np.mean(x2 ** 2)
-    if v1 <= 0 or v2 <= 0:
-        raise ValueError("zero windowed variance in one of the filtered bands")
-    val = float(cross ** 2 / (v1 * v2))
-    if not val <= 1 + 1e-9:
-        raise ValueError(f"band dual-frequency coherence {val!r} exceeds 1")
-    return min(val, 1.0)
+    if idx[0] < lo or idx[-1] >= hi:
+        raise ConfigError(f"window [{idx[0]}, {idx[-1]}] around t={t} reaches into filter "
+                          f"transients: both filtered bands are valid on [{lo}, {hi - 1}]")
+    x1, x2 = y[idx].T
+    return max_lag_sq_correlation(x1, x2, 0)[0]
 
 
 @dataclass

@@ -7,7 +7,7 @@ taps centred on the current sample, so in-band sinusoids suffer no phase
 shift).  Causality matters for the lead-lag analyses: zero-phase filtering
 leaks future samples into the present, so the spectral-VAR pipeline always
 filters causally.  Every band-filtered signal an analysis uses comes from
-:func:`band_signals`; each analysis trims the start-up transients itself.
+:func:`band_signals`, with the slice of its samples clear of start-up.
 """
 
 import warnings
@@ -104,10 +104,10 @@ def frequency_response(filt, omega):
 def apply_filter(filt, series):
     """Filter every channel of a series.
 
-    Causal mode computes y(t) = sum_{j=0..K} c_j x(t-j) with a zero-padded
-    start; zero-phase mode centres the taps so y(t) = sum_j c_j x(t-j+K/2).
-    The first/last K output samples are startup transients either way;
-    analyses that care should trim them.
+    Causal mode computes y(t) = sum_{j=0..K} c_j x(t-j) from a zero-padded
+    start, so the first K outputs are start-up transients; zero-phase mode
+    centres the taps, y(t) = sum_j c_j x(t-j+K/2), so the first and last K/2
+    are.  :func:`band_signals` says which samples to read; its rule trims K.
     """
     T = series.n_samples
     c = filt.coeffs
@@ -125,14 +125,15 @@ def apply_filter(filt, series):
 
 
 def band_signals(series, picks, order=None, mode="zero_phase"):
-    """Filter each (channel, band) pick of a series; return (y, orders).
+    """Filter each (channel, band) pick of a series; return (y, valid).
 
-    Column-major ``y[:, i]`` is pick i filtered in ``mode`` with ``orders[i]``
-    (``order``, or the band's :func:`default_order` when None).  Bands are
-    checked against Nyquist first; each distinct (band, order) is designed
-    and applied once, to its distinct channels.
+    Column-major ``y[:, i]`` is pick i filtered in ``mode`` with order K,
+    ``order`` or else the band's :func:`default_order`; ``valid[i]`` is the
+    slice of it clear of filter start-up: ``slice(K, T - K)`` zero-phase and
+    ``slice(K, T)`` causal.  Bands are checked against Nyquist first; each
+    distinct (band, order) is designed and applied once, to its channels.
     """
-    fs = series.sample_rate_hz
+    fs, T = series.sample_rate_hz, series.n_samples
     picks = list(picks)
     for _, band in picks:
         band.validate_for(fs)
@@ -141,12 +142,12 @@ def band_signals(series, picks, order=None, mode="zero_phase"):
     groups = {}
     for i, ((c, band), k) in enumerate(zip(picks, orders)):
         groups.setdefault((band, k), {}).setdefault(c, []).append(i)
-    y = np.empty((series.n_samples, len(picks)), order="F")
+    y = np.empty((T, len(picks)), order="F")
     for (band, k), columns in groups.items():
         out = apply_filter(design_fir_bandpass(band, k, fs, mode), series.select(columns))
         for j, cols in enumerate(columns.values()):
             y[:, cols] = out.samples[:, j:j + 1]
-    return y, orders
+    return y, [slice(k, T - k if mode == "zero_phase" else T) for k in orders]
 
 
 def default_order(band, sample_rate_hz):

@@ -17,17 +17,18 @@ def analytic_signal(x):
     """Analytic signal via the frequency-domain Hilbert construction.
 
     Negative-frequency bins are zeroed, strictly positive ones doubled, DC
-    and Nyquist kept, and the result inverse-transformed.  The returned
+    and Nyquist kept, and the result inverse-transformed.  ``x`` is a
+    (T,) signal or a (T, n) stack of them along axis 0.  The returned
     complex array has the input as its real part; its modulus and angle are
     the instantaneous amplitude and phase.
     """
     x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or x.size < 16:
-        raise ConfigError("analytic_signal expects a 1-D signal with T >= 16")
-    T = x.size
+    if x.ndim not in (1, 2) or x.shape[0] < 16:
+        raise ConfigError("analytic_signal expects a (T,) or (T, n) signal with T >= 16")
+    T = x.shape[0]
     # one-sided weights: DC, doubled positive bins, Nyquist (even T), zeroed negative bins
     h = np.r_[1.0, np.full((T - 1) // 2, 2.0), np.ones(1 - T % 2), np.zeros((T - 1) // 2)]
-    return np.fft.ifft(np.fft.fft(x) * h)
+    return np.fft.ifft(np.fft.fft(x, axis=0) * h.reshape((T,) + (1,) * (x.ndim - 1)), axis=0)
 
 
 def phase_amplitude_distribution(phase, amplitude, n_bins):
@@ -109,9 +110,10 @@ def pac_scan(series, low_bands, high_bands, n_bins=18, pairs=None,
     low = dict.fromkeys((cp, b) for cp, _ in pairs for b in low_bands)
     high = dict.fromkeys((ca, b) for _, ca in pairs for b in high_bands)
     picks = list({**low, **high})
-    y, orders = band_signals(series, picks, filter_order)
-    z = {pick: analytic_signal(demean(x)) for pick, x in zip(picks, y.T)}
-    trim = {pick: max(k, 64) for pick, k in zip(picks, orders)}
+    y, valid = band_signals(series, picks, filter_order)
+    z = dict(zip(picks, analytic_signal(demean(y)).T))
+    # >= 64 per end: the FFT Hilbert transform wraps each end into the other
+    trim = {pick: max(v.start, 64) for pick, v in zip(picks, valid)}
     phase = {pick: np.mod(np.angle(z[pick]), 2 * np.pi) for pick in low}
     amp = {pick: np.abs(z[pick]) for pick in high}
     out = np.zeros((len(pairs), len(low_bands), len(high_bands)))

@@ -539,8 +539,8 @@ def spectral_var(series, channels=None, bands=None, filter_order=100, order=None
     spans = [(c, band.low_hz, band.high_hz) for c, band in picks]
     if len(set(tags)) != len(tags) or len(set(spans)) != len(spans):
         raise ConfigError("spectral-VAR: a (channel, band) pick is repeated")
-    x, _ = band_signals(series, picks, filter_order, "causal")
-    x = demean(np.ascontiguousarray(x[filter_order:]))  # row-major: the fit's sums depend on it
+    x, valid = band_signals(series, picks, filter_order, "causal")
+    x = demean(np.ascontiguousarray(x[valid[0]]))  # row-major: the fit's sums depend on it
     labels = [f"{series.channel_labels[c]}:{name}" for c, name in tags]
     stacked = MultiChannelSeries(x, series.sample_rate_hz, labels)
     dim = stacked.n_channels

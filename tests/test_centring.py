@@ -2,22 +2,24 @@
 
 A channel's mean is not an oscillation, so adding a constant in [-100, 100]
 to each channel must leave coherence, partial coherence, dual-frequency
-coherence, lagged correlation and the SPCA encoding unchanged up to
-rounding.  Values in [0, 1] are compared to 1e-8 absolute; the SPCA
-encoding to 1e-8 of its largest magnitude.
+coherence, lagged correlation, their band-filtered forms and the SPCA
+encoding unchanged up to rounding.  Values in [0, 1] are compared to 1e-8
+absolute; the SPCA encoding to 1e-8 of its largest magnitude.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specdep.coherence import coherence_matrix, estimate_spectrum, partial_coherence
-from specdep.core import MultiChannelSeries, max_lag_sq_correlation
-from specdep.dualfreq import dualfreq_scan
+from specdep.coherence import (band_coherence, coherence_matrix, estimate_spectrum,
+                               partial_coherence, partial_coherence_residual)
+from specdep.core import MultiChannelSeries, max_lag_sq_correlation, standard_bands
+from specdep.dualfreq import band_dualfreq_coherence, dualfreq_scan
 from specdep.spca import spca_encode, spca_fit
 
 TOL = 1e-8
 seeds = st.integers(0, 2 ** 16)
+bands = st.sampled_from(standard_bands())
 
 
 def offsets(n):
@@ -76,6 +78,36 @@ def test_max_lag_sq_correlation(seed, c, max_lag):
     value_c, lag_c = max_lag_sq_correlation(x[:, 0] + c[0], x[:, 1] + c[1], max_lag)
     assert abs(value_c - value) < TOL
     assert lag_c == lag
+
+
+# the filtered measures read only samples clear of filter transients, where the
+# taps' exact DC null removes a constant
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(seed=seeds, c=offsets(2), band=bands)
+def test_band_coherence(seed, c, band):
+    s = white(2048, 2, seed)
+    value, lag = band_coherence(s, 0, 1, band)
+    value_c, lag_c = band_coherence(shifted(s, c), 0, 1, band)
+    assert abs(value_c - value) < TOL
+    assert lag_c == lag
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(seed=seeds, c=offsets(3), band=bands)
+def test_partial_coherence_residual(seed, c, band):
+    s = white(2048, 3, seed)
+    want = partial_coherence_residual(s, 0, 1, 2, band)
+    assert abs(partial_coherence_residual(shifted(s, c), 0, 1, 2, band) - want) < TOL
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(seed=seeds, c=offsets(2), band_1=bands, band_2=bands, t=st.integers(640, 1400))
+def test_band_dualfreq_coherence(seed, c, band_1, band_2, t):
+    # the longest default order, delta's 512, leaves samples [512, 1535] valid
+    s = white(2048, 2, seed)
+    want = band_dualfreq_coherence(s, 0, band_1, 1, band_2, t, 128)
+    got = band_dualfreq_coherence(shifted(s, c), 0, band_1, 1, band_2, t, 128)
+    assert abs(got - want) < TOL
 
 
 @settings(max_examples=15, deadline=None, derandomize=True)

@@ -145,6 +145,16 @@ class TestExitCodes:
         assert "--shrink-order" in err
         assert err.count("\n") == 1
 
+    def test_shrunk_ill_conditioned_pcoh_does_not_advise_the_flag(self, tmp_path, capsys,
+                                                                  dup_csv):
+        assert run(["pcoh", "--in", str(dup_csv), "--sample-rate", "128",
+                    "--shrink-order", "2", "-o", str(tmp_path / "o.csv")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("specdep: numerical failure: spectral matrix ill-conditioned")
+        assert "shrunk toward a VAR(2) spectrum is still ill-conditioned" in err
+        assert "--shrink-order" not in err
+        assert err.count("\n") == 1
+
     def test_constant_series_spca_is_3(self, tmp_path, capsys):
         p = tmp_path / "const.csv"
         cli.write_series_csv(MultiChannelSeries(np.ones((256, 2)), 128.0), p)

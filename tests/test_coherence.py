@@ -9,7 +9,7 @@ from specdep.coherence import (band_coherence, coherence, coherence_matrix,
                                tv_partial_coherence)
 from specdep.core import (ConfigError, FrequencyGrid, MultiChannelSeries, band_by_name,
                           sliding_windows)
-from specdep.filters import default_order
+from specdep.filters import apply_filter, default_order, design_fir_bandpass
 from specdep.simulate import example, gen_sources
 from specdep.spectrum import (CrossSpectralMatrix, SmoothingKernel, ar2_from_peak,
                               default_bandwidth, periodogram, shrink_spectral_estimate,
@@ -246,6 +246,21 @@ class TestResidualPartialCoherence:
             partial_coherence_residual(s, 0, 1, 2, band)
         s, _ = example("gamma_net", 2 * K + 4, 0)
         assert 0.0 <= partial_coherence_residual(s, 0, 1, 2, band) <= 1.0
+
+    @pytest.mark.parametrize("seed", [15, 16, 17])
+    def test_matches_regression_reference(self, seed):
+        # p and q regressed on c over the samples K from each end, then the
+        # squared correlation of the residuals: equal up to rounding (1e-14)
+        s, _ = example("gamma_net", 4096, seed)
+        band = band_by_name("gamma")
+        K = default_order(band, 128.0)
+        y = np.column_stack([apply_filter(design_fir_bandpass(band, K, 128.0),
+                                          s.select([ch])).samples[K:-K, 0] for ch in (0, 1, 2)])
+        y = y - y.mean(axis=0)
+        xc = y[:, 2]
+        r0, r1 = (y[:, i] - np.dot(xc, y[:, i]) / np.dot(xc, xc) * xc for i in (0, 1))
+        want = np.dot(r0, r1) ** 2 / (np.dot(r0, r0) * np.dot(r1, r1))
+        assert abs(partial_coherence_residual(s, 0, 1, 2, band) - want) < 1e-14
 
     def test_example4_agrees_with_matrix_form(self):
         s, t = example("gamma_net", 4096, 15)

@@ -187,17 +187,26 @@ class TestBandSignals:
         alpha, gamma = band_by_name("alpha"), band_by_name("gamma")
         # a repeated pick, two bands, and channels shared between the bands
         picks = [(2, alpha), (0, gamma), (0, alpha), (2, alpha), (2, gamma)]
-        y, orders = band_signals(s, picks, mode=mode)
+        y, valid = band_signals(s, picks, mode=mode)
         assert y.shape == (1024, 5)
-        assert orders == [default_order(b, 128.0) for _, b in picks]
         for i, (c, b) in enumerate(picks):
-            filt = design_fir_bandpass(b, orders[i], 128.0, mode)
+            K = default_order(b, 128.0)
+            # transient-free samples: K cut at each end (zero-phase) or at the start (causal)
+            assert valid[i] == slice(K, 1024 - K if mode == "zero_phase" else 1024)
+            filt = design_fir_bandpass(b, K, 128.0, mode)
             assert np.array_equal(y[:, i], apply_filter(filt, s.select([c])).samples[:, 0])
+            # the valid samples never reach the zero padding: output t is full-convolution
+            # sample t (+ K/2 zero-phase), and those from K on need no padding
+            m = np.arange(1024)[valid[i]] + (K // 2 if mode == "zero_phase" else 0)
+            unpadded = np.convolve(x[:, c], filt.coeffs, "valid")
+            np.testing.assert_allclose(y[valid[i], i], unpadded[m - K], rtol=0, atol=1e-12)
 
     def test_one_order_for_every_pick(self):
         s = MultiChannelSeries(np.random.default_rng(5).standard_normal((512, 2)), 128.0)
-        _, orders = band_signals(s, [(0, band_by_name("delta")), (1, band_by_name("beta"))], 40)
-        assert orders == [40, 40]
+        picks = [(0, band_by_name("delta")), (1, band_by_name("beta"))]
+        for mode, stop in [("zero_phase", 472), ("causal", 512)]:
+            _, valid = band_signals(s, picks, 40, mode)
+            assert valid == [slice(40, stop), slice(40, stop)]
 
     def test_nyquist_checked_before_default_order(self):
         s = MultiChannelSeries(np.zeros((512, 1)), 128.0)

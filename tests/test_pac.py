@@ -46,6 +46,19 @@ class TestAnalyticSignal:
     def test_too_short(self):
         with pytest.raises(ConfigError):
             analytic_signal(np.zeros(8))
+        with pytest.raises(ConfigError):
+            analytic_signal(np.zeros((8, 3)))
+        with pytest.raises(ConfigError):
+            analytic_signal(np.zeros((64, 2, 2)))
+
+    @pytest.mark.parametrize("T", [8191, 8192, 4096, 17, 16])
+    @pytest.mark.parametrize("layout", ["C", "F"])
+    def test_stack_equals_columns_bit_for_bit(self, T, layout):
+        x = np.asarray(np.random.default_rng(T).standard_normal((T, 6)), order=layout)
+        z = analytic_signal(x)
+        assert z.shape == (T, 6)
+        for j in range(6):
+            assert np.array_equal(z[:, j], analytic_signal(x[:, j]))
 
     @pytest.mark.parametrize("T", [8191, 8192, 17, 16])
     def test_matches_scipy_hilbert(self, T):
