@@ -97,21 +97,27 @@ def partial_coherence(f):
     the estimate (spectrum.shrink_spectral_estimate, or the CLI's
     --shrink-order) in that case.
 
+    The matrices at w >= 0 are checked and inverted; the result at -w, the
+    same as at w for the conjugate matrix, is copied.
+
     Returns
     -------
     ndarray, shape (n, P, P), real, entries in [0, 1]
     """
-    v = f.values
+    k0 = f.grid.n // 2 - 1  # w = 0
+    v = f.values[k0:]
     ev = np.linalg.eigvalsh(0.5 * (v + v.conj().transpose(0, 2, 1)))
     lo, hi = ev[:, 0], ev[:, -1]
     bad = (lo <= 0) | (hi > _COND_CAP * np.maximum(lo, 1e-300))
     if np.any(bad):
-        k = int(np.nonzero(bad)[0][0])
+        k = k0 + int(np.nonzero(bad)[0][0])
         raise ValueError(
             f"spectral matrix ill-conditioned at grid index {k} (frequency "
             f"{f.grid.frequencies[k]:.6f}); shrink the estimate toward a VAR "
             f"spectrum (shrink_spectral_estimate, or --shrink-order on the command line)")
-    return _normalized(np.linalg.inv(v))[1]
+    out = np.empty(f.values.shape)
+    out[k0:] = _normalized(np.linalg.inv(v))[1]
+    return f.grid.mirror(out)
 
 
 def partial_coherence_residual(series, p, q, c, band, filter_order=None):

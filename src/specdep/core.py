@@ -197,6 +197,14 @@ class FrequencyGrid:
         out[self._fft_index] = values
         return out
 
+    def mirror(self, values):
+        """Overwrite the w < 0 rows of ``values`` (axis 0, grid order) with the
+        conjugates of their w > 0 partners and return it: spectra of real
+        series are conjugate-symmetric, so rows n/2 - 1 (w = 0) on determine them."""
+        h = self.n // 2
+        np.conjugate(values[h:-1][::-1], out=values[:h - 1])
+        return values
+
     def index_of(self, freq):
         """Index of the grid frequency nearest ``freq`` in [-0.5, 0.5], distance
         wrapping so that -0.5 is the Nyquist bin; a tie goes to the first index."""
@@ -253,8 +261,15 @@ def demean(x):
     as its computed mean can differ from the value by a rounding error.
     The shape is kept, so a 1-D signal stays 1-D.
     """
-    flat = np.ptp(x, axis=0, keepdims=True) == 0
-    return x - np.where(flat, x[:1], x.mean(axis=0, keepdims=True))
+    n = x.shape[0]
+    if n == 0:
+        raise ValueError("cannot centre an empty array")
+    mean, first = x.mean(axis=0, keepdims=True), x[:1]
+    # a column whose first, middle and last samples differ is not constant
+    maybe = (first == x[n // 2:n // 2 + 1]) & (first == x[-1:])
+    if maybe.any():
+        mean = np.where(maybe & (np.ptp(x, axis=0, keepdims=True) == 0), first, mean)
+    return x - mean
 
 
 def cross_covariance(series, p, q, h):

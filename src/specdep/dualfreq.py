@@ -42,12 +42,15 @@ def _coefficients(x, start, length, t, N, w):
 
     Piece i is the window at t[i] of the trial of length[i] samples stacked
     from row start[i] of x; phases use sample indices within that trial.
+    The phase of sample lo_i + m of window i separates:
+    exp(-i 2 pi w (lo_i + m)) = exp(-i 2 pi w lo_i) exp(-i 2 pi w m).
     """
     if not np.all(np.abs(w) <= 0.5):
         raise ConfigError(f"frequencies {w.tolist()} leave [-0.5, 0.5] cycles per sample")
     idx = _windows(length, t, N)
-    ph = np.exp(-2j * np.pi * (w[:, None] * idx[:, None, :]))
-    return ph @ x[idx + np.asarray(start)[:, None]] / np.sqrt(idx.shape[1])
+    m = np.arange(idx.shape[1])
+    local = np.exp(-2j * np.pi * np.outer(w, m)) @ x[idx + np.asarray(start)[:, None]]
+    return np.exp(-2j * np.pi * np.outer(idx[:, 0], w))[:, :, None] * local / np.sqrt(m.size)
 
 
 def local_fourier(series, t, N, omega):

@@ -11,6 +11,7 @@ filters causally.  Every band-filtered signal an analysis uses comes from
 """
 
 import warnings
+from functools import lru_cache
 
 import numpy as np
 
@@ -124,6 +125,15 @@ def apply_filter(filt, series):
     return series.with_samples(out)
 
 
+@lru_cache(maxsize=32)
+def _band_taps(band, order, sample_rate_hz):
+    """Read-only taps of :func:`design_fir_bandpass`, cached by value for
+    :func:`band_signals`, which designs the same few bands over and over."""
+    taps = design_fir_bandpass(band, order, sample_rate_hz).coeffs
+    taps.flags.writeable = False
+    return taps
+
+
 def band_signals(series, picks, order=None, mode="zero_phase"):
     """Filter each (channel, band) pick of a series; return (y, valid).
 
@@ -131,7 +141,8 @@ def band_signals(series, picks, order=None, mode="zero_phase"):
     ``order`` or else the band's :func:`default_order`; ``valid[i]`` is the
     slice of it clear of filter start-up: ``slice(K, T - K)`` zero-phase and
     ``slice(K, T)`` causal.  Bands are checked against Nyquist first; each
-    distinct (band, order) is designed and applied once, to its channels.
+    distinct (band, order) is applied once, to its channels, with taps that
+    are designed once and cached.
     """
     fs, T = series.sample_rate_hz, series.n_samples
     picks = list(picks)
@@ -144,7 +155,7 @@ def band_signals(series, picks, order=None, mode="zero_phase"):
         groups.setdefault((band, k), {}).setdefault(c, []).append(i)
     y = np.empty((T, len(picks)), order="F")
     for (band, k), columns in groups.items():
-        out = apply_filter(design_fir_bandpass(band, k, fs, mode), series.select(columns))
+        out = apply_filter(FirFilter(_band_taps(band, k, fs), mode), series.select(columns))
         for j, cols in enumerate(columns.values()):
             y[:, cols] = out.samples[:, j:j + 1]
     return y, [slice(k, T - k if mode == "zero_phase" else T) for k in orders]

@@ -14,21 +14,27 @@ from .filters import band_signals
 
 
 def analytic_signal(x):
-    """Analytic signal via the frequency-domain Hilbert construction.
+    """Analytic signal x + i H[x] via the frequency-domain Hilbert transform.
 
-    Negative-frequency bins are zeroed, strictly positive ones doubled, DC
-    and Nyquist kept, and the result inverse-transformed.  ``x`` is a
-    (T,) signal or a (T, n) stack of them along axis 0.  The returned
-    complex array has the input as its real part; its modulus and angle are
-    the instantaneous amplitude and phase.
+    H[x] is the real inverse transform of -i X over the strictly positive
+    bins of the real transform X of x, with DC and Nyquist zeroed: the
+    one-sided construction that doubles the positive bins and zeroes the
+    negative ones.  ``x`` is a (T,) signal or a (T, n) stack of them along
+    axis 0.  The returned complex array has the input as its real part,
+    exactly; its modulus and angle are the instantaneous amplitude and phase.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim not in (1, 2) or x.shape[0] < 16:
         raise ConfigError("analytic_signal expects a (T,) or (T, n) signal with T >= 16")
     T = x.shape[0]
-    # one-sided weights: DC, doubled positive bins, Nyquist (even T), zeroed negative bins
-    h = np.r_[1.0, np.full((T - 1) // 2, 2.0), np.ones(1 - T % 2), np.zeros((T - 1) // 2)]
-    return np.fft.ifft(np.fft.fft(x, axis=0) * h.reshape((T,) + (1,) * (x.ndim - 1)), axis=0)
+    X = np.fft.rfft(x, axis=0)
+    X[0] = 0.0
+    if T % 2 == 0:
+        X[-1] = 0.0
+    z = np.empty(x.shape, dtype=complex)
+    z.real = x
+    z.imag = np.fft.irfft(X * -1j, T, axis=0)
+    return z
 
 
 def phase_amplitude_distribution(phase, amplitude, n_bins):

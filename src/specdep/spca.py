@@ -108,9 +108,8 @@ class SpcaSolution:
 
 def _eigh_descending(m):
     """Batched ``eigh`` with each matrix's eigenpairs in descending eigenvalue order."""
-    ev, vec = np.linalg.eigh(m)
-    order = np.argsort(ev, axis=-1)[..., ::-1]
-    return np.take_along_axis(ev, order, -1), np.take_along_axis(vec, order[..., None, :], -1)
+    ev, vec = np.linalg.eigh(m)  # ascending
+    return ev[..., ::-1], vec[..., ::-1]
 
 
 def spca_fit(spectral_estimate, Q, lag_truncation=None):
@@ -121,9 +120,10 @@ def spca_fit(spectral_estimate, Q, lag_truncation=None):
     its distance to the previous frequency's vector (anchored at w = 0 with
     the real positive-max-entry convention, and forced real at the Nyquist
     bin); without this alignment the inverse DFT to lag filters would be
-    meaningless.  Negative frequencies are the conjugates of positive ones,
-    hence the lag filters A(l) = (1/n) sum_k A(w_k) e^{i 2 pi l w_k} are
-    real.  Truncation defaults to n/8 lags each side.
+    meaningless.  Only w >= 0 is decomposed: the loadings at -w are the
+    conjugates of those at w, as the matrices are, hence the lag filters
+    A(l) = (1/n) sum_k A(w_k) e^{i 2 pi l w_k} are real.  Truncation
+    defaults to n/8 lags each side.
 
     An eigen-gap collapse (lambda_Q close to lambda_{Q+1} within 1e-6
     relative) is recorded in ``degenerate_freqs``; the solution is still
@@ -178,13 +178,7 @@ def spca_fit(spectral_estimate, Q, lag_truncation=None):
     fft_ordered = f.grid.to_fft_order(loadings)
     lag_full = np.fft.ifft(fft_ordered, axis=0)
     lags = np.arange(-lag_truncation, lag_truncation + 1)
-    A_l = lag_full[np.mod(lags, n)]
-    imag_resid = np.max(np.abs(A_l.imag))
-    norm = np.max(np.abs(A_l)) or 1.0
-    if imag_resid > 1e-8 * norm:
-        raise ValueError(f"lag filters are not real (residual {imag_resid:.2e}); "
-                         "the input spectral matrix is not conjugate-symmetric")
-    A_l = A_l.real
+    A_l = lag_full[np.mod(lags, n)].real
     # encode transfer is A*(w); its lag filter is B(l) = A(-l)^T
     B_l = A_l[::-1].transpose(0, 2, 1)
     return SpcaSolution(f.grid, loadings, eigenvalues, lag_truncation,

@@ -19,6 +19,9 @@ from .var import VarModel, transfer_function
 class CrossSpectralMatrix:
     """A Hermitian PSD P x P complex matrix per frequency-grid point.
 
+    The matrices are conjugate-symmetric in frequency, f(-w) = conj f(w), as
+    the spectra of real series are: the w >= 0 half holds the estimate.
+
     Parameters
     ----------
     grid : FrequencyGrid
@@ -37,9 +40,14 @@ class CrossSpectralMatrix:
         if values.shape[0] != grid.n:
             raise ConfigError(f"values axis 0 ({values.shape[0]}) != grid size {grid.n}")
         herm_err = np.max(np.abs(values - values.conj().transpose(0, 2, 1)))
+        h = grid.n // 2
+        sym_err = np.max(np.abs(values[:h - 1] - values[h:-1][::-1].conj()), initial=0.0)
         scale = np.max(np.abs(values))
         if scale > 0 and herm_err > 1e-10 * scale:
             raise ValueError(f"matrices not Hermitian (max asymmetry {herm_err:.3e})")
+        if scale > 0 and sym_err > 1e-10 * scale:
+            raise ValueError("matrices not conjugate-symmetric in frequency "
+                             f"(max asymmetry {sym_err:.3e})")
         self.grid = grid
         self.values = values
         self.sample_rate_hz = sample_rate_hz
@@ -134,10 +142,16 @@ def fourier_coefficients(series):
 
 
 def periodogram(series):
-    """The P x P periodogram matrix I(w_k) = d(w_k) d*(w_k) / T per frequency."""
+    """The P x P periodogram matrix I(w_k) = d(w_k) d*(w_k) / T per frequency.
+
+    It is formed at w >= 0; each w < 0 matrix is the conjugate of its partner.
+    """
     grid, d = fourier_coefficients(series)
-    vals = np.einsum("kp,kq->kpq", d, d.conj()) / series.n_samples
-    return CrossSpectralMatrix(grid, vals, series.sample_rate_hz, series.channel_labels)
+    k0 = grid.n // 2 - 1  # w = 0
+    vals = np.empty((grid.n, d.shape[1], d.shape[1]), dtype=complex)
+    vals[k0:] = np.einsum("kp,kq->kpq", d[k0:], d[k0:].conj()) / series.n_samples
+    return CrossSpectralMatrix(grid, grid.mirror(vals), series.sample_rate_hz,
+                               series.channel_labels)
 
 
 def smooth_periodogram(csm, kernel):
@@ -152,17 +166,18 @@ def smooth_periodogram(csm, kernel):
         raise ConfigError(f"kernel bandwidth {b} too large for grid size {n}")
     w = kernel.weights()
     if b == 0:
-        return CrossSpectralMatrix(csm.grid, csm.values.copy(),
+        return CrossSpectralMatrix(csm.grid, csm.grid.mirror(csm.values.copy()),
                                    csm.sample_rate_hz, csm.channel_labels)
     kern = np.zeros(n)
     kern[:b + 1] = w[b:]
     kern[-b:] = w[:b]
     fk = np.fft.fft(kern)
     sm = np.fft.ifft(np.fft.fft(csm.values, axis=0) * fk[:, None, None], axis=0)
-    # circular convolution of Hermitian matrices with real weights: enforce
-    # the exact symmetry lost to FFT round-off
+    # circular convolution of Hermitian, conjugate-symmetric matrices with
+    # symmetric real weights: enforce the exact symmetries lost to FFT round-off
     sm = 0.5 * (sm + sm.conj().transpose(0, 2, 1))
-    return CrossSpectralMatrix(csm.grid, sm, csm.sample_rate_hz, csm.channel_labels)
+    return CrossSpectralMatrix(csm.grid, csm.grid.mirror(sm), csm.sample_rate_hz,
+                               csm.channel_labels)
 
 
 def var_spectrum(model, grid, sample_rate_hz=None):
@@ -171,18 +186,19 @@ def var_spectrum(model, grid, sample_rate_hz=None):
     f(w) = Phi^{-1}(e^{-i2pw}) Sigma_W Phi^{-*}(e^{-i2pw}) evaluated on the
     grid.  With this normalization the spectrum integrates over (-1/2, 1/2]
     to the process covariance (white noise of unit variance has a flat
-    spectrum of height 1).
+    spectrum of height 1).  It is evaluated at w >= 0 and mirrored.
     """
     if not model.is_stable():
         raise ValueError("VAR model is not stable (companion spectral radius >= 1)")
-    phi = transfer_function(model, grid)
+    k0 = grid.n // 2 - 1  # w = 0
     try:
-        inv = np.linalg.inv(phi)
+        inv = np.linalg.inv(transfer_function(model, grid)[k0:])
     except np.linalg.LinAlgError as exc:
         raise ValueError(f"singular transfer function (near-unit-root model): {exc}")
-    vals = inv @ model.noise_cov @ inv.conj().transpose(0, 2, 1)
-    vals = 0.5 * (vals + vals.conj().transpose(0, 2, 1))
-    return CrossSpectralMatrix(grid, vals, sample_rate_hz)
+    half = inv @ model.noise_cov @ inv.conj().transpose(0, 2, 1)
+    vals = np.empty((grid.n,) + half.shape[1:], dtype=complex)
+    vals[k0:] = 0.5 * (half + half.conj().transpose(0, 2, 1))
+    return CrossSpectralMatrix(grid, grid.mirror(vals), sample_rate_hz)
 
 
 def shrink_spectral_estimate(smoothed, parametric, kernel):
@@ -210,8 +226,8 @@ def shrink_spectral_estimate(smoothed, parametric, kernel):
     denom = mh + mi
     w1 = np.where(denom > 0, mh / np.where(denom > 0, denom, 1.0), 0.5)
     vals = w1[:, None, None] * f + (1.0 - w1)[:, None, None] * h
-    return CrossSpectralMatrix(smoothed.grid, vals, smoothed.sample_rate_hz,
-                               smoothed.channel_labels)
+    return CrossSpectralMatrix(smoothed.grid, smoothed.grid.mirror(vals),
+                               smoothed.sample_rate_hz, smoothed.channel_labels)
 
 
 def csm_to_csv(csm, path):

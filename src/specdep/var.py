@@ -8,6 +8,7 @@ band-filtered oscillations on each other to obtain band-to-band directed
 edges.
 """
 
+from functools import lru_cache
 from math import copysign
 
 import numpy as np
@@ -88,6 +89,36 @@ class VarModel:
                 f"spectral_radius={self.spectral_radius():.4f})")
 
 
+@lru_cache(maxsize=32)
+def _block_kernel(companion_bytes, m, P, B):
+    """Read-only ``(H, psi, carry, last)`` for B-sample blocks of the VAR in P
+    channels whose companion matrix (m x m) has these bytes: cached by value,
+    for the few models simulated last.
+
+    H maps a block's inputs to its forced response and psi the L = m/P lags
+    before a block to its free response; ``last`` picks a block's last L
+    samples (the next block's lags, newest first) and carry = psi[last].
+    """
+    A = np.frombuffer(companion_bytes).reshape(m, m)
+    L = m // P
+    # R[n] = top block row of A^n: h_n = R[n][:, :P], and the free response
+    # of sample j of a block is R[j + 1] z
+    R = np.empty((B + 1, P, m))
+    R[0] = np.eye(P, m)
+    for n in range(B):
+        R[n + 1] = R[n] @ A
+    h = np.concatenate((R[:B, :, :P], np.zeros((1, P, P))))
+    lag = np.subtract.outer(np.arange(B), np.arange(B))  # lag[j, i] = j - i
+    # H[(i, q), (j, p)] = h_{j-i}[p, q], zero above the diagonal
+    H = h[np.where(lag >= 0, lag, B).T].transpose(0, 3, 1, 2).reshape(B * P, B * P)
+    psi = R[1:].reshape(B * P, m)
+    last = (np.arange(B - 1, B - L - 1, -1)[:, None] * P + np.arange(P)).reshape(-1)
+    kernel = (H, psi, psi[last], last)
+    for a in kernel:
+        a.flags.writeable = False
+    return kernel
+
+
 def _var_recursion(model, w):
     """Solve x[t] = w[t] + sum_l Phi_l x[t-l] from a zero state, block by block.
 
@@ -96,35 +127,33 @@ def _var_recursion(model, w):
     its forced response to its own inputs, one block-Toeplitz product with
     the impulse response h_0..h_{B-1}, plus its free response Psi z_k to the
     L lags z_k = (x[kB-1], ..., x[kB-L]) before it.  Only z is carried from
-    block to block, one LP-vector product per block.
+    block to block: z_k = C z_{k-1} + g_{k-1}, with g the forced response's
+    last L samples, is itself a VAR(1) in LP channels, solved the same way.
     """
     P, L = model.n_channels, model.order
     # B >= L puts a block's L lags inside the block before it; below that,
     # BP <= 256 bounds the block-Toeplitz matrix at 256 x 256
-    B = max(L, min(64, 256 // P))
+    return _blocked(model.companion(), P, w, max(L, min(64, 256 // P)))
+
+
+def _blocked(A, P, w, B):
+    """:func:`_var_recursion` in B-sample blocks, for the P-channel VAR with companion A."""
+    m = A.shape[0]
+    H, psi, carry, last = _block_kernel(A.tobytes(), m, P, B)
     total = w.shape[0]
     nb = -(-total // B)
-    # R[n] = top block row of A^n for the companion matrix A: h_n = R[n][:, :P]
-    # and the free response of sample j of a block is R[j + 1] z
-    A = model.companion()
-    R = np.empty((B + 1, P, L * P))
-    R[0] = np.eye(P, L * P)
-    for n in range(B):
-        R[n + 1] = R[n] @ A
-    h = np.concatenate((R[:B, :, :P], np.zeros((1, P, P))))
-    lag = np.subtract.outer(np.arange(B), np.arange(B))  # lag[j, i] = j - i
-    # H[(i, q), (j, p)] = h_{j-i}[p, q], zero above the diagonal
-    H = h[np.where(lag >= 0, lag, B).T].transpose(0, 3, 1, 2).reshape(B * P, B * P)
-    psi = R[1:].reshape(B * P, L * P)
     W = np.zeros((nb, B * P))
     W.reshape(-1)[:total * P] = w.reshape(-1)
     forced = W @ H
-    # the next block's lags are this block's last L samples, newest first
-    last = (np.arange(B - 1, B - L - 1, -1)[:, None] * P + np.arange(P)).reshape(-1)
-    carry, g = psi[last], forced[:, last]
-    z = np.zeros((nb, L * P))
-    for k in range(1, nb):
-        z[k] = carry @ z[k - 1] + g[k - 1]
+    z = np.zeros((nb, m))
+    # blocks of at most 16 steps and 64 entries keep the carry's cached kernels
+    # small; step by step when not even two steps fit
+    Bz = min(16, 64 // m)
+    if nb > 1 and Bz > 1:
+        z[1:] = _blocked(carry, m, forced[:-1, last], Bz)
+    else:
+        for k in range(1, nb):
+            z[k] = carry @ z[k - 1] + forced[k - 1, last]
     x = forced + z @ psi.T
     return x.reshape(-1, P)[:total]
 
@@ -190,15 +219,17 @@ def _model_from_rows(Z, Y, B):
     return VarModel(_coeffs_from_rows(B), (resid.T @ resid) / Z.shape[0])
 
 
-def _var_problem(series, L):
+def _var_problem(series, L, columns=slice(None)):
     """The least-squares problem behind every VAR(L) fit: ``(Z, Y, Z'Z, Z'Y)``.
 
     Z and Y are the lag design and targets of the demeaned series (see
     :func:`_lag_design`).  Every estimator reads only the Gram matrix G = Z'Z
     and C = Z'Y, or a block or rescaling of them; Z and Y give residuals.
+    ``columns`` restricts G and C to those columns of Z.
     """
     Z, Y = _lag_design(demean(series.samples), int(L))
-    return Z, Y, Z.T @ Z, Z.T @ Y
+    Zc = Z[:, columns]
+    return Z, Y, Zc.T @ Zc, Zc.T @ Y
 
 
 def fit_ols(series, L):
@@ -379,17 +410,19 @@ def fit_lassle(series, L, lam, tol=1e-7, max_sweeps=10000):
     Stage one runs :func:`fit_lasso`; stage two refits each equation by OLS
     restricted to the surviving regressors, solved on the Gram matrix of
     the same least-squares problem, so nonzero coefficients lose the L1
-    shrinkage bias while LASSO zeros stay exactly zero.
+    shrinkage bias while LASSO zeros stay exactly zero.  Only the columns
+    some equation kept enter that Gram matrix.
     """
     # stage one is the public fit_lasso, so code that wraps it (the
     # benchmark's span tracer) also sees LASSLE's LASSO stage
     stage1 = fit_lasso(series, L, lam, tol, max_sweeps)
-    Z, Y, G, C = _var_problem(series, L)
     B1 = _rows_from_coeffs(stage1.coeffs)
+    kept = np.flatnonzero(B1.any(axis=1))
+    Z, Y, G, C = _var_problem(series, L, kept)
     B = np.zeros_like(B1)
     for p in range(B.shape[1]):
-        s = np.nonzero(B1[:, p])[0]
-        B[s, p] = np.linalg.solve(G[np.ix_(s, s)], C[s, p])
+        s = np.flatnonzero(B1[kept, p])
+        B[kept[s], p] = np.linalg.solve(G[np.ix_(s, s)], C[s, p])
     return _model_from_rows(Z, Y, B)
 
 

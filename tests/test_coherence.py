@@ -41,7 +41,8 @@ class TestCoherency:
         grid = FrequencyGrid(16)
         a = rng.standard_normal((16, 3)) + 1j * rng.standard_normal((16, 3))
         a[np.abs(a) < 0.1] += 0.5
-        vals = np.einsum("kp,kq->kpq", a, a.conj())
+        # rank one at w >= 0, and at w < 0 the conjugates of those matrices
+        vals = grid.mirror(np.einsum("kp,kq->kpq", a, a.conj()))
         f = CrossSpectralMatrix(grid, vals)
         for p, q in [(0, 1), (0, 2), (1, 2)]:
             assert np.allclose(np.abs(coherency(f, p, q)), 1.0, atol=1e-9)
@@ -162,6 +163,24 @@ class TestPartialCoherence:
         f = smoothed(white(T, P, seed), 4)
         assert np.array_equal(partial_coherence(f), partial_coherence_reference(f))
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_full_grid_estimate(self, seed):
+        # the estimate mirrored from w >= 0 against the smoothed periodogram
+        # formed at every frequency: coherence and partial coherence to 1e-10
+        from test_spectrum import full_grid_periodogram, full_grid_smooth
+        s, _ = example("gamma_alpha_net", 1024, seed)
+        kernel = SmoothingKernel("daniell", 8)
+        f = smooth_periodogram(periodogram(s), kernel)
+        v = full_grid_smooth(full_grid_periodogram(s), kernel)
+        d = np.real(np.einsum("kpp->kp", v))
+        coh = np.abs(v) ** 2 / (d[:, :, None] * d[:, None, :])
+        g = np.linalg.inv(v)
+        e = np.real(np.einsum("kpp->kp", g))
+        pcoh = np.abs(g) ** 2 / (e[:, :, None] * e[:, None, :])
+        off = ~np.eye(s.n_channels, dtype=bool)
+        assert np.max(np.abs(coherence_matrix(f).values - coh)[:, off]) <= 1e-10
+        assert np.max(np.abs(partial_coherence(f) - pcoh)[:, off]) <= 1e-10
+
     def test_bivariate_equals_coherence(self):
         for seed in range(20):
             s = white(256, 2, 100 + seed)
@@ -179,7 +198,8 @@ class TestPartialCoherence:
             block = np.outer(a, a.conj()) + 2.0 * np.eye(2)
             vals[k, :2, :2] = block
             vals[k, 2, 2] = 3.0
-        f = CrossSpectralMatrix(grid, vals)
+        # the blocks drawn for w >= 0, conjugated for w < 0
+        f = CrossSpectralMatrix(grid, grid.mirror(vals))
         pc = partial_coherence(f)
         assert np.allclose(pc[:, 0, 2], 0.0, atol=1e-12)
         assert np.allclose(pc[:, 1, 2], 0.0, atol=1e-12)

@@ -150,6 +150,21 @@ class TestDemean:
         assert np.all(d[:, 1] == 0.0)
         assert d[:, [0, 2]].tobytes() == (x - x.mean(axis=0))[:, [0, 2]].tobytes()
 
+    def test_ends_equal_but_not_constant(self):
+        # first, middle and last samples agree in column 1, yet it varies
+        x = np.random.default_rng(2).standard_normal((101, 3))
+        x[[0, 50, 100], 1] = 0.25
+        x[:, 2] = np.pi
+        d = demean(x)
+        assert d[:, :2].tobytes() == (x - x.mean(axis=0))[:, :2].tobytes()
+        assert np.all(d[:, 2] == 0.0)
+        assert demean(x[:, 1]).tobytes() == (x[:, 1] - x[:, 1].mean()).tobytes()
+
+    @pytest.mark.parametrize("shape", [(0,), (0, 3)])
+    def test_empty_rejected(self, shape):
+        with pytest.raises(ValueError):
+            demean(np.empty(shape))
+
 
 class TestCrossCovariance:
     def test_lag0_is_variance(self):

@@ -311,6 +311,17 @@ class TestOnePath:
             one = dualfreq_coherence(data, centers[0], N, p, wj, q, wk, smoothing)
             assert abs(one - want[0]) <= 1e-12
 
+    @pytest.mark.parametrize("seed", range(2))
+    def test_long_series_matches_per_sample_phases(self, seed):
+        # far from the origin the separated phases exp(-i 2 pi w lo) exp(-i 2 pi w m)
+        # round differently from exp(-i 2 pi w (lo + m)): 1e-10 absolute
+        s, _ = example("instant_mixture", 7680, seed)
+        centers = range(1152, 7680 - 1152, 256)
+        pairs = [(0, 40 / 128, 1, 40 / 128), (0, 2 / 128, 1, 40 / 128), (1, 0.3, 0, -0.45)]
+        got = [e["value"] for e in dualfreq_scan(s, centers, 256, pairs).entries]
+        want = reference_scan(s, centers, 256, pairs)
+        assert np.max(np.abs(np.subtract(got, want))) <= 1e-10
+
     @pytest.mark.parametrize("omega", [0.1, [0.1, -0.3, 0.5]])
     def test_local_fourier_matches_reference(self, omega):
         s = series_of(np.random.default_rng(4).standard_normal((300, 3)))

@@ -201,6 +201,27 @@ class TestBandSignals:
             unpadded = np.convolve(x[:, c], filt.coeffs, "valid")
             np.testing.assert_allclose(y[valid[i], i], unpadded[m - K], rtol=0, atol=1e-12)
 
+    def test_designs_cached_read_only(self, monkeypatch):
+        import specdep.filters as filters
+        filters._band_taps.cache_clear()
+        designs = []
+        design = filters.design_fir_bandpass
+
+        def counted_design(band, order, *args, **kwargs):
+            designs.append((band.name, order))
+            return design(band, order, *args, **kwargs)
+
+        monkeypatch.setattr(filters, "design_fir_bandpass", counted_design)
+        s = MultiChannelSeries(np.random.default_rng(6).standard_normal((512, 2)), 128.0)
+        picks = [(0, band_by_name("alpha")), (1, band_by_name("alpha")), (1, band_by_name("beta"))]
+        first = band_signals(s, picks, 40)[0]
+        band_signals(s, picks, 40, "causal")  # one design serves both modes
+        assert np.array_equal(band_signals(s, picks, 40)[0], first)
+        assert sorted(designs) == [("alpha", 40), ("beta", 40)]
+        taps = filters._band_taps(band_by_name("beta"), 40, 128.0)
+        assert not taps.flags.writeable
+        assert np.array_equal(taps, design(band_by_name("beta"), 40, 128.0).coeffs)
+
     def test_one_order_for_every_pick(self):
         s = MultiChannelSeries(np.random.default_rng(5).standard_normal((512, 2)), 128.0)
         picks = [(0, band_by_name("delta")), (1, band_by_name("beta"))]

@@ -18,7 +18,31 @@ THETA = band_by_name("theta")
 GAMMA = band_by_name("gamma")
 
 
+def two_sided_analytic_signal(x):
+    """The complex-FFT construction: DC and Nyquist kept, positive bins doubled,
+    negative bins zeroed."""
+    T = x.shape[0]
+    h = np.r_[1.0, np.full((T - 1) // 2, 2.0), np.ones(1 - T % 2), np.zeros((T - 1) // 2)]
+    return np.fft.ifft(np.fft.fft(x, axis=0) * h.reshape((T,) + (1,) * (x.ndim - 1)), axis=0)
+
+
 class TestAnalyticSignal:
+    @pytest.mark.parametrize("T", [16, 17, 1000, 16384])
+    def test_matches_two_sided_construction(self, T):
+        x = np.random.default_rng(T).standard_normal((T, 3)) + 2.0
+        z, ref = analytic_signal(x), two_sided_analytic_signal(x)
+        assert np.array_equal(z.real, x)
+        assert np.max(np.abs(z - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_modulation_index_matches_two_sided_construction(self, seed, monkeypatch):
+        import specdep.pac as pac
+        s, _ = example("pac", 8192, seed)
+        got = [modulation_index(s, c, THETA, c, GAMMA) for c in (0, 1)]
+        monkeypatch.setattr(pac, "analytic_signal", two_sided_analytic_signal)
+        want = [modulation_index(s, c, THETA, c, GAMMA) for c in (0, 1)]
+        assert np.max(np.abs(np.subtract(got, want)) / np.abs(want)) <= 1e-12
+
     def test_cosine_amplitude_and_phase(self):
         T, f = 2048, 8.0
         t = np.arange(T)
@@ -229,6 +253,7 @@ class TestPacScan:
 
     def test_filters_each_channel_band_once(self, monkeypatch):
         import specdep.filters as filters
+        filters._band_taps.cache_clear()  # count the designs of this scan alone
         designs, applied = [], []
         design, apply = filters.design_fir_bandpass, filters.apply_filter
 

@@ -190,6 +190,16 @@ class TestSpcaFit:
         assert sol.decode_filters.dtype == float
         assert np.all(np.isfinite(sol.decode_filters))
 
+    def test_matrix_changed_at_negative_frequencies_rejected(self):
+        # spca_fit decomposes w >= 0 only, so a matrix whose w < 0 half is not
+        # the conjugate of the rest is refused when it is built
+        s, _ = example("spca_mix", 1024, 3)
+        f = estimate_spectrum(s)
+        v = f.values.copy()
+        v[:f.grid.n // 2 - 1] *= 2.0
+        with pytest.raises(ValueError, match="not conjugate-symmetric"):
+            CrossSpectralMatrix(f.grid, v, f.sample_rate_hz)
+
     def test_eigen_gap_flagged(self):
         f = constant_spectrum(32, np.eye(2))  # fully degenerate
         sol = spca_fit(f, 1, lag_truncation=4)

@@ -9,7 +9,7 @@ from specdep.spectrum import (CrossSpectralMatrix, SmoothingKernel, ar2_from_pea
                               csm_to_json, default_bandwidth, fourier_coefficients,
                               periodogram, shrink_spectral_estimate,
                               smooth_periodogram, var_spectrum)
-from specdep.var import VarModel, simulate_var
+from specdep.var import VarModel, simulate_var, transfer_function
 
 
 def series(x, fs=128.0):
@@ -333,3 +333,89 @@ class TestSerialization:
                and r["p"] == "0" and r["q"] == "1"][0]
         assert float(row["re"]) == f.values[k, 0, 1].real
         assert float(row["im"]) == f.values[k, 0, 1].imag
+
+
+def full_grid_periodogram(s):
+    """d d* / T formed at every grid frequency, w < 0 included."""
+    _, d = fourier_coefficients(s)
+    return np.einsum("kp,kq->kpq", d, d.conj()) / s.n_samples
+
+
+def full_grid_smooth(v, kernel):
+    """Circular smoothing of every grid frequency by FFT, then Hermitian symmetrization."""
+    n, b = v.shape[0], kernel.bandwidth
+    kern = np.zeros(n)
+    kern[:b + 1] = kernel.weights()[b:]
+    kern[n - b:] = kernel.weights()[:b]
+    sm = np.fft.ifft(np.fft.fft(v, axis=0) * np.fft.fft(kern)[:, None, None], axis=0)
+    return 0.5 * (sm + sm.conj().transpose(0, 2, 1))
+
+
+def full_grid_var_spectrum(model, grid):
+    """Phi^{-1} Sigma Phi^{-*} inverted at every grid frequency, then symmetrized."""
+    inv = np.linalg.inv(transfer_function(model, grid))
+    vals = inv @ model.noise_cov @ inv.conj().transpose(0, 2, 1)
+    return 0.5 * (vals + vals.conj().transpose(0, 2, 1))
+
+
+def full_grid_blend(f, h, kernel):
+    """The shrinkage weights W1 = m_h / (m_h + m_I) applied at every grid frequency."""
+    mh = np.sum(np.abs(h - f) ** 2, axis=(1, 2))
+    mi = np.sum(kernel.weights() ** 2) * np.sum(np.abs(f) ** 2, axis=(1, 2))
+    w1 = mh / (mh + mi)
+    return w1[:, None, None] * f + (1.0 - w1)[:, None, None] * h
+
+
+def is_conjugate_mirrored(v):
+    h = v.shape[0] // 2
+    return np.array_equal(v[:h - 1], v[h:-1][::-1].conj())
+
+
+class TestConjugateSymmetry:
+    """Every estimator writes w < 0 as the exact conjugate of w > 0, within
+    1e-14 of the largest entry of the formulas that evaluate every frequency."""
+
+    KERNEL = SmoothingKernel("daniell", 8)
+
+    def _series(self, seed, T=512):
+        model = VarModel([[[0.5, 0.2, 0.0], [0.0, 0.3, 0.1], [0.1, 0.0, -0.4]]], np.eye(3))
+        return simulate_var(model, T, seed)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_estimators_mirror_exactly_and_match_full_grid(self, seed):
+        from specdep.var import fit_ols
+        s = self._series(seed)
+        grid = FrequencyGrid(s.n_samples)
+        fitted = fit_ols(s, 2)
+        I = periodogram(s)
+        f = smooth_periodogram(I, self.KERNEL)
+        h = var_spectrum(fitted, grid)
+        cases = [
+            (I, full_grid_periodogram(s)),
+            (smooth_periodogram(I, SmoothingKernel("daniell", 0)), full_grid_periodogram(s)),
+            (f, full_grid_smooth(full_grid_periodogram(s), self.KERNEL)),
+            (h, full_grid_var_spectrum(fitted, grid)),
+            (shrink_spectral_estimate(f, h, self.KERNEL), full_grid_blend(
+                full_grid_smooth(full_grid_periodogram(s), self.KERNEL),
+                full_grid_var_spectrum(fitted, grid), self.KERNEL)),
+        ]
+        for got, ref in cases:
+            assert is_conjugate_mirrored(got.values)
+            assert np.max(np.abs(got.values - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_periodogram_nonnegative_half_bit_identical(self, seed):
+        s = self._series(seed)
+        k0 = s.n_samples // 2 - 1
+        assert np.array_equal(periodogram(s).values[k0:], full_grid_periodogram(s)[k0:])
+
+    def test_rejects_matrices_changed_at_negative_frequencies(self):
+        f = periodogram(self._series(0))
+        v = f.values.copy()
+        v[3] += np.eye(3)  # still Hermitian, no longer the conjugate of its partner
+        with pytest.raises(ValueError, match="not conjugate-symmetric"):
+            CrossSpectralMatrix(f.grid, v)
+        # at the Hermitian check's tolerance, rounding passes
+        v = f.values.copy()
+        v[3] *= 1 + 1e-12
+        CrossSpectralMatrix(f.grid, v)

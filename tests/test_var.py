@@ -14,8 +14,8 @@ from specdep.var import (LassoConvergenceError, VarModel,
                          model_to_json, pdc, select_order, simulate_var,
                          spectral_var, transfer_function, tv_pdc)
 from specdep.coherence import tv_coherence
-from specdep.var import (_cd_lasso, _coeffs_from_rows, _lag_design, _rows_from_coeffs,
-                         _var_recursion)
+from specdep.var import (_block_kernel, _cd_lasso, _coeffs_from_rows, _lag_design,
+                         _rows_from_coeffs, _var_recursion)
 
 
 def stable_var2():
@@ -140,6 +140,27 @@ class TestVarRecursion:
         got = simulate_var(model, 300, 5, burn_in=20).samples
         ref = reference_recursion(model, driving_noise(model, 320, 5))[20:]
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("model", [ar2_from_peak(1.05, 0.2), ar2_from_peak(1.01, 0.02),
+                                       pdc_net_model(), stable_var2(), long_var()],
+                             ids=["alpha", "delta", "pdc_net", "var2", "var70"])
+    def test_blocked_carry_matches_per_block_loop(self, model):
+        # the lags carried between blocks, solved as a blocked VAR(1), against
+        # one carry step per block: the simulated series agree to 1e-14
+        P, L = model.n_channels, model.order
+        B = resolve_length("B", P, L)
+        H, psi, carry, last = _block_kernel(model.companion().tobytes(), L * P, P, B)
+        w = driving_noise(model, 8692, 3)
+        nb = -(-w.shape[0] // B)
+        W = np.zeros((nb, B * P))
+        W.reshape(-1)[:w.size] = w.reshape(-1)
+        forced = W @ H
+        z = np.zeros((nb, L * P))
+        for k in range(1, nb):
+            z[k] = carry @ z[k - 1] + forced[k - 1, last]
+        ref = (forced + z @ psi.T).reshape(-1, P)[:w.shape[0]]
+        got = _var_recursion(model, w)
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 def reference_ols(series, L):
@@ -457,6 +478,23 @@ class TestGramLasso:
             got2 = _rows_from_coeffs(fit_lassle(s, L, lam).coeffs)
             assert np.max(np.abs(got2 - B2), initial=0.0) < 1e-10
             assert np.array_equal(got2 != 0, B2 != 0)
+
+    @pytest.mark.parametrize("L", [2, 15])
+    def test_lassle_refit_matches_full_gram(self, L):
+        # the refit on the Gram matrix of the kept columns against the one
+        # solved on the whole problem's Gram matrix: same supports, 1e-10
+        for seed in range(3):
+            s, _ = example("pdc_net", 8192, seed)
+            Z, Y = _lag_design(demean(s.samples), L)
+            G, C = Z.T @ Z, Z.T @ Y
+            B1 = _rows_from_coeffs(fit_lasso(s, L, 0.1).coeffs)
+            ref = np.zeros_like(B1)
+            for p in range(B1.shape[1]):
+                k = np.flatnonzero(B1[:, p])
+                ref[k, p] = np.linalg.solve(G[np.ix_(k, k)], C[k, p])
+            got = _rows_from_coeffs(fit_lassle(s, L, 0.1).coeffs)
+            assert np.array_equal(got != 0, ref != 0)
+            assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref))
 
     def test_lassle_first_stage_is_fit_lasso(self, monkeypatch):
         # a wrapper of the module's fit_lasso (a profiler, the benchmark's
