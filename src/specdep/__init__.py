@@ -2,7 +2,7 @@
 
 Submodules
 ----------
-core      containers, bands, lag-domain correlation
+core      containers, bands, frequency grid, lag-domain correlation
 filters   FIR design and causal / zero-phase application
 spectrum  cross-spectral matrix estimation (periodogram, smoothing, VAR
           spectra, AR(2) oscillators, shrinkage)
@@ -18,8 +18,8 @@ cli       command-line interface
 from .core import (Band, FrequencyGrid, MultiChannelSeries, band_by_name,
                    cross_correlation, cross_covariance, demean,
                    max_lag_sq_correlation, standard_bands)
-from .filters import (FirFilter, apply_filter, band_signals, decompose_rhythms,
-                      design_fir_bandpass, frequency_response)
+from .filters import (FirFilter, apply_filter, band_signals, design_fir_bandpass,
+                      frequency_response)
 from .spectrum import (CrossSpectralMatrix, SmoothingKernel, ar2_from_peak,
                        fourier_coefficients, periodogram,
                        shrink_spectral_estimate, smooth_periodogram,
@@ -29,13 +29,12 @@ from .coherence import (band_coherence, coherence, coherence_matrix, coherency,
                         partial_coherence_residual, tv_coherence,
                         tv_partial_coherence)
 from .dualfreq import band_dualfreq_coherence, dualfreq_coherence, local_fourier
-from .pac import (analytic_signal, kl_divergence, modulation_index, pac_scan,
-                  phase_amplitude_distribution)
+from .pac import analytic_signal, modulation_index, pac_scan, phase_amplitude_distribution
 from .var import (VarModel, fit_lassle, fit_lasso, fit_ols, fit_var,
                   granger_edges, pdc, select_order, simulate_var, spectral_var,
                   transfer_function, tv_pdc)
-from .spca import (band_loadings, pca_decode, pca_encode, pca_fit,
-                   reconstruction_error, spca_decode, spca_encode, spca_fit)
+from .spca import (pca_decode, pca_encode, pca_fit, reconstruction_error,
+                   spca_decode, spca_encode, spca_fit)
 from .simulate import example, gen_sources, mix
 
 __version__ = "0.1.0"

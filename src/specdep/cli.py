@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Subcommands mirror the library one-to-one and stay thin: parse and validate
+Subcommands follow the library one-to-one and stay thin: parse and validate
 the configuration, call the module function, write results.  CSV is the only
 ingestion format (header row of channel labels, one row per sample); the
 sampling rate is always an explicit flag.  Values are written at 17
@@ -8,9 +8,11 @@ significant digits so a round trip through disk is exact to 1e-12.
 
 Exit codes: 0 success, 1 malformed input, 2 invalid configuration,
 3 numerical failure, each failure with one diagnostic line on standard
-error.  A flag the parser rejects (missing, unknown, mistyped, an invalid
-choice, no subcommand), a negative --seed and an output path that cannot be
-written are configuration errors too; usage is printed only for --help.
+error.  A floating-point overflow, invalid operation or division by zero
+in numpy is a numerical failure too, not a warning.  A flag the parser
+rejects (missing, unknown, mistyped, an invalid choice, no subcommand), a
+negative --seed and an output path that cannot be written are
+configuration errors; usage is printed only for --help.
 """
 
 import argparse
@@ -403,7 +405,8 @@ def build_parser():
 def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return args.func(args)
     except MalformedInputError as exc:
         print(f"specdep: malformed input: {exc}", file=sys.stderr)
         return 1

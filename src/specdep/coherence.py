@@ -5,7 +5,8 @@ a cross-spectral matrix.  Band coherence works directly on band-filtered
 signals as the maximal squared lagged cross-correlation.  Partial coherence
 conditions on all remaining channels through the inverse spectral matrix, or
 on a single channel through regression residuals of filtered signals; both
-matrix forms normalize m_pq / sqrt(m_pp m_qq), of f and of its inverse.
+matrix forms normalize m_pq / sqrt(m_pp m_qq), of f and of its inverse,
+on the w >= 0 half of f and unfold the result to the whole grid.
 Time-varying versions run :func:`estimate_spectrum` on each window.
 """
 
@@ -27,11 +28,10 @@ _COND_CAP = 1e10
 
 @dataclass
 class CoherenceResult:
-    """Per-frequency coherence matrices with the coherency kept alongside."""
+    """Per-frequency coherence matrices over the whole grid, in grid order."""
 
     grid: object
     values: np.ndarray            # (n, P, P) real in [0, 1]
-    coherency: np.ndarray = None  # (n, P, P) complex, optional
 
 
 def _normalized(m):
@@ -50,7 +50,7 @@ def _normalized(m):
 def coherency(f, p, q):
     """Complex coherency tau_pq(w) = f_pq / sqrt(f_pp f_qq) over the grid."""
     pq = _check_channels([p, q], f.n_channels)
-    return _normalized(f.values[:, pq][:, :, pq])[0][:, 0, 1]
+    return f.grid.unfold(_normalized(f.half[:, pq][:, :, pq])[0][:, 0, 1])
 
 
 def coherence(f, p, q):
@@ -60,8 +60,7 @@ def coherence(f, p, q):
 
 def coherence_matrix(f):
     """All-pairs coherence as a CoherenceResult (diagonal is exactly 1)."""
-    tau, vals = _normalized(f.values)
-    return CoherenceResult(f.grid, vals, tau)
+    return CoherenceResult(f.grid, f.grid.unfold(_normalized(f.half)[1]))
 
 
 def band_coherence(series, p, q, band, filter_order=None, max_lag=None):
@@ -98,26 +97,23 @@ def partial_coherence(f):
     --shrink-order) in that case.
 
     The matrices at w >= 0 are checked and inverted; the result at -w, the
-    same as at w for the conjugate matrix, is copied.
+    same as at w for the conjugate matrix, is unfolded from them.
 
     Returns
     -------
     ndarray, shape (n, P, P), real, entries in [0, 1]
     """
-    k0 = f.grid.n // 2 - 1  # w = 0
-    v = f.values[k0:]
+    v = f.half
     ev = np.linalg.eigvalsh(0.5 * (v + v.conj().transpose(0, 2, 1)))
     lo, hi = ev[:, 0], ev[:, -1]
     bad = (lo <= 0) | (hi > _COND_CAP * np.maximum(lo, 1e-300))
     if np.any(bad):
-        k = k0 + int(np.nonzero(bad)[0][0])
+        k = f.grid.n // 2 - 1 + int(np.nonzero(bad)[0][0])
         raise ValueError(
             f"spectral matrix ill-conditioned at grid index {k} (frequency "
             f"{f.grid.frequencies[k]:.6f}); shrink the estimate toward a VAR "
             f"spectrum (shrink_spectral_estimate, or --shrink-order on the command line)")
-    out = np.empty(f.values.shape)
-    out[k0:] = _normalized(np.linalg.inv(v))[1]
-    return f.grid.mirror(out)
+    return f.grid.unfold(_normalized(np.linalg.inv(v))[1])
 
 
 def partial_coherence_residual(series, p, q, c, band, filter_order=None):

@@ -2,12 +2,13 @@
 
 The basic data object is :class:`MultiChannelSeries`, a T x P sample matrix
 with a sampling rate.  All dependence measures in the other modules consume
-it.  Covariance/correlation here use the biased 1/T normalization so that the
-autocovariance sequence is positive semi-definite.  Every long-format
-result table is written by :func:`table_to_csv` (per-frequency matrices
-through :func:`frequency_table_to_csv`), every JSON document by
-:func:`write_json`, and every time-varying estimate loops over
-:func:`sliding_windows`.
+it.  :class:`FrequencyGrid` orders the frequencies of an n-point spectrum and
+unfolds its w >= 0 half to the whole grid.  Covariance/correlation here use
+the biased 1/T normalization so that the autocovariance sequence is positive
+semi-definite.  Every long-format result table is written by
+:func:`table_to_csv` (per-frequency matrices through
+:func:`frequency_table_to_csv`), every JSON document by :func:`write_json`,
+and every time-varying estimate loops over :func:`sliding_windows`.
 """
 
 import json
@@ -172,9 +173,9 @@ class FrequencyGrid:
     """The n-point grid of fundamental frequencies k/n, in cycles/sample.
 
     Frequencies run over k = -(n/2 - 1) .. n/2, i.e. ascending through
-    (-0.5, 0.5] with the Nyquist bin labelled +0.5.  ``from_fft_order`` /
-    ``to_fft_order`` translate arrays between this ordering and the natural
-    FFT bin ordering 0 .. n-1 (the two are cyclic rotations of each other).
+    (-0.5, 0.5] with the Nyquist bin labelled +0.5: a cyclic rotation of the
+    FFT bins 0 .. n-1.  Rows n/2 - 1 on, w = 0 .. 1/2, are the ``rfft`` bins,
+    the half from which ``unfold`` builds the spectrum of a real series.
     """
 
     def __init__(self, n):
@@ -191,19 +192,14 @@ class FrequencyGrid:
         """Reorder an array indexed by FFT bin (axis 0) into grid order."""
         return np.asarray(values)[self._fft_index]
 
-    def to_fft_order(self, values):
-        """Inverse of :meth:`from_fft_order`."""
-        out = np.empty_like(np.asarray(values))
-        out[self._fft_index] = values
-        return out
+    def unfold(self, half):
+        """The n grid-order rows (axis 0) of the n/2 + 1 rows ``half`` at w >= 0.
 
-    def mirror(self, values):
-        """Overwrite the w < 0 rows of ``values`` (axis 0, grid order) with the
-        conjugates of their w > 0 partners and return it: spectra of real
-        series are conjugate-symmetric, so rows n/2 - 1 (w = 0) on determine them."""
-        h = self.n // 2
-        np.conjugate(values[h:-1][::-1], out=values[:h - 1])
-        return values
+        Each w < 0 row is the conjugate of its w > 0 partner, as the spectra
+        of real series are: f(-w) = conj f(w).  A real ``half`` stays real.
+        """
+        half = np.asarray(half)
+        return np.concatenate([half[self.n // 2 - 1:0:-1].conj(), half])
 
     def index_of(self, freq):
         """Index of the grid frequency nearest ``freq`` in [-0.5, 0.5], distance
@@ -215,11 +211,6 @@ class FrequencyGrid:
 
     def index_of_hz(self, freq_hz, sample_rate_hz):
         return self.index_of(freq_hz / sample_rate_hz)
-
-    def band_indices(self, band, sample_rate_hz):
-        """Indices of the grid frequencies in ``band``'s [low_hz, high_hz)."""
-        hz = self.frequencies * sample_rate_hz
-        return np.nonzero((hz >= band.low_hz) & (hz < band.high_hz))[0]
 
     def __eq__(self, other):
         return isinstance(other, FrequencyGrid) and self.n == other.n

@@ -10,12 +10,11 @@ filters causally.  Every band-filtered signal an analysis uses comes from
 :func:`band_signals`, with the slice of its samples clear of start-up.
 """
 
-import warnings
 from functools import lru_cache
 
 import numpy as np
 
-from .core import Band, ConfigError, _public, standard_bands
+from .core import ConfigError, _public
 
 MAX_DECOMPOSE_ORDER = 512
 
@@ -173,31 +172,6 @@ def default_order(band, sample_rate_hz):
     k = 4 * int(np.ceil(sample_rate_hz / band.low_hz))
     k += k % 2
     return min(k, MAX_DECOMPOSE_ORDER)
-
-
-def decompose_rhythms(series, order=None, mode="zero_phase"):
-    """Split a series into the five standard rhythms.
-
-    Returns a dict Band -> band-filtered MultiChannelSeries.  Bands whose
-    upper edge exceeds the Nyquist frequency are clipped with a warning.
-
-    Parameters
-    ----------
-    order : int, optional
-        One order for all bands; default per-band via :func:`default_order`.
-    """
-    nyq = series.sample_rate_hz / 2
-    out = {}
-    for band in standard_bands():
-        if band.low_hz >= nyq:
-            warnings.warn(f"band {band.name} lies above Nyquist ({nyq} Hz); skipped")
-            continue
-        if band.high_hz > nyq:
-            warnings.warn(f"band {band.name} clipped at Nyquist ({nyq} Hz)")
-            band = Band(band.name, band.low_hz, nyq * 0.999)
-        picks = [(c, band) for c in range(series.n_channels)]
-        out[band] = series.with_samples(band_signals(series, picks, order, mode)[0])
-    return out
 
 
 def save_taps(path, coeffs):

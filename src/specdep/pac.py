@@ -69,16 +69,8 @@ def phase_amplitude_distribution(phase, amplitude, n_bins):
     return means / total, means
 
 
-def kl_divergence(p, q):
+def _kl_divergence(p, q):
     """Kullback-Leibler divergence sum_k p_k log(p_k / q_k), with 0 log 0 = 0."""
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    if p.shape != q.shape or p.ndim != 1:
-        raise ConfigError("p and q must be 1-D of equal length")
-    if np.any(p < 0) or np.any(q < 0):
-        raise ConfigError("distributions must be non-negative")
-    if abs(p.sum() - 1) > 1e-8 or abs(q.sum() - 1) > 1e-8:
-        raise ConfigError("distributions must each sum to 1")
     mask = p > 0
     if np.any(q[mask] <= 0):
         raise ValueError("support violation: p > 0 where q == 0")
@@ -136,7 +128,7 @@ def _mi(phase, amp, trim, n_bins):
     if phase.size <= 2 * trim + n_bins:
         raise ConfigError("series too short after trimming filter transients")
     probs, _ = phase_amplitude_distribution(phase[trim:-trim], amp[trim:-trim], n_bins)
-    mi = kl_divergence(probs, np.full(n_bins, 1.0 / n_bins)) / np.log(n_bins)
+    mi = _kl_divergence(probs, np.full(n_bins, 1.0 / n_bins)) / np.log(n_bins)
     if not -1e-12 <= mi <= 1 + 1e-12:
         raise ValueError(f"modulation index {mi!r} outside [0, 1]")
     return min(max(mi, 0.0), 1.0)

@@ -2,7 +2,8 @@
 
 Classical PCA encodes with the top eigenvectors of the lag-0 covariance; its
 components can miss structure that lives in lead-lag relationships.  Spectral
-PCA eigendecomposes the spectral matrix frequency by frequency and inverts
+PCA eigendecomposes the spectral matrix frequency by frequency over its
+stored w >= 0 half, whose conjugates are the loadings at w < 0, and inverts
 the per-frequency loadings to a bank of two-sided lag-domain filters, giving
 components that are mutually incoherent at every frequency.
 
@@ -79,7 +80,7 @@ class SpcaSolution:
     """Per-frequency spectral loadings plus their lag-domain filter banks.
 
     ``loadings[k]`` is the P x Q matrix of top eigenvectors of f(w_k), phase
-    aligned across neighbouring frequencies and conjugate-symmetric in w, so
+    aligned across neighbouring frequencies and A(-w) = conj A(w), so
     the inverse-DFT lag filters are real.  ``encode_filters`` (Q x P per lag,
     B(l)) and ``decode_filters`` (P x Q per lag, A(l)) cover lags
     -lag_truncation..lag_truncation.
@@ -120,10 +121,10 @@ def spca_fit(spectral_estimate, Q, lag_truncation=None):
     its distance to the previous frequency's vector (anchored at w = 0 with
     the real positive-max-entry convention, and forced real at the Nyquist
     bin); without this alignment the inverse DFT to lag filters would be
-    meaningless.  Only w >= 0 is decomposed: the loadings at -w are the
-    conjugates of those at w, as the matrices are, hence the lag filters
-    A(l) = (1/n) sum_k A(w_k) e^{i 2 pi l w_k} are real.  Truncation
-    defaults to n/8 lags each side.
+    meaningless.  Only the stored w >= 0 half is decomposed: the loadings at
+    -w are the conjugates of those at w, as the matrices are, hence the lag
+    filters A(l) = (1/n) sum_k A(w_k) e^{i 2 pi l w_k} are real, the
+    ``irfft`` of the half.  Truncation defaults to n/8 lags each side.
 
     An eigen-gap collapse (lambda_Q close to lambda_{Q+1} within 1e-6
     relative) is recorded in ``degenerate_freqs``; the solution is still
@@ -138,19 +139,17 @@ def spca_fit(spectral_estimate, Q, lag_truncation=None):
     lag_truncation = int(lag_truncation)
     if not 0 <= lag_truncation < n // 2:
         raise ConfigError("lag truncation must be >= 0 and below half the grid size")
-    if np.all(np.einsum("kpp->k", f.values).real <= 0):
+    if np.all(np.einsum("kpp->k", f.half).real <= 0):
         raise ValueError("zero total power at every frequency; no components to extract")
 
-    half = n // 2  # positive bins k = 0..n/2 live at grid indices half-1 .. n-1
-    pos = f.values[half - 1:]
     # f is real symmetric at DC and Nyquist for real input
-    ev_end, vec_end = _eigh_descending(pos[[0, half]].real)
-    ev_mid, vec_mid = _eigh_descending(pos[1:half])
+    ev_end, vec_end = _eigh_descending(f.half[[0, -1]].real)
+    ev_mid, vec_mid = _eigh_descending(f.half[1:-1])
     ev = np.concatenate([ev_end[:1], ev_mid, ev_end[1:]])
     degenerate = []
     if Q < P:
         gap = ev[:, Q - 1] - ev[:, Q] <= 1e-6 * np.maximum(np.abs(ev[:, Q - 1]), 1e-300)
-        degenerate = f.grid.frequencies[half - 1:][gap].tolist()
+        degenerate = f.grid.frequencies[n // 2 - 1:][gap].tolist()
 
     # Bin k's vectors v_k are rotated by unit phases u_k = u_{k-1} conj(w_k)/|w_k|,
     # w_k = v_{k-1}^H v_k, which brings each closest to its aligned predecessor.
@@ -170,19 +169,13 @@ def spca_fit(spectral_estimate, Q, lag_truncation=None):
     nyq = np.where(np.einsum("pq,pq->q", vecs[-1].conj(), nyq).real < 0, -nyq, nyq)
     vecs = np.concatenate([vecs, nyq[None]])
 
-    # negative frequency -k/n (k = half-1 .. 1) sits at grid index half - 1 - k
-    loadings = np.concatenate([vecs[half - 1:0:-1].conj(), vecs])
-    eigenvalues = np.concatenate([ev[half - 1:0:-1, :Q], ev[:, :Q]])
-
-    # A(l) = (1/n) sum_k A(w_k) e^{+i 2 pi l k / n}: an inverse DFT in FFT order
-    fft_ordered = f.grid.to_fft_order(loadings)
-    lag_full = np.fft.ifft(fft_ordered, axis=0)
+    # A(l) = (1/n) sum_k A(w_k) e^{+i 2 pi l k / n}, k over all n bins
     lags = np.arange(-lag_truncation, lag_truncation + 1)
-    A_l = lag_full[np.mod(lags, n)].real
+    A_l = np.fft.irfft(vecs, n, axis=0)[np.mod(lags, n)]
     # encode transfer is A*(w); its lag filter is B(l) = A(-l)^T
     B_l = A_l[::-1].transpose(0, 2, 1)
-    return SpcaSolution(f.grid, loadings, eigenvalues, lag_truncation,
-                        A_l, B_l, f.sample_rate_hz, degenerate)
+    return SpcaSolution(f.grid, f.grid.unfold(vecs), f.grid.unfold(ev[:, :Q]),
+                        lag_truncation, A_l, B_l, f.sample_rate_hz, degenerate)
 
 
 def _apply_lag_filter(x, filters, lag_truncation):
@@ -237,16 +230,6 @@ def reconstruction_error(series, sol):
         raise ConfigError("series too short for the solution's lag range")
     sl = slice(trim, x.shape[0] - trim) if trim else slice(None)
     return float(np.mean(np.sum((demean(x[sl]) - demean(xhat[sl])) ** 2, axis=1)))
-
-
-def band_loadings(sol, band):
-    """Mean absolute loadings |A(w)| over grid frequencies inside a band (Hz)."""
-    if sol.sample_rate_hz is None:
-        raise ConfigError("solution has no sample rate; band lookup needs Hz")
-    idx = sol.grid.band_indices(band, sol.sample_rate_hz)
-    if idx.size == 0:
-        raise ConfigError(f"no grid frequencies inside band {band.name}")
-    return np.mean(np.abs(sol.loadings[idx]), axis=0)
 
 
 def spca_to_json(sol):

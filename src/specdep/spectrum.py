@@ -5,7 +5,8 @@ coefficients, kernel-smoothed periodograms, closed-form VAR spectra (an
 AR(2) oscillator is the one-channel VAR(2) from :func:`ar2_from_peak`), and
 a shrinkage estimator that mixes the smoothed periodogram with a parametric
 VAR spectrum, frequency by frequency, according to mean-squared error
-proxies.
+proxies.  Each estimator forms only the matrices at w >= 0, the half that
+:class:`CrossSpectralMatrix` stores; its ``values`` unfold the whole grid.
 """
 
 from dataclasses import dataclass
@@ -19,54 +20,57 @@ from .var import VarModel, transfer_function
 class CrossSpectralMatrix:
     """A Hermitian PSD P x P complex matrix per frequency-grid point.
 
-    The matrices are conjugate-symmetric in frequency, f(-w) = conj f(w), as
-    the spectra of real series are: the w >= 0 half holds the estimate.
+    Only the n/2 + 1 matrices at w = 0 .. 1/2 are stored, as ``half``: the
+    spectrum of a real series has f(-w) = conj f(w), so that half determines
+    the rest.
 
     Parameters
     ----------
     grid : FrequencyGrid
-    values : ndarray, shape (n, P, P), complex
-        One matrix per grid frequency, in grid order.
+    half : ndarray, shape (n/2 + 1, P, P), complex
+        One matrix per grid frequency w >= 0, ascending (the ``rfft`` bins).
     sample_rate_hz : float, optional
         Present when the matrix was estimated from sampled data; used to
         translate Hz bands into grid indices.
     channel_labels : list of str, optional
     """
 
-    def __init__(self, grid, values, sample_rate_hz=None, channel_labels=None):
-        values = np.asarray(values, dtype=complex)
-        if values.ndim != 3 or values.shape[1] != values.shape[2]:
-            raise ConfigError("values must be (n, P, P)")
-        if values.shape[0] != grid.n:
-            raise ConfigError(f"values axis 0 ({values.shape[0]}) != grid size {grid.n}")
-        herm_err = np.max(np.abs(values - values.conj().transpose(0, 2, 1)))
-        h = grid.n // 2
-        sym_err = np.max(np.abs(values[:h - 1] - values[h:-1][::-1].conj()), initial=0.0)
-        scale = np.max(np.abs(values))
+    def __init__(self, grid, half, sample_rate_hz=None, channel_labels=None):
+        half = np.asarray(half, dtype=complex)
+        if half.ndim != 3 or half.shape[1] != half.shape[2]:
+            raise ConfigError("half must be (n/2 + 1, P, P)")
+        if half.shape[0] != grid.n // 2 + 1:
+            raise ConfigError(f"half has {half.shape[0]} rows, not n/2 + 1 = {grid.n // 2 + 1}")
+        herm_err = np.max(np.abs(half - half.conj().transpose(0, 2, 1)))
+        scale = np.max(np.abs(half))
         if scale > 0 and herm_err > 1e-10 * scale:
             raise ValueError(f"matrices not Hermitian (max asymmetry {herm_err:.3e})")
-        if scale > 0 and sym_err > 1e-10 * scale:
-            raise ValueError("matrices not conjugate-symmetric in frequency "
-                             f"(max asymmetry {sym_err:.3e})")
         self.grid = grid
-        self.values = values
+        self.half = half
         self.sample_rate_hz = sample_rate_hz
         self.channel_labels = channel_labels
 
     @property
+    def values(self):
+        """Read-only (n, P, P) matrices over the whole grid, in grid order."""
+        v = self.grid.unfold(self.half)
+        v.flags.writeable = False
+        return v
+
+    @property
     def n_channels(self):
-        return self.values.shape[1]
+        return self.half.shape[1]
 
     def validate(self):
         """Check positive semi-definiteness; the constructor checks Hermitian symmetry."""
-        v = self.values
+        v = self.half
         ev = np.linalg.eigvalsh(0.5 * (v + v.conj().transpose(0, 2, 1)))
         tr = np.real(np.trace(v, axis1=1, axis2=2))
         floor = -1e-8 * np.maximum(tr, np.max(tr) * 1e-12 if np.max(tr) > 0 else 1.0)
         if np.any(ev[:, 0] < floor):
             worst = int(np.argmin(ev[:, 0] - floor))
-            raise ValueError(
-                f"not PSD at grid index {worst}: min eigenvalue {ev[worst, 0]:.3e}")
+            raise ValueError(f"not PSD at grid index {self.grid.n // 2 - 1 + worst}: "
+                             f"min eigenvalue {ev[worst, 0]:.3e}")
         return self
 
     def __repr__(self):
@@ -142,63 +146,56 @@ def fourier_coefficients(series):
 
 
 def periodogram(series):
-    """The P x P periodogram matrix I(w_k) = d(w_k) d*(w_k) / T per frequency.
-
-    It is formed at w >= 0; each w < 0 matrix is the conjugate of its partner.
-    """
+    """The P x P periodogram matrix I(w_k) = d(w_k) d*(w_k) / T per frequency w_k >= 0."""
     grid, d = fourier_coefficients(series)
-    k0 = grid.n // 2 - 1  # w = 0
-    vals = np.empty((grid.n, d.shape[1], d.shape[1]), dtype=complex)
-    vals[k0:] = np.einsum("kp,kq->kpq", d[k0:], d[k0:].conj()) / series.n_samples
-    return CrossSpectralMatrix(grid, grid.mirror(vals), series.sample_rate_hz,
-                               series.channel_labels)
+    d = d[grid.n // 2 - 1:]  # w >= 0
+    half = np.einsum("kp,kq->kpq", d, d.conj()) / series.n_samples
+    return CrossSpectralMatrix(grid, half, series.sample_rate_hz, series.channel_labels)
 
 
 def smooth_periodogram(csm, kernel):
     """Kernel-smooth a spectral matrix circularly across frequency.
 
     f~(w) = sum_l Q_b(l) I(w_{k-l}) with wrap-around indexing; smoothing by a
-    convex combination preserves both Hermitian symmetry and PSD-ness.
+    convex combination preserves both Hermitian symmetry and PSD-ness.  The
+    circular convolution is computed in its lag-window form: the lag sequence
+    of the spectrum (``irfft`` of the w >= 0 half, real as f(-w) = conj f(w))
+    times the kernel's real lag window, back through ``rfft``.
     """
     n = csm.grid.n
     b = kernel.bandwidth
     if b >= n / 4:
         raise ConfigError(f"kernel bandwidth {b} too large for grid size {n}")
+    if b == 0:  # the identity, exactly: the FFT pair would round I(0) ~ 0 below zero
+        return csm
     w = kernel.weights()
-    if b == 0:
-        return CrossSpectralMatrix(csm.grid, csm.grid.mirror(csm.values.copy()),
-                                   csm.sample_rate_hz, csm.channel_labels)
     kern = np.zeros(n)
     kern[:b + 1] = w[b:]
-    kern[-b:] = w[:b]
-    fk = np.fft.fft(kern)
-    sm = np.fft.ifft(np.fft.fft(csm.values, axis=0) * fk[:, None, None], axis=0)
-    # circular convolution of Hermitian, conjugate-symmetric matrices with
-    # symmetric real weights: enforce the exact symmetries lost to FFT round-off
+    kern[n - b:] = w[:b]
+    lag_window = n * np.fft.ifft(kern).real
+    sm = np.fft.rfft(np.fft.irfft(csm.half, n, axis=0) * lag_window[:, None, None], axis=0)
+    # restore the exact Hermitian symmetry lost to FFT round-off
     sm = 0.5 * (sm + sm.conj().transpose(0, 2, 1))
-    return CrossSpectralMatrix(csm.grid, csm.grid.mirror(sm), csm.sample_rate_hz,
-                               csm.channel_labels)
+    return CrossSpectralMatrix(csm.grid, sm, csm.sample_rate_hz, csm.channel_labels)
 
 
 def var_spectrum(model, grid, sample_rate_hz=None):
     """Closed-form spectral matrix of a stable VAR model.
 
     f(w) = Phi^{-1}(e^{-i2pw}) Sigma_W Phi^{-*}(e^{-i2pw}) evaluated on the
-    grid.  With this normalization the spectrum integrates over (-1/2, 1/2]
-    to the process covariance (white noise of unit variance has a flat
-    spectrum of height 1).  It is evaluated at w >= 0 and mirrored.
+    grid frequencies w >= 0.  With this normalization the spectrum integrates
+    over (-1/2, 1/2] to the process covariance (white noise of unit variance
+    has a flat spectrum of height 1).
     """
     if not model.is_stable():
         raise ValueError("VAR model is not stable (companion spectral radius >= 1)")
-    k0 = grid.n // 2 - 1  # w = 0
     try:
-        inv = np.linalg.inv(transfer_function(model, grid)[k0:])
+        inv = np.linalg.inv(transfer_function(model, grid)[grid.n // 2 - 1:])
     except np.linalg.LinAlgError as exc:
         raise ValueError(f"singular transfer function (near-unit-root model): {exc}")
     half = inv @ model.noise_cov @ inv.conj().transpose(0, 2, 1)
-    vals = np.empty((grid.n,) + half.shape[1:], dtype=complex)
-    vals[k0:] = 0.5 * (half + half.conj().transpose(0, 2, 1))
-    return CrossSpectralMatrix(grid, grid.mirror(vals), sample_rate_hz)
+    return CrossSpectralMatrix(grid, 0.5 * (half + half.conj().transpose(0, 2, 1)),
+                               sample_rate_hz)
 
 
 def shrink_spectral_estimate(smoothed, parametric, kernel):
@@ -220,30 +217,32 @@ def shrink_spectral_estimate(smoothed, parametric, kernel):
         raise ConfigError("channel-count mismatch between spectral estimates")
     w = kernel.weights()
     var_factor = float(np.sum(w ** 2))
-    f, h = smoothed.values, parametric.values
+    f, h = smoothed.half, parametric.half
     mh = np.sum(np.abs(h - f) ** 2, axis=(1, 2))
     mi = var_factor * np.sum(np.abs(f) ** 2, axis=(1, 2))
     denom = mh + mi
     w1 = np.where(denom > 0, mh / np.where(denom > 0, denom, 1.0), 0.5)
-    vals = w1[:, None, None] * f + (1.0 - w1)[:, None, None] * h
-    return CrossSpectralMatrix(smoothed.grid, smoothed.grid.mirror(vals),
-                               smoothed.sample_rate_hz, smoothed.channel_labels)
+    half = w1[:, None, None] * f + (1.0 - w1)[:, None, None] * h
+    return CrossSpectralMatrix(smoothed.grid, half, smoothed.sample_rate_hz,
+                               smoothed.channel_labels)
 
 
 def csm_to_csv(csm, path):
     """Long-format export: freq (cycles/sample), freq_hz, p, q, re, im."""
-    frequency_table_to_csv(path, csm.grid, csm.sample_rate_hz,
-                           {"re": csm.values.real, "im": csm.values.imag})
+    v = csm.values
+    frequency_table_to_csv(path, csm.grid, csm.sample_rate_hz, {"re": v.real, "im": v.imag})
 
 
 def csm_to_json(csm):
+    """The matrix at every grid frequency, in grid order, as a JSON-ready dict."""
+    v = csm.values
     return {
         "n": csm.grid.n,
         "sample_rate_hz": csm.sample_rate_hz,
         "channel_labels": csm.channel_labels,
         "frequencies": csm.grid.frequencies,
-        "re": csm.values.real,
-        "im": csm.values.imag,
+        "re": v.real,
+        "im": v.imag,
     }
 
 

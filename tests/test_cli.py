@@ -202,6 +202,24 @@ class TestExitCodes:
                     "-o", str(tmp_path / "o.csv")]) == 3
         assert capsys.readouterr().err.count("\n") == 1
 
+    @pytest.mark.parametrize("op", [
+        ["coherence"], ["pcoh"], ["spectrum"], ["tvcoh", "--window", "200:100"],
+        ["tvcoh", "--window", "200:100", "--partial"], ["spca", "-Q", "1"],
+        ["dualfreq", "--pair", "0:2:1:40", "--window", "64"], ["var-fit", "--order", "2"],
+        ["pdc", "--order", "2"], ["tvpdc", "--order", "2", "--window", "200:100"],
+        ["scau", "--order", "2"]], ids=["coherence", "pcoh", "spectrum", "tvcoh", "tvcoh-partial",
+                                         "spca", "dualfreq", "var-fit", "pdc", "tvpdc", "scau"])
+    def test_floating_point_overflow_is_3(self, tmp_path, capsys, op):
+        # squares of 1e200 overflow: one line and no file, not a numpy warning or nan rows
+        p = tmp_path / "huge.csv"
+        x = 1e200 * np.random.default_rng(0).standard_normal((600, 3))
+        cli.write_series_csv(MultiChannelSeries(x, 128.0), p)
+        out = tmp_path / "o.out"
+        assert run([*op, "--in", str(p), "--sample-rate", "128", "-o", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("specdep: numerical failure: ") and err.count("\n") == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("text, message", [
         ("", "empty file"),
         ("a,b\r\n", "no data rows"),

@@ -84,12 +84,12 @@ class TestFrequencyGrid:
         assert np.allclose(sorted(pos), sorted(-neg))
 
     def test_fft_roundtrip(self):
-        g = FrequencyGrid(16)
-        arr = np.arange(16.0)
-        assert np.allclose(g.to_fft_order(g.from_fft_order(arr)), arr)
         # bin k of the FFT corresponds to frequency k/n mapped into (-0.5, 0.5]
-        freqs_fft = g.to_fft_order(g.frequencies)
-        assert freqs_fft[0] == 0.0 and freqs_fft[1] == 1 / 16
+        g = FrequencyGrid(16)
+        freqs_fft = np.fft.fftfreq(16)
+        freqs_fft[8] = 0.5
+        assert np.array_equal(g.from_fft_order(freqs_fft), g.frequencies)
+        assert np.array_equal(g.from_fft_order(np.arange(16))[7:], np.arange(9))
 
     def test_odd_rejected(self):
         with pytest.raises(ConfigError):
@@ -118,11 +118,17 @@ class TestFrequencyGrid:
         with pytest.raises(ConfigError):
             FrequencyGrid(8).index_of_hz(freq * 128.0, 128.0)
 
-    def test_band_indices_half_open(self):
-        # fs = n puts every grid frequency on a whole Hz, so 16 Hz is on the grid
-        g = FrequencyGrid(128)
-        idx = g.band_indices(Band("b", 8.0, 16.0), 128.0)
-        assert np.array_equal(g.frequencies[idx] * 128.0, np.arange(8.0, 16.0))
+    @pytest.mark.parametrize("n", [2, 4, 16])
+    def test_unfold_conjugates_the_negative_half(self, n):
+        g = FrequencyGrid(n)
+        rng = np.random.default_rng(n)
+        half = rng.standard_normal((n // 2 + 1, 2)) + 1j * rng.standard_normal((n // 2 + 1, 2))
+        full = g.unfold(half)
+        assert full.shape == (n, 2)
+        assert np.array_equal(full[n // 2 - 1:], half)
+        for i, w in enumerate(g.frequencies[:n // 2 - 1]):
+            assert np.array_equal(full[i], full[g.index_of(-w)].conj())
+        assert g.unfold(half.real).dtype == float
 
 
 class TestDemean:

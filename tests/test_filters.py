@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from specdep.core import Band, ConfigError, MultiChannelSeries, band_by_name
-from specdep.filters import (FirFilter, apply_filter, band_signals,
-                             decompose_rhythms, default_order, design_fir_bandpass,
-                             frequency_response, load_taps, save_taps)
+from specdep.core import (Band, ConfigError, MultiChannelSeries, band_by_name,
+                          standard_bands)
+from specdep.filters import (FirFilter, apply_filter, band_signals, default_order,
+                             design_fir_bandpass, frequency_response, load_taps, save_taps)
 
 # 10th-order alpha-band taps as printed in the source material
 PRINTED_ALPHA_TAPS = [-0.0272, -0.0468, -0.0423, 0.0771, 0.2677,
@@ -245,34 +245,33 @@ class TestBandSignals:
 
 
 class TestDecompose:
+    """A one-channel series split into the standard rhythms by band_signals."""
+
+    @staticmethod
+    def rhythm_variances(s, order=None):
+        y, _ = band_signals(s, [(0, b) for b in standard_bands()], order)
+        return dict(zip([b.name for b in standard_bands()], np.var(y, axis=0)))
+
     def test_pure_tone_lands_in_alpha(self):
         s = MultiChannelSeries(tone(10.0)[:, None], 128.0)
-        parts = decompose_rhythms(s, order=128)
-        variances = {b.name: np.var(out.samples) for b, out in parts.items()}
+        variances = self.rhythm_variances(s, order=128)
         alpha = variances.pop("alpha")
         assert all(alpha > 20 * v for v in variances.values())
 
     def test_zero_input(self):
         s = MultiChannelSeries(np.zeros((512, 1)) + 1e-300, 128.0)
-        for out in decompose_rhythms(s, order=64).values():
-            assert np.allclose(out.samples, 0.0, atol=1e-200)
+        y, _ = band_signals(s, [(0, b) for b in standard_bands()], 64)
+        assert np.allclose(y, 0.0, atol=1e-200)
 
     def test_band_variances_near_parseval(self):
         rng = np.random.default_rng(5)
         T = 2 ** 14
         x = rng.standard_normal(T)
         s = MultiChannelSeries(x[:, None], 128.0)
-        parts = decompose_rhythms(s)
-        total = sum(np.var(out.samples) for out in parts.values())
+        total = sum(self.rhythm_variances(s).values())
         # white-noise variance inside (0.5, 50) Hz out of the (0, 64) range
         target = np.var(x) * 2 * (50.0 - 0.5) / 128.0
         assert abs(total - target) < 0.25 * target
-
-    def test_gamma_clipped_below_101hz(self):
-        s = MultiChannelSeries(np.random.default_rng(6).standard_normal((1024, 1)), 80.0)
-        with pytest.warns(UserWarning):
-            parts = decompose_rhythms(s, order=64)
-        assert len(parts) == 5  # gamma clipped at Nyquist, still produced
 
     def test_default_order_rule(self):
         assert default_order(band_by_name("delta"), 128.0) == 512  # capped

@@ -9,7 +9,7 @@ import specdep
 
 from specdep.core import ConfigError, MultiChannelSeries, band_by_name
 from specdep.filters import apply_filter, default_order, design_fir_bandpass
-from specdep.pac import (analytic_signal, kl_divergence, modulation_index,
+from specdep.pac import (_kl_divergence, analytic_signal, modulation_index,
                          pac_scan, phase_amplitude_distribution)
 from specdep.simulate import example
 
@@ -136,24 +136,24 @@ class TestPhaseAmplitudeDistribution:
 class TestKlDivergence:
     def test_self_zero(self):
         p = np.array([0.2, 0.3, 0.5])
-        assert kl_divergence(p, p) == pytest.approx(0.0)
+        assert _kl_divergence(p, p) == pytest.approx(0.0)
 
     def test_point_mass_vs_uniform(self):
         n = 12
         p = np.zeros(n)
         p[0] = 1.0
         u = np.full(n, 1 / n)
-        assert kl_divergence(p, u) == pytest.approx(np.log(n))
+        assert _kl_divergence(p, u) == pytest.approx(np.log(n))
 
     def test_hand_computed(self):
         p = np.array([0.5, 0.5])
         q = np.array([0.9, 0.1])
         expect = 0.5 * np.log(0.5 / 0.9) + 0.5 * np.log(0.5 / 0.1)
-        assert kl_divergence(p, q) == pytest.approx(expect, abs=1e-12)
+        assert _kl_divergence(p, q) == pytest.approx(expect, abs=1e-12)
 
     def test_support_violation(self):
         with pytest.raises(ValueError):
-            kl_divergence(np.array([0.5, 0.5]), np.array([1.0, 0.0]))
+            _kl_divergence(np.array([0.5, 0.5]), np.array([1.0, 0.0]))
 
 
 class TestModulationIndex:
@@ -218,11 +218,11 @@ class TestModulationIndex:
         phase = rng.random(50000) * 2 * np.pi
         amp = 1.0 + 0.7 * np.cos(phase)
         base, _ = phase_amplitude_distribution(phase, amp, n)
-        mi0 = kl_divergence(base, np.full(n, 1 / n))
+        mi0 = _kl_divergence(base, np.full(n, 1 / n))
         for k in (1, 5, 11):
             shifted, _ = phase_amplitude_distribution(
                 np.mod(phase + 2 * np.pi * k / n, 2 * np.pi), amp, n)
-            mi = kl_divergence(shifted, np.full(n, 1 / n))
+            mi = _kl_divergence(shifted, np.full(n, 1 / n))
             assert mi == pytest.approx(mi0, abs=1e-12)
             assert np.allclose(np.roll(base, k), shifted, atol=1e-12)
 
@@ -297,7 +297,7 @@ class TestPacScan:
                         phase = np.mod(np.angle(analytic(cp, bl, kl)), 2 * np.pi)
                         probs, _ = phase_amplitude_distribution(
                             phase[sl], np.abs(analytic(ca, bh, kh))[sl], 12)
-                        ref = kl_divergence(probs, np.full(12, 1 / 12)) / np.log(12)
+                        ref = _kl_divergence(probs, np.full(12, 1 / 12)) / np.log(12)
                         assert mi[i, j, k] == min(max(ref, 0.0), 1.0)
 
 
@@ -308,7 +308,7 @@ class TestOptimizedMode:
             "import specdep.pac as m\n"
             "from specdep.core import band_by_name\n"
             "from specdep.simulate import example\n"
-            "m.kl_divergence = lambda p, q: 10.0\n"
+            "m._kl_divergence = lambda p, q: 10.0\n"
             "s, _ = example('pac', 2048, 1)\n"
             "try:\n"
             "    m.modulation_index(s, 0, band_by_name('theta'), 0, band_by_name('gamma'))\n"

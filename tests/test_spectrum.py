@@ -288,7 +288,7 @@ class TestShrink:
 
     def test_bad_parametric_rejected(self):
         _, _, kern, f = self._data()
-        zero = CrossSpectralMatrix(f.grid, np.zeros_like(f.values))
+        zero = CrossSpectralMatrix(f.grid, np.zeros_like(f.half))
         out = shrink_spectral_estimate(f, zero, kern)
         w = kern.weights()
         mh = np.sum(np.abs(f.values) ** 2, axis=(1, 2))
@@ -299,7 +299,7 @@ class TestShrink:
 
     def test_grid_mismatch(self):
         _, _, kern, f = self._data()
-        other = CrossSpectralMatrix(FrequencyGrid(64), np.zeros((64, 2, 2)))
+        other = CrossSpectralMatrix(FrequencyGrid(64), np.zeros((33, 2, 2)))
         with pytest.raises(ConfigError):
             shrink_spectral_estimate(f, other, kern)
 
@@ -311,8 +311,9 @@ class TestSerialization:
         path = tmp_path / "csm.json"
         write_json(path, csm_to_json(f))
         obj = json.loads(path.read_text())
+        w0 = obj["n"] // 2 - 1  # the file holds every grid frequency; w >= 0 from here
         g = CrossSpectralMatrix(FrequencyGrid(obj["n"]),
-                                np.asarray(obj["re"]) + 1j * np.asarray(obj["im"]),
+                                np.asarray(obj["re"])[w0:] + 1j * np.asarray(obj["im"])[w0:],
                                 obj["sample_rate_hz"], obj["channel_labels"])
         assert np.allclose(g.values, f.values)
         assert g.grid == f.grid
@@ -372,8 +373,9 @@ def is_conjugate_mirrored(v):
 
 
 class TestConjugateSymmetry:
-    """Every estimator writes w < 0 as the exact conjugate of w > 0, within
-    1e-14 of the largest entry of the formulas that evaluate every frequency."""
+    """Every estimator's w < 0 matrices are the exact conjugates of the w > 0
+    ones, and all are within 1e-14 of the largest entry of the formulas that
+    evaluate every frequency."""
 
     KERNEL = SmoothingKernel("daniell", 8)
 
@@ -409,13 +411,12 @@ class TestConjugateSymmetry:
         k0 = s.n_samples // 2 - 1
         assert np.array_equal(periodogram(s).values[k0:], full_grid_periodogram(s)[k0:])
 
-    def test_rejects_matrices_changed_at_negative_frequencies(self):
+    def test_half_only_and_read_only_values(self):
+        # only the w >= 0 half can be passed, so no w < 0 matrix can disagree
+        # with its partner, and the unfolded grid cannot be written to
         f = periodogram(self._series(0))
-        v = f.values.copy()
-        v[3] += np.eye(3)  # still Hermitian, no longer the conjugate of its partner
-        with pytest.raises(ValueError, match="not conjugate-symmetric"):
-            CrossSpectralMatrix(f.grid, v)
-        # at the Hermitian check's tolerance, rounding passes
-        v = f.values.copy()
-        v[3] *= 1 + 1e-12
-        CrossSpectralMatrix(f.grid, v)
+        with pytest.raises(ConfigError, match="n/2 \\+ 1"):
+            CrossSpectralMatrix(f.grid, f.values)
+        with pytest.raises(ValueError, match="read-only"):
+            f.values[3] += np.eye(3)
+        assert np.array_equal(f.values, periodogram(self._series(0)).values)
