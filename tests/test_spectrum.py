@@ -411,10 +411,14 @@ class TestConjugateSymmetry:
         k0 = s.n_samples // 2 - 1
         assert np.array_equal(periodogram(s).values[k0:], full_grid_periodogram(s)[k0:])
 
-    def test_half_only_and_read_only_values(self):
+    def test_rejects_matrices_changed_at_negative_frequencies(self):
         # only the w >= 0 half can be passed, so no w < 0 matrix can disagree
         # with its partner, and the unfolded grid cannot be written to
         f = periodogram(self._series(0))
+        v = f.values.copy()
+        v[3] += np.eye(3)  # still Hermitian, no longer the conjugate of its partner
+        with pytest.raises(ConfigError, match="n/2 \\+ 1"):
+            CrossSpectralMatrix(f.grid, v)
         with pytest.raises(ConfigError, match="n/2 \\+ 1"):
             CrossSpectralMatrix(f.grid, f.values)
         with pytest.raises(ValueError, match="read-only"):
