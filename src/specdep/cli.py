@@ -9,7 +9,8 @@ significant digits so a round trip through disk is exact to 1e-12.
 Exit codes: 0 success, 1 malformed input, 2 invalid configuration,
 3 numerical failure, each failure with one diagnostic line on standard
 error.  A floating-point overflow, invalid operation or division by zero
-in numpy is a numerical failure too, not a warning.  A flag the parser
+in numpy is a numerical failure too, not a warning, and its line adds that
+the input's scale may be out of range.  A flag the parser
 rejects (missing, unknown, mistyped, an invalid choice, no subcommand), a
 negative --seed and an output path that cannot be written are
 configuration errors; usage is printed only for --help.
@@ -417,8 +418,12 @@ def main(argv=None):
         print(f"specdep: invalid configuration: cannot write {exc.filename}: {exc.strerror}",
               file=sys.stderr)
         return 2
+    except FloatingPointError as exc:
+        print(f"specdep: numerical failure: {exc} (a floating-point overflow or invalid "
+              "operation; the input's scale may be out of range)", file=sys.stderr)
+        return 3
     except (np.linalg.LinAlgError, varmod.LassoConvergenceError, ValueError,
-            FloatingPointError, ZeroDivisionError, MemoryError) as exc:
+            ZeroDivisionError, MemoryError) as exc:
         print(f"specdep: numerical failure: {exc}", file=sys.stderr)
         return 3
 

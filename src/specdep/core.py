@@ -6,15 +6,17 @@ it.  :class:`FrequencyGrid` orders the frequencies of an n-point spectrum and
 unfolds its w >= 0 half to the whole grid.  Covariance/correlation here use
 the biased 1/T normalization so that the autocovariance sequence is positive
 semi-definite.  Every long-format result table is written by
-:func:`table_to_csv` (per-frequency matrices through
-:func:`frequency_table_to_csv`), every JSON document by :func:`write_json`,
-and every time-varying estimate loops over :func:`sliding_windows`.
+:func:`table_to_csv`, except the per-frequency matrices:
+:func:`frequency_table_to_csv` writes those one frequency block at a time,
+formatting the w >= 0 half and reusing its text for a mirrored w < 0 half.
+Every JSON document is written by :func:`write_json`, and every
+time-varying estimate loops over :func:`sliding_windows`.
 """
 
 import json
 import math
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice, repeat
 
 import numpy as np
 
@@ -343,20 +345,18 @@ def table_to_csv(path, header, columns):
     an index column such as a frequency grid is passed once, not repeated.
     Float columns are written at 17 significant digits, so a round trip
     through the file is exact; ints and labels are written as they are, a
-    label holding a comma or a quote inside quotes.  Labels, and float
-    columns with fewer values than the table has rows, are formatted once up
-    front; then one ``%`` on a line template made from the column types
-    formats each ``TABLE_CHUNK_ROWS`` rows.
+    label holding a comma or a quote inside quotes.  Labels are formatted
+    once up front; then one ``%`` on a line template made from the column
+    types formats each ``TABLE_CHUNK_ROWS`` rows.
     """
     cols = [np.asarray(c) for c in columns]
     shape = np.broadcast_shapes(*(c.shape for c in cols))
     rows = math.prod(shape)
     line = []
     for i, c in enumerate(cols):
-        if c.dtype.kind not in "fiu" or c.dtype.kind == "f" and c.size < rows:
-            text = (map("{:.17g}".format, c.ravel().tolist()) if c.dtype.kind == "f" else
-                    (_csv_field(str(v), len(cols) == 1) for v in c.ravel().tolist()))
-            c = np.array(list(text), dtype=object).reshape(c.shape)
+        if c.dtype.kind not in "fiu":
+            text = [_csv_field(str(v), len(cols) == 1) for v in c.ravel().tolist()]
+            c = np.array(text, dtype=object).reshape(c.shape)
         line.append({"f": "%.17g", "i": "%d", "u": "%d"}.get(c.dtype.kind, "%s"))
         cols[i] = np.broadcast_to(c, shape)
     line = ",".join(line) + "\r\n"
@@ -367,20 +367,86 @@ def table_to_csv(path, header, columns):
             fh.write(line * len(cells[0]) % tuple(chain.from_iterable(zip(*cells))))
 
 
+def _mirror_parity(v, h0):
+    """1 if the w < 0 rows v[:h0] of a grid-order array are bitwise their w > 0
+    partners, -1 if they are bitwise the negated partners and none is NaN, else 0.
+
+    Bits, not values, are compared: -0.0 == 0.0 though their texts differ, and
+    NaN != NaN though its texts agree.
+    """
+    neg, partner = v[:h0].view(np.int64), v[2 * h0:h0:-1]
+    if np.array_equal(neg, partner.view(np.int64)):
+        return 1
+    if np.array_equal(neg, (-partner).view(np.int64)) and not np.isnan(partner).any():
+        return -1
+    return 0
+
+
+def _frequency_blocks(template, values, chunk):
+    """The text of block j, from row j of each array in ``values``, for every j.
+
+    ``template`` formats one block and ends it with \\x01; one ``%`` on it
+    repeated formats each ``chunk`` blocks.
+    """
+    out = []
+    for s in range(0, len(values[0]), chunk):
+        cells = np.stack([v[s:s + chunk] for v in values], axis=-1)
+        out += (template * len(cells) % tuple(cells.ravel().tolist())).split("\x01")[:-1]
+    return out
+
+
 def frequency_table_to_csv(path, grid, fs, columns, u=None):
     """Long-format table of per-frequency matrices: [u,] freq, freq_hz, p, q, ...
 
-    ``columns`` maps each value column's name to an (n, P, P) array, or
+    ``columns`` maps each value column's name to an (n, P, P) float array, or
     (len(u), n, P, P) with one block per window centre u.  freq_hz is left
-    empty when ``fs`` is None.
+    empty when ``fs`` is None.  The bytes are those of :func:`table_to_csv` on
+    the broadcast columns: rows over [u,] grid frequency, p, q in C order,
+    every float at 17 significant digits.
+
+    The table is written one frequency block (its P*P rows) at a time.  Per
+    window, the ``p,q,value...`` tails of the w >= 0 blocks are formatted once,
+    one ``%`` per ``TABLE_CHUNK_ROWS`` rows, and each grid row's
+    ``[u,]freq,freq_hz,`` prefix is written once into its block.  The w < 0
+    blocks reuse the text of their w > 0 partners when every column is
+    bitwise its partners' mirror: equal (coherence, partial coherence, PDC,
+    ``re``), or negated (``im``), whose text then changes sign, since
+    ``'%.17g' % -x == '-' + '%.17g' % x`` for every x but NaN.  Otherwise they
+    are formatted from their own values by the same block builder.
     """
-    chan = np.arange(next(iter(columns.values())).shape[-1])
-    f = grid.frequencies[:, None, None]
+    n, h0 = grid.n, grid.n // 2 - 1  # grid rows h0.. are w = 0 .. 1/2
+    P = np.shape(next(iter(columns.values())))[-1]
+    us = [None] if u is None else np.ravel(u).tolist()
+    cols = [np.broadcast_to(np.asarray(c, dtype=float), (len(us), n, P, P))
+            for c in columns.values()]
+    f = grid.frequencies.tolist()
+    rows = (["%.17g,%.17g," % r for r in zip(f, (grid.frequencies * fs).tolist())] if fs
+            else ["%.17g,," % r for r in f])
     header = ["freq", "freq_hz", "p", "q", *columns]
-    cols = [f, f * fs if fs else "", chan[:, None], chan, *columns.values()]
-    if u is not None:
-        header, cols = ["u", *header], [np.reshape(u, (-1, 1, 1, 1)), *cols]
-    table_to_csv(path, header, cols)
+    chunk = max(1, TABLE_CHUNK_ROWS // (P * P))
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(_csv_field(str(h)) for h in ["u"] * (u is not None) + header) + "\r\n")
+        for w, uw in enumerate(us):
+            vals = [c[w] for c in cols]
+            parity = [_mirror_parity(v, h0) for v in vals]
+            mirrored = 0 not in parity
+            # \x00 stands for a line's prefix, \x01 ends a block and \x02 marks
+            # an odd column's value, whose sign a w < 0 row flips
+            cells = "".join(",\x02%.17g" if mirrored and s < 0 else ",%.17g" for s in parity)
+            template = "".join("\x00%d,%d%s\r\n" % (p, q, cells)
+                               for p in range(P) for q in range(P)) + "\x01"
+            half = _frequency_blocks(template, [v[h0:] for v in vals], chunk)
+            if not mirrored:
+                texts = chain(_frequency_blocks(template, [v[:h0] for v in vals], chunk), half)
+            elif -1 not in parity:
+                texts = chain(half[h0:0:-1], half)
+            else:
+                texts = chain((t.replace("\x02-", "").replace("\x02", "-") for t in half[h0:0:-1]),
+                              (t.replace("\x02", "") for t in half))
+            prefix = rows if uw is None else ["%.17g," % uw + r for r in rows]
+            lines = map(str.replace, texts, repeat("\x00"), prefix)
+            for _ in range(0, n, chunk):
+                fh.write("".join(islice(lines, chunk)))
 
 
 def _json_default(obj):

@@ -190,7 +190,7 @@ def var_spectrum(model, grid, sample_rate_hz=None):
     if not model.is_stable():
         raise ValueError("VAR model is not stable (companion spectral radius >= 1)")
     try:
-        inv = np.linalg.inv(transfer_function(model, grid)[grid.n // 2 - 1:])
+        inv = np.linalg.inv(transfer_function(model, grid.frequencies[grid.n // 2 - 1:]))
     except np.linalg.LinAlgError as exc:
         raise ValueError(f"singular transfer function (near-unit-root model): {exc}")
     half = inv @ model.noise_cov @ inv.conj().transpose(0, 2, 1)

@@ -470,11 +470,14 @@ def select_order(series, L_max, criterion="BIC"):
     return best_L
 
 
-def transfer_function(model, grid):
-    """Phi(w) = I - sum_{l=1..L} Phi_l exp(-i 2 pi w l) on the grid, (n, P, P)."""
+def transfer_function(model, w):
+    """Phi(w) = I - sum_{l=1..L} Phi_l exp(-i 2 pi w l) at each frequency w, (len(w), P, P).
+
+    ``w`` is in cycles per sample, e.g. a grid's frequencies or its w >= 0 half.
+    """
     P, L = model.n_channels, model.order
-    w = grid.frequencies
-    out = np.broadcast_to(np.eye(P, dtype=complex), (grid.n, P, P)).copy()
+    w = np.asarray(w, dtype=float)
+    out = np.broadcast_to(np.eye(P, dtype=complex), (len(w), P, P)).copy()
     for l in range(1, L + 1):
         out -= np.exp(-2j * np.pi * w * l)[:, None, None] * model.coeffs[l - 1]
     return out
@@ -492,18 +495,19 @@ def pdc(model, grid):
     """PDC pi_pq(w) = |Phi_pq(w)|^2 / sum_r |Phi_rq(w)|^2.
 
     Column q at frequency w is the distribution of outgoing information flow
-    from channel q; each column sums to one.
+    from channel q; each column sums to one.  Phi(-w) = conj Phi(w) for a
+    real model, so PDC is evaluated at w >= 0 and mirrored to the grid.
     """
-    phi = transfer_function(model, grid)
-    num = np.abs(phi) ** 2
+    h0 = grid.n // 2 - 1
+    num = np.abs(transfer_function(model, grid.frequencies[h0:])) ** 2
     denom = num.sum(axis=1, keepdims=True)
     bad = np.nonzero(denom[:, 0, :] <= 0)
     if bad[0].size:
-        k, q = bad[0][0], bad[1][0]
+        k, q = h0 + bad[0][0], bad[1][0]
         raise ValueError(
             f"all-zero transfer-function column {q} at grid index {k} "
             f"(frequency {grid.frequencies[k]:.6f})")
-    return PdcResult(grid, num / denom)
+    return PdcResult(grid, grid.unfold(num / denom))
 
 
 def tv_pdc(series, L, N, step, method="ols", lam=0.05):

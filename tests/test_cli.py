@@ -218,6 +218,8 @@ class TestExitCodes:
         assert run([*op, "--in", str(p), "--sample-rate", "128", "-o", str(out)]) == 3
         err = capsys.readouterr().err
         assert err.startswith("specdep: numerical failure: ") and err.count("\n") == 1
+        assert err.endswith(" (a floating-point overflow or invalid operation; "
+                            "the input's scale may be out of range)\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("text, message", [

@@ -354,7 +354,7 @@ def full_grid_smooth(v, kernel):
 
 def full_grid_var_spectrum(model, grid):
     """Phi^{-1} Sigma Phi^{-*} inverted at every grid frequency, then symmetrized."""
-    inv = np.linalg.inv(transfer_function(model, grid))
+    inv = np.linalg.inv(transfer_function(model, grid.frequencies))
     vals = inv @ model.noise_cov @ inv.conj().transpose(0, 2, 1)
     return 0.5 * (vals + vals.conj().transpose(0, 2, 1))
 

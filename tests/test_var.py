@@ -636,20 +636,20 @@ class TestActiveSetLasso:
 class TestTransferFunction:
     def test_order_zero_identity(self):
         model = VarModel(np.zeros((0, 2, 2)), np.eye(2))
-        phi = transfer_function(model, FrequencyGrid(16))
+        phi = transfer_function(model, FrequencyGrid(16).frequencies)
         assert np.allclose(phi, np.eye(2))
 
     def test_dc_value(self):
         model = stable_var2()
         grid = FrequencyGrid(64)
-        phi = transfer_function(model, grid)
+        phi = transfer_function(model, grid.frequencies)
         k0 = grid.index_of(0.0)
         assert np.allclose(phi[k0], np.eye(2) - model.coeffs.sum(axis=0), atol=1e-12)
 
     def test_conjugate_symmetry(self):
         model = stable_var2()
         grid = FrequencyGrid(64)
-        phi = transfer_function(model, grid)
+        phi = transfer_function(model, grid.frequencies)
         for k in (3, 10, 25):
             ip = grid.index_of(k / 64)
             im = grid.index_of(-k / 64)
@@ -694,6 +694,18 @@ class TestPdc:
             sums = res.values.sum(axis=1)
             assert np.max(np.abs(sums - 1.0)) < 1e-10
             assert np.all((res.values >= 0) & (res.values <= 1 + 1e-12))
+
+    def test_negative_frequencies_mirror_bitwise(self):
+        grid = FrequencyGrid(64)
+        res = pdc(stable_var2(), grid)
+        h0 = grid.n // 2 - 1
+        assert np.array_equal(res.values[:h0].view(np.int64),
+                              res.values[grid.n - 2:h0:-1].view(np.int64))
+
+    def test_all_zero_column_names_its_grid_index(self):
+        # Phi(w) = 1 - exp(-i 2 pi w) vanishes at w = 0, grid index 3 of 8
+        with pytest.raises(ValueError, match=r"column 0 at grid index 3 \(frequency 0\.000000\)"):
+            pdc(VarModel(np.ones((1, 1, 1)), np.eye(1)), FrequencyGrid(8))
 
 
 class TestTvPdc:

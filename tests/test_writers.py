@@ -1,10 +1,12 @@
 """The table and JSON writers against the writers they replaced.
 
 ``reference_table_to_csv`` is the ``csv.writer`` implementation that
-``core.table_to_csv`` replaced, kept verbatim, and ``reference_write_json``
-is plain ``json.dump``, handed documents with every numpy array turned into
-lists by ``listed``.  The library writers must produce the same bytes on
-any input, and on whole CLI outputs.
+``core.table_to_csv`` replaced, kept verbatim, and
+``reference_frequency_table_to_csv`` is the per-frequency writer that
+formatted every row through it, kept verbatim on top of it.
+``reference_write_json`` is plain ``json.dump``, handed documents with every
+numpy array turned into lists by ``listed``.  The library writers must
+produce the same bytes on any input, and on whole CLI outputs.
 """
 
 import csv
@@ -17,8 +19,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from specdep import cli, core, var
-from specdep.core import TABLE_CHUNK_ROWS, table_to_csv, write_json
+from specdep import cli, spectrum, var
+from specdep.core import (TABLE_CHUNK_ROWS, FrequencyGrid, frequency_table_to_csv,
+                          table_to_csv, write_json)
 
 
 def reference_table_to_csv(path, header, columns):
@@ -37,6 +40,16 @@ def reference_table_to_csv(path, header, columns):
             cells = [c.flat[s:s + TABLE_CHUNK_ROWS].tolist() for c in cols]
             wr.writerows(zip(*[map(fmt, v) if c.dtype.kind == "f" else v
                                for c, v in zip(cols, cells)]))
+
+
+def reference_frequency_table_to_csv(path, grid, fs, columns, u=None):
+    chan = np.arange(next(iter(columns.values())).shape[-1])
+    f = grid.frequencies[:, None, None]
+    header = ["freq", "freq_hz", "p", "q", *columns]
+    cols = [f, f * fs if fs else "", chan[:, None], chan, *columns.values()]
+    if u is not None:
+        header, cols = ["u", *header], [np.reshape(u, (-1, 1, 1, 1)), *cols]
+    reference_table_to_csv(path, header, cols)
 
 
 def reference_write_json(path, obj, indent=None):
@@ -77,6 +90,60 @@ def tables(draw):
         pool = draw(st.sampled_from([floats, ints, texts]))
         columns.append(np.array(pool)[rng.integers(0, len(pool), sub)])
     return draw(st.lists(labels, min_size=len(columns), max_size=len(columns))), columns
+
+
+MIRROR_FLOATS = [0.0, -0.0, 1e-300, -1e-300, 5e-324, -5e-324, 1e300, -1e300,
+                 1 / 3, math.inf, -math.inf, math.nan]
+
+
+@st.composite
+def frequency_tables(draw):
+    """(grid, fs, columns, u): value columns whose w < 0 rows are their w > 0
+    partners (even), the negated partners (odd), those mirrors with the sign
+    of every zero flipped, or values of their own."""
+    n = 2 * draw(st.integers(1, 6))
+    P = draw(st.integers(1, 3))
+    windows = draw(st.sampled_from([None, 1, 3]))
+    fs = draw(st.sampled_from([None, 128.0, 0.1]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    lead = () if windows is None else (windows,)
+
+    def values(m):
+        pool = np.array(MIRROR_FLOATS)[rng.integers(0, len(MIRROR_FLOATS), (*lead, m, P, P))]
+        return np.where(rng.random(pool.shape) < 0.5, pool, rng.standard_normal(pool.shape))
+
+    columns = {}
+    for i in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["even", "odd", "even, zeros flipped",
+                                     "odd, zeros flipped", "own"]))
+        half = values(n // 2 + 1)
+        partner = half[..., n // 2 - 1:0:-1, :, :]
+        neg = -partner if kind.startswith("odd") else partner
+        if kind.endswith("flipped"):
+            neg = np.where(neg == 0, -neg, neg)
+        if kind == "own":
+            neg = values(n // 2 - 1)
+        columns[f"c{i}"] = np.concatenate([neg, half], axis=-3)
+    u = None if windows is None else np.array(MIRROR_FLOATS[:8])[rng.integers(0, 8, windows)]
+    return FrequencyGrid(n), fs, columns, u
+
+
+def odd_mirrored_table(n, P):
+    """A spectrum's re and im columns on an n grid, as csm_to_csv passes them."""
+    grid = FrequencyGrid(n)
+    half = np.random.default_rng(1).standard_normal((n // 2 + 1, P, P, 2)) @ [1, 1j]
+    v = grid.unfold(half)
+    return grid, 128.0, {"re": v.real, "im": v.imag}, None
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(frequency_tables())
+@example(odd_mirrored_table(2 * TABLE_CHUNK_ROWS, 2))  # blocks span several chunks
+def test_frequency_table_bytes_match_row_writer(tmp_path_factory, table):
+    d = tmp_path_factory.getbasetemp()
+    frequency_table_to_csv(d / "new.csv", *table)
+    reference_frequency_table_to_csv(d / "ref.csv", *table)
+    assert (d / "new.csv").read_bytes() == (d / "ref.csv").read_bytes()
 
 
 json_docs = st.recursive(
@@ -141,8 +208,9 @@ def test_json_rejects_what_json_cannot_encode(tmp_path, doc):
 
 
 def test_cli_outputs_match_reference_writers(tmp_path, monkeypatch):
-    """Every JSON output, and the CSV outputs of coherence, tvcoh --partial, spca
-    --encode, pdc --plot-data and scau, are what the old writers wrote."""
+    """Every JSON output, and the CSV outputs of coherence, pcoh, spectrum, tvcoh
+    --partial, tvpdc, spca --encode, pdc --plot-data and scau, are what the old
+    writers wrote."""
     for name, example_name in [("net", "pdc_net"), ("mix", "spca_mix")]:
         assert cli.main(["simulate", "--example", example_name, "--T", "1024", "--seed", "5",
                          "-o", str(tmp_path / f"{name}.csv")]) == 0
@@ -155,8 +223,12 @@ def test_cli_outputs_match_reference_writers(tmp_path, monkeypatch):
                       "--partial", "-o", out / "tvcoh.csv"],
                      ["spca", "--in", tmp_path / "mix.csv", "-Q", "2",
                       "--encode", out / "enc.csv", "-o", out / "spca.json"],
+                     ["pcoh", "--in", tmp_path / "net.csv", "-o", out / "pcoh.csv"],
                      ["spectrum", "--in", tmp_path / "net.csv", "--format", "json",
                       "-o", out / "csm.json"],
+                     ["spectrum", "--in", tmp_path / "net.csv", "-o", out / "csm.csv"],
+                     ["tvpdc", "--in", tmp_path / "net.csv", "--order", "2", "--window",
+                      "256:128", "-o", out / "tvpdc.csv"],
                      ["var-fit", "--in", tmp_path / "net.csv", "--method", "lasso",
                       "--order", "3", "-o", out / "var.json"],
                      ["pdc", "--in", tmp_path / "net.csv", "--order", "2", "--grid-size", "64",
@@ -170,8 +242,10 @@ def test_cli_outputs_match_reference_writers(tmp_path, monkeypatch):
         reference_write_json(path, listed(obj), indent)
 
     new = outputs("new")
-    for module in (core, cli, var):
+    for module in (cli, var):
         monkeypatch.setattr(module, "table_to_csv", reference_table_to_csv)
+    for module in (cli, spectrum):
+        monkeypatch.setattr(module, "frequency_table_to_csv", reference_frequency_table_to_csv)
     monkeypatch.setattr(cli, "write_json", reference_write_listed)
     assert outputs("ref") == new
-    assert len(new) == 10
+    assert len(new) == 13
