@@ -9,8 +9,10 @@ semi-definite.  Every long-format result table is written by
 :func:`table_to_csv`, except the per-frequency matrices:
 :func:`frequency_table_to_csv` writes those one frequency block at a time,
 formatting the w >= 0 half and reusing its text for a mirrored w < 0 half.
-Every JSON document is written by :func:`write_json`, and every
-time-varying estimate loops over :func:`sliding_windows`.
+Every JSON document is written by :func:`write_json`, which formats each
+float64 array itself and reuses the text of a mirrored half the same way
+(:func:`_unfold_texts` serves both writers).  Every time-varying estimate
+loops over :func:`sliding_windows`.
 """
 
 import json
@@ -395,6 +397,20 @@ def _frequency_blocks(template, values, chunk):
     return out
 
 
+def _unfold_texts(half, h0, parity):
+    """The texts of all n grid rows from the texts ``half`` of rows h0.. (w >= 0).
+
+    Row j < h0 reuses the text of its w > 0 partner, row 2*h0 - j: as it is
+    when ``parity`` is 1, with every value marked by \\x02 negated when it
+    is -1.  That is exact, since ``'%r' % -x == '-' + '%r' % x`` and
+    ``'%.17g' % -x == '-' + '%.17g' % x`` for every x but NaN.
+    """
+    if parity > 0:
+        return chain(half[h0:0:-1], half)
+    return chain((t.replace("\x02-", "").replace("\x02", "-") for t in half[h0:0:-1]),
+                 (t.replace("\x02", "") for t in half))
+
+
 def frequency_table_to_csv(path, grid, fs, columns, u=None):
     """Long-format table of per-frequency matrices: [u,] freq, freq_hz, p, q, ...
 
@@ -436,17 +452,19 @@ def frequency_table_to_csv(path, grid, fs, columns, u=None):
             template = "".join("\x00%d,%d%s\r\n" % (p, q, cells)
                                for p in range(P) for q in range(P)) + "\x01"
             half = _frequency_blocks(template, [v[h0:] for v in vals], chunk)
-            if not mirrored:
-                texts = chain(_frequency_blocks(template, [v[:h0] for v in vals], chunk), half)
-            elif -1 not in parity:
-                texts = chain(half[h0:0:-1], half)
+            if mirrored:
+                texts = _unfold_texts(half, h0, min(parity))
             else:
-                texts = chain((t.replace("\x02-", "").replace("\x02", "-") for t in half[h0:0:-1]),
-                              (t.replace("\x02", "") for t in half))
+                texts = chain(_frequency_blocks(template, [v[:h0] for v in vals], chunk), half)
             prefix = rows if uw is None else ["%.17g," % uw + r for r in rows]
             lines = map(str.replace, texts, repeat("\x00"), prefix)
             for _ in range(0, n, chunk):
                 fh.write("".join(islice(lines, chunk)))
+
+
+# The string a float array stands as in json.dumps's output, and that text
+_ARRAY_MARK = "\x00ndarray\x00"
+_ARRAY_TEXT = '"\\u0000ndarray\\u0000"'
 
 
 def _json_default(obj):
@@ -456,15 +474,61 @@ def _json_default(obj):
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
-def write_json(path, obj, indent=None):
-    """Write ``obj`` to ``path`` as one JSON document, in one ``json.dumps`` call.
+def _float_array_text(a):
+    """``json.dumps(a.tolist())`` for a non-empty float64 array of 1 or more axes.
 
-    Each numpy array in ``obj`` is written as its ``tolist()``, expanded only
-    while it is encoded: the bytes of ``json.dump`` on the listed document.
-    Anything else JSON cannot encode raises ``TypeError``.
+    Each row along axis 0 is formatted by one nested-list template of ``%r``,
+    ``float.__repr__``, the text ``json`` writes; one ``%`` formats each
+    ``TABLE_CHUNK_ROWS`` values.  When the leading axis has even length n and
+    its rows [:n/2-1] are bitwise the mirrors of rows n/2-1.. (as for the w < 0
+    half of a spectral array in grid order), only rows n/2-1.. are formatted.
     """
+    n = len(a)
+    v = a.reshape(n, -1)
+    h0 = n // 2 - 1
+    parity = _mirror_parity(v, h0) if n % 2 == 0 else 0
+    row = "\x02%r" if parity < 0 else "%r"
+    for k in reversed(a.shape[1:]):
+        row = "[" + ", ".join([row] * k) + "]"
+    chunk = max(1, TABLE_CHUNK_ROWS // v.shape[1])
+    if parity:
+        texts = _unfold_texts(_frequency_blocks(row + "\x01", [v[h0:]], chunk), h0, parity)
+    else:
+        texts = _frequency_blocks(row + "\x01", [v], chunk)
+    text = "[" + ", ".join(texts) + "]"
+    if not np.isfinite(v).all():  # no finite repr holds "nan" or "inf"
+        text = text.replace("nan", "NaN").replace("inf", "Infinity")
+    return text
+
+
+def write_json(path, obj, indent=None):
+    """Write ``obj`` to ``path`` as one JSON document: the bytes of ``json.dump``
+    on ``obj`` with every numpy array in it replaced by its ``tolist()``.
+
+    Without ``indent``, ``json.dumps`` writes a mark in place of each non-empty
+    float64 array of 1 or more axes, and each mark is replaced by the array's
+    own text (:func:`_float_array_text`), which reuses the text of a mirrored
+    half.  A document holding a string or key equal to the mark is written
+    from ``tolist()``, as are other arrays and every array of an ``indent``
+    document.  Anything else JSON cannot encode raises ``TypeError``.
+    """
+    arrays = []
+
+    def default(o):
+        if (indent is None and type(o) is np.ndarray and o.dtype == np.float64
+                and o.size and o.ndim):
+            arrays.append(o)
+            return _ARRAY_MARK
+        return _json_default(o)
+
+    parts = json.dumps(obj, indent=indent, default=default).split(_ARRAY_TEXT)
+    if len(parts) != len(arrays) + 1:
+        parts, arrays = [json.dumps(obj, indent=indent, default=_json_default)], []
     with open(path, "w") as fh:
-        fh.write(json.dumps(obj, indent=indent, default=_json_default))
+        fh.write(parts[0])
+        for a, part in zip(arrays, parts[1:]):
+            fh.write(_float_array_text(a))
+            fh.write(part)
 
 
 def _public(namespace):

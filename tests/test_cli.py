@@ -129,6 +129,29 @@ class TestExitCodes:
         assert run(["coherence", "--in", str(bad), "--sample-rate", "128",
                     "-o", str(tmp_path / "o.csv")]) == 1
 
+    @pytest.mark.parametrize("text", [b"a,\xffb\n1,2\n3,4\n", b"a,b\n1,2\n3,\xff4\n"],
+                             ids=["header", "body"])
+    def test_undecodable_input_is_1(self, tmp_path, capsys, text):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(text)
+        assert run(["coherence", "--in", str(bad), "--sample-rate", "128",
+                    "-o", str(tmp_path / "o.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("specdep: malformed input: ") and "decode" in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("where", ["header", "body"])
+    def test_field_over_csv_limit_is_1(self, tmp_path, capsys, where):
+        # a long run of digits that loadtxt alone would read
+        long = "1" * (csv.field_size_limit() + 1)
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"a,{long}\n1,2\n3,4\n" if where == "header" else f"a,b\n1,2\n3,{long}\n")
+        assert run(["coherence", "--in", str(bad), "--sample-rate", "128",
+                    "-o", str(tmp_path / "o.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("specdep: malformed input: ") and "field limit" in err
+        assert err.count("\n") == 1
+
     def test_invalid_config_is_2(self, tmp_path, net_csv):
         assert run(["filter", "--in", str(net_csv), "--sample-rate", "128",
                     "--band", "30:500", "-o", str(tmp_path / "o.csv")]) == 2

@@ -20,8 +20,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from specdep import cli, spectrum, var
-from specdep.core import (TABLE_CHUNK_ROWS, FrequencyGrid, frequency_table_to_csv,
-                          table_to_csv, write_json)
+from specdep.core import (_ARRAY_MARK, TABLE_CHUNK_ROWS, FrequencyGrid,
+                          frequency_table_to_csv, table_to_csv, write_json)
 
 
 def reference_table_to_csv(path, header, columns):
@@ -194,6 +194,77 @@ def test_json_bytes_match_json_dump(tmp_path_factory, doc):
 @example({"a": np.array([[math.nan, -0.0], [math.inf, -math.inf]]),
           "b": [np.zeros((0, 2)), np.array(True), {"c": np.arange(3)}]}, None)
 def test_json_arrays_match_json_dump_of_lists(tmp_path_factory, doc, indent):
+    d = tmp_path_factory.getbasetemp()
+    write_json(d / "new.json", doc, indent=indent)
+    reference_write_json(d / "ref.json", listed(doc), indent=indent)
+    assert (d / "new.json").read_bytes() == (d / "ref.json").read_bytes()
+
+
+@st.composite
+def mirror_arrays(draw):
+    """A float64 array whose rows [:n/2-1] along axis 0 are its rows n/2-1..
+    mirrored (even), mirrored and negated (odd), those mirrors with the sign of
+    every zero flipped, or values of their own; or one of odd or no length, a
+    0-d one, a strided view of a complex array, or a float32, int or bool copy."""
+    n = 2 * draw(st.integers(1, 6))
+    trail = tuple(draw(st.lists(st.integers(0, 3), max_size=2)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+
+    def values(*shape):
+        pool = np.array(MIRROR_FLOATS)[rng.integers(0, len(MIRROR_FLOATS), shape)]
+        return np.where(rng.random(shape) < 0.5, pool, rng.standard_normal(shape))
+
+    def mirrored(kind):
+        half = values(n // 2 + 1, *trail)
+        if kind.endswith("flipped"):  # a zero in a mirrored row, and no NaN
+            half = np.nan_to_num(half, nan=0.5)
+        if kind != "own" and half[1:-1].size:
+            half[1:-1].flat[0] = math.nan if kind.endswith("row") else 0.0
+        neg = half[n // 2 - 1:0:-1]
+        neg = -neg if kind.startswith("odd") else neg
+        if kind.endswith("flipped"):
+            neg = np.where(neg == 0, -neg, neg)
+        if kind == "own":
+            neg = values(n // 2 - 1, *trail)
+        return np.concatenate([neg, half])
+
+    kinds = ["even", "odd", "even, zeros flipped", "odd, zeros flipped",
+             "odd, NaN in a mirrored row", "own"]
+    a = mirrored(draw(st.sampled_from(kinds)))
+    form = draw(st.sampled_from(["as is"] * 4 + ["real", "imag", "odd n", "empty", "0-d",
+                                               "float32", "int", "bool"]))
+    if form in ("real", "imag"):  # a view with a stride of two floats
+        c = np.empty(a.shape, complex)
+        c.real = c.imag = mirrored(draw(st.sampled_from(kinds)))
+        setattr(c, form, a)
+        return getattr(c, form)
+    if form == "odd n":
+        return values(n - 1, *trail)
+    if form == "empty":
+        return values(0, *trail)
+    if form == "0-d":
+        return np.array(a.flat[0] if a.size else 0.5)
+    if form == "float32":
+        with np.errstate(over="ignore"):  # 1e300 becomes inf
+            return a.astype(np.float32)
+    if form == "int":
+        return np.nan_to_num(a).clip(-1e18, 1e18).astype(np.int64)
+    return a > 0 if form == "bool" else a
+
+
+# arrays nested in dicts and lists, beside strings and keys that read as the mark
+marks = st.sampled_from([_ARRAY_MARK, "x", None, 1.5])
+keys = st.sampled_from([_ARRAY_MARK, "a", "b", "c"])
+mirror_docs = st.dictionaries(
+    keys, mirror_arrays() | marks | st.lists(mirror_arrays() | marks, max_size=2)
+    | st.dictionaries(keys, mirror_arrays(), max_size=2), min_size=1, max_size=3)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(mirror_docs, st.sampled_from([None, 1]))
+@example(odd_mirrored_table(2 * TABLE_CHUNK_ROWS, 2)[2], None)  # {re, im}, several chunks
+@example({_ARRAY_MARK: np.arange(4.0), "b": [_ARRAY_MARK, np.ones(2)]}, None)
+def test_json_mirrored_arrays_match_json_dump_of_lists(tmp_path_factory, doc, indent):
     d = tmp_path_factory.getbasetemp()
     write_json(d / "new.json", doc, indent=indent)
     reference_write_json(d / "ref.json", listed(doc), indent=indent)
