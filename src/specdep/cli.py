@@ -44,56 +44,36 @@ def write_series_csv(series, path):
 def read_series_csv(path, sample_rate_hz):
     """The series in a CSV file: a header row of channel labels, one row per sample.
 
-    ``csv`` parses the header and ``np.loadtxt`` the body in one pass.  Where
-    ``loadtxt`` could read the body otherwise than ``csv`` and ``float`` read
-    it cell by cell (no data, a line longer than ``csv``'s field limit, a
-    character \\x1c-\\x1f that ``loadtxt`` alone takes for a blank), where
-    it fails, or where its rows are not as wide as the header, the file is
-    read again by :func:`_read_rows`.  That names the first bad row, or reads
-    what ``loadtxt`` refuses, such as quoted numbers.  A file that cannot be
-    read or decoded, or that ``csv`` refuses, is a ``MalformedInputError``.
+    ``csv`` parses each row and ``float`` each cell, in one pass over the
+    file.  A file that cannot be read or decoded, that ``csv`` refuses, or
+    that has no header or no data rows is a ``MalformedInputError``, and so
+    is a row that is non-numeric or not as wide as the header, named by its
+    number.
     """
     try:
         with open(path, newline="") as fh:
-            header = next(_csv.reader(fh), None)
-            lines = fh.readlines()
-        body, samples = "".join(lines), None
-        if (header and body.strip("\r\n") and max(map(len, lines)) <= _csv.field_size_limit()
-                and not any(c in body for c in "\x1c\x1d\x1e\x1f")):
-            try:
-                samples = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
-            except ValueError:
-                pass
-        if samples is None or samples.shape[1] != len(header):
-            samples = _read_rows(path)
+            rd = _csv.reader(fh)
+            header = next(rd, None)
+            if not header:
+                raise MalformedInputError(f"{path}: empty file")
+            rows = []
+            for i, row in enumerate(rd):
+                if not row:
+                    continue
+                try:
+                    rows.append([float(v) for v in row])
+                except ValueError:
+                    raise MalformedInputError(f"{path}: non-numeric value on row {i + 2}")
+                if len(rows[-1]) != len(header):
+                    raise MalformedInputError(f"{path}: row {i + 2} has "
+                                              f"{len(rows[-1])} fields, expected {len(header)}")
     except OSError as exc:
         raise MalformedInputError(f"cannot read {path}: {exc}")
     except (UnicodeDecodeError, _csv.Error) as exc:
         raise MalformedInputError(f"{path}: {exc}")
-    return MultiChannelSeries(samples, sample_rate_hz, header)
-
-
-def _read_rows(path):
-    """The samples of a series CSV, parsed row by row by ``csv``, each cell by ``float``."""
-    with open(path, newline="") as fh:
-        rd = _csv.reader(fh)
-        header = next(rd, None)
-        if not header:
-            raise MalformedInputError(f"{path}: empty file")
-        rows = []
-        for i, row in enumerate(rd):
-            if not row:
-                continue
-            try:
-                rows.append([float(v) for v in row])
-            except ValueError:
-                raise MalformedInputError(f"{path}: non-numeric value on row {i + 2}")
-            if len(rows[-1]) != len(header):
-                raise MalformedInputError(f"{path}: row {i + 2} has "
-                                          f"{len(rows[-1])} fields, expected {len(header)}")
     if not rows:
         raise MalformedInputError(f"{path}: no data rows")
-    return np.asarray(rows)
+    return MultiChannelSeries(np.asarray(rows), sample_rate_hz, header)
 
 
 def parse_band(text):

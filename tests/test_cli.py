@@ -142,7 +142,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("where", ["header", "body"])
     def test_field_over_csv_limit_is_1(self, tmp_path, capsys, where):
-        # a long run of digits that loadtxt alone would read
+        # a long run of digits, which float() alone would read
         long = "1" * (csv.field_size_limit() + 1)
         bad = tmp_path / "bad.csv"
         bad.write_text(f"a,{long}\n1,2\n3,4\n" if where == "header" else f"a,b\n1,2\n3,{long}\n")
@@ -255,6 +255,28 @@ class TestExitCodes:
         assert run(["coherence", "--in", str(p), "--sample-rate", "128",
                     "-o", str(tmp_path / "o.csv")]) == 1
         assert capsys.readouterr().err == f"specdep: malformed input: {p}: {message}\n"
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
+    @pytest.mark.parametrize("text, message", [
+        (b'a,b\n"1",2\n3,4\n', None),
+        (b"a,b\n1,2\n3,oops\n", "non-numeric value on row 3")])
+    def test_pipe_input_is_read_once(self, text, message):
+        # a pipe can be read only once, so the reader must not open it again
+        r, w = os.pipe()
+        os.write(w, text)
+        os.close(w)
+        path = f"/dev/fd/{r}"
+        try:
+            if message is None:
+                series = cli.read_series_csv(path, 128.0)
+                assert series.channel_labels == ["a", "b"]
+                assert np.array_equal(series.samples, [[1.0, 2.0], [3.0, 4.0]])
+            else:
+                with pytest.raises(cli.MalformedInputError) as exc:
+                    cli.read_series_csv(path, 128.0)
+                assert str(exc.value) == f"{path}: {message}"
+        finally:
+            os.close(r)
 
     def test_override_without_value_is_2(self, tmp_path, capsys):
         assert run(["simulate", "--example", "pdc_net", "--T", "256", "--seed", "1",

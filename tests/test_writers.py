@@ -189,17 +189,6 @@ def test_json_bytes_match_json_dump(tmp_path_factory, doc):
     assert (d / "new.json").read_bytes() == (d / "ref.json").read_bytes()
 
 
-@settings(max_examples=120, deadline=None, derandomize=True)
-@given(array_docs, st.sampled_from([None, 1]))
-@example({"a": np.array([[math.nan, -0.0], [math.inf, -math.inf]]),
-          "b": [np.zeros((0, 2)), np.array(True), {"c": np.arange(3)}]}, None)
-def test_json_arrays_match_json_dump_of_lists(tmp_path_factory, doc, indent):
-    d = tmp_path_factory.getbasetemp()
-    write_json(d / "new.json", doc, indent=indent)
-    reference_write_json(d / "ref.json", listed(doc), indent=indent)
-    assert (d / "new.json").read_bytes() == (d / "ref.json").read_bytes()
-
-
 @st.composite
 def mirror_arrays(draw):
     """A float64 array whose rows [:n/2-1] along axis 0 are its rows n/2-1..
@@ -260,11 +249,13 @@ mirror_docs = st.dictionaries(
     | st.dictionaries(keys, mirror_arrays(), max_size=2), min_size=1, max_size=3)
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(mirror_docs, st.sampled_from([None, 1]))
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(array_docs | mirror_docs, st.sampled_from([None, 1]))
+@example({"a": np.array([[math.nan, -0.0], [math.inf, -math.inf]]),
+          "b": [np.zeros((0, 2)), np.array(True), {"c": np.arange(3)}]}, None)
 @example(odd_mirrored_table(2 * TABLE_CHUNK_ROWS, 2)[2], None)  # {re, im}, several chunks
 @example({_ARRAY_MARK: np.arange(4.0), "b": [_ARRAY_MARK, np.ones(2)]}, None)
-def test_json_mirrored_arrays_match_json_dump_of_lists(tmp_path_factory, doc, indent):
+def test_json_arrays_match_json_dump_of_lists(tmp_path_factory, doc, indent):
     d = tmp_path_factory.getbasetemp()
     write_json(d / "new.json", doc, indent=indent)
     reference_write_json(d / "ref.json", listed(doc), indent=indent)
