@@ -12,24 +12,33 @@ error.  A floating-point overflow, invalid operation or division by zero
 in numpy is a numerical failure too, not a warning, and its line adds that
 the input's scale may be out of range.  A flag the parser
 rejects (missing, unknown, mistyped, an invalid choice, no subcommand), a
-negative --seed and an output path that cannot be written are
-configuration errors; usage is printed only for --help.
+negative --seed, an unknown --example (its line lists the known names) and
+an output path that cannot be written are configuration errors; usage is
+printed only for --help.
+
+A process runs :func:`run`, the ``specdep`` console script and the
+``__main__`` block: it calls :func:`main` and then freezes the garbage
+collector, so that interpreter shutdown skips the objects the subcommand
+left.  The library modules are imported as the package's lazy submodules,
+so a subcommand compiles and runs only the modules it uses.
 """
 
 import argparse
 import csv as _csv
+import gc
 import math
 import sys
+from itertools import chain
 
 import numpy as np
 
-import specdep.dualfreq as df
-import specdep.filters as flt
-import specdep.pac as pacmod
-import specdep.simulate as sim
-import specdep.spca as spcamod
-import specdep.spectrum as spec
-import specdep.var as varmod
+from . import dualfreq as df
+from . import filters as flt
+from . import pac as pacmod
+from . import simulate as sim
+from . import spca as spcamod
+from . import spectrum as spec
+from . import var as varmod
 from .coherence import (coherence_matrix, estimate_spectrum, partial_coherence,
                         tv_coherence, tv_partial_coherence)
 from .core import (Band, ConfigError, FrequencyGrid, MalformedInputError,
@@ -44,36 +53,58 @@ def write_series_csv(series, path):
 def read_series_csv(path, sample_rate_hz):
     """The series in a CSV file: a header row of channel labels, one row per sample.
 
-    ``csv`` parses each row and ``float`` each cell, in one pass over the
-    file.  A file that cannot be read or decoded, that ``csv`` refuses, or
-    that has no header or no data rows is a ``MalformedInputError``, and so
-    is a row that is non-numeric or not as wide as the header, named by its
-    number.
+    ``csv`` reads every record in one pass over the file (so a pipe is read
+    once), blank records are skipped, and one ``np.fromiter`` runs ``float``
+    on every cell.  A file that cannot be read, that has no header or no
+    data rows, or that ``csv`` refuses or cannot decode is a
+    ``MalformedInputError``, and so is a row that is non-numeric or not as
+    wide as the header, named by its number.  The first of these in the
+    file is the one reported: records read before a decode or ``csv`` error
+    are checked first.
     """
+    header, records, failure = None, [], None
     try:
         with open(path, newline="") as fh:
-            rd = _csv.reader(fh)
-            header = next(rd, None)
-            if not header:
-                raise MalformedInputError(f"{path}: empty file")
-            rows = []
-            for i, row in enumerate(rd):
-                if not row:
-                    continue
-                try:
-                    rows.append([float(v) for v in row])
-                except ValueError:
-                    raise MalformedInputError(f"{path}: non-numeric value on row {i + 2}")
-                if len(rows[-1]) != len(header):
-                    raise MalformedInputError(f"{path}: row {i + 2} has "
-                                              f"{len(rows[-1])} fields, expected {len(header)}")
+            reader = _csv.reader(fh)
+            try:
+                header = next(reader, None)
+                records.extend(reader)  # keeps the records read before an error
+            except (UnicodeDecodeError, _csv.Error) as exc:
+                failure = MalformedInputError(f"{path}: {exc}")
     except OSError as exc:
         raise MalformedInputError(f"cannot read {path}: {exc}")
-    except (UnicodeDecodeError, _csv.Error) as exc:
-        raise MalformedInputError(f"{path}: {exc}")
+    if header is None and failure:
+        raise failure
+    if not header:
+        raise MalformedInputError(f"{path}: empty file")
+    rows = [r for r in records if r]
+    width = len(header)
+    try:
+        if failure or not {width}.issuperset(map(len, rows)):
+            raise ValueError
+        values = np.fromiter(map(float, chain.from_iterable(rows)), float, len(rows) * width)
+    except ValueError:
+        raise _bad_row(path, records, width) or failure from None
     if not rows:
         raise MalformedInputError(f"{path}: no data rows")
-    return MultiChannelSeries(np.asarray(rows), sample_rate_hz, header)
+    return MultiChannelSeries(values.reshape(-1, width), sample_rate_hz, header)
+
+
+def _bad_row(path, records, width):
+    """The error for the first data record, in file order, that is non-numeric
+    or not ``width`` fields wide; None when there is none."""
+    for i, row in enumerate(records):
+        if not row:
+            continue
+        try:
+            for v in row:
+                float(v)
+        except ValueError:
+            return MalformedInputError(f"{path}: non-numeric value on row {i + 2}")
+        if len(row) != width:
+            return MalformedInputError(f"{path}: row {i + 2} has {len(row)} fields, "
+                                       f"expected {width}")
+    return None
 
 
 def parse_band(text):
@@ -343,7 +374,8 @@ def build_parser():
 
     p = _command(sub, "simulate", cmd_simulate, "generate a worked example dataset",
                  needs_input=False)
-    p.add_argument("--example", required=True, choices=sim.example_names())
+    p.add_argument("--example", required=True,
+                   help="worked example name (an unknown name lists them)")
     p.add_argument("--T", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--set", action="append", metavar="KEY=VALUE",
@@ -438,5 +470,15 @@ def main(argv=None):
         return 3
 
 
+def run(argv=None):
+    """The process entry point (``specdep`` and ``python -m specdep.cli``):
+    ``main(argv)``, then every object left is frozen out of the collector, so
+    that interpreter shutdown does not walk all that numpy and specdep made.
+    ``main`` itself never freezes, for callers that go on running."""
+    code = main(argv)
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

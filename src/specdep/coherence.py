@@ -14,13 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import filters, var  # read at call time, so importing this module runs neither
 from .core import (ConfigError, TimeVaryingResult, _check_channels, _public, demean,
                    max_lag_sq_correlation, sliding_windows)
-from .filters import band_signals
 from .spectrum import (SmoothingKernel, default_bandwidth, periodogram,
                        shrink_spectral_estimate, smooth_periodogram,
                        var_spectrum)
-from .var import fit_ols
 
 # largest spectral-matrix condition number partial_coherence inverts
 _COND_CAP = 1e10
@@ -75,7 +74,7 @@ def band_coherence(series, p, q, band, filter_order=None, max_lag=None):
     -------
     (value, lag) : (float in [0, 1], int)
     """
-    y, valid = band_signals(series, [(p, band), (q, band)], filter_order)
+    y, valid = filters.band_signals(series, [(p, band), (q, band)], filter_order)
     if p == q:
         return 1.0, 0
     if max_lag is None:
@@ -130,7 +129,7 @@ def partial_coherence_residual(series, p, q, c, band, filter_order=None):
         raise ConfigError("conditioning channel must differ from p and q")
     if p == q:
         return 1.0
-    y, valid = band_signals(series, [(p, band), (q, band), (c, band)], filter_order)
+    y, valid = filters.band_signals(series, [(p, band), (q, band), (c, band)], filter_order)
     y = y[valid[0]]
     if len(y) < 4:
         raise ConfigError(f"series too short: {len(y)} samples clear of filter transients, need 4")
@@ -157,7 +156,7 @@ def estimate_spectrum(series, kernel=None, shrink_order=None):
         kernel = SmoothingKernel("daniell", default_bandwidth(series.n_samples))
     f = smooth_periodogram(periodogram(series), kernel)
     if shrink_order is not None:
-        model = fit_ols(series, shrink_order)
+        model = var.fit_ols(series, shrink_order)
         h = var_spectrum(model, f.grid, series.sample_rate_hz)
         f = shrink_spectral_estimate(f, h, kernel)
     return f

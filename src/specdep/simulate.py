@@ -11,9 +11,9 @@ reproduce output bit for bit.
 
 import numpy as np
 
+from . import var  # read at call time, so importing this module does not run it
 from .core import ConfigError, MalformedInputError, MultiChannelSeries, _public
 from .spectrum import ar2_from_peak
-from .var import VarModel, simulate_var
 
 DEFAULT_FS = 128.0
 DEFAULT_M = 1.05
@@ -42,8 +42,8 @@ def gen_sources(sources, T, seed, sample_rate_hz=DEFAULT_FS):
         if isinstance(src, str) and src == "white":
             rng = np.random.default_rng(streams[k])
             cols.append(rng.standard_normal(T))
-        elif isinstance(src, VarModel) and src.coeffs.shape == (2, 1, 1):
-            z = simulate_var(src, T, streams[k]).samples[:, 0]
+        elif isinstance(src, var.VarModel) and src.coeffs.shape == (2, 1, 1):
+            z = var.simulate_var(src, T, streams[k]).samples[:, 0]
             cols.append(z / np.sqrt(_stationary_var(src)))
         else:
             raise ConfigError(f"source {k}: expected a one-channel VAR(2) model or 'white'")
@@ -112,7 +112,7 @@ def pdc_net_model(M=1.049787, fs=DEFAULT_FS, noise_cov=None):
         noise_cov = np.diag([1.0 / _stationary_var(beta), 1.0,
                              1.0 / _stationary_var(delta),
                              1.0 / _stationary_var(gamma)])
-    return VarModel(np.stack([phi1, phi2]), noise_cov)
+    return var.VarModel(np.stack([phi1, phi2]), noise_cov)
 
 
 def _opts(overrides, **defaults):
@@ -204,7 +204,7 @@ def _lead_lag(T, seed, overrides):
 def _pdc_net(T, seed, overrides):
     o = _opts(overrides, fs=DEFAULT_FS, M=1.049787)
     model = pdc_net_model(o["M"], o["fs"])
-    series = simulate_var(model, T, seed, sample_rate_hz=o["fs"])
+    series = var.simulate_var(model, T, seed, sample_rate_hz=o["fs"])
     truth = {
         "name": "pdc_net", "sample_rate_hz": o["fs"], "order": 2,
         "root_magnitude": o["M"],

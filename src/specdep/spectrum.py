@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import var  # read at call time, so importing this module does not run it
 from .core import ConfigError, FrequencyGrid, _public, demean, frequency_table_to_csv
-from .var import VarModel, transfer_function
 
 
 class CrossSpectralMatrix:
@@ -93,7 +93,7 @@ def ar2_from_peak(M, psi, noise_var=1.0):
     if not noise_var > 0:
         raise ConfigError("noise variance must be positive")
     phi1 = (2.0 / M) * np.cos(2 * np.pi * psi)
-    return VarModel([[[phi1]], [[-1.0 / M ** 2]]], [[noise_var]])
+    return var.VarModel([[[phi1]], [[-1.0 / M ** 2]]], [[noise_var]])
 
 
 @dataclass(frozen=True)
@@ -190,7 +190,7 @@ def var_spectrum(model, grid, sample_rate_hz=None):
     if not model.is_stable():
         raise ValueError("VAR model is not stable (companion spectral radius >= 1)")
     try:
-        inv = np.linalg.inv(transfer_function(model, grid.frequencies[grid.n // 2 - 1:]))
+        inv = np.linalg.inv(var.transfer_function(model, grid.frequencies[grid.n // 2 - 1:]))
     except np.linalg.LinAlgError as exc:
         raise ValueError(f"singular transfer function (near-unit-root model): {exc}")
     half = inv @ model.noise_cov @ inv.conj().transpose(0, 2, 1)

@@ -1,4 +1,5 @@
 import csv
+import gc
 import json
 import os
 import subprocess
@@ -50,6 +51,15 @@ class TestSimulateCommand:
         truth = json.loads((tmp_path / "x.truth.json").read_text())
         assert truth["name"] == "pdc_net"
         assert "aux" not in truth
+
+    def test_unknown_example_is_2(self, tmp_path, capsys):
+        assert run(["simulate", "--example", "nosuch", "--T", "256", "--seed", "1",
+                    "-o", str(tmp_path / "x.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("specdep: invalid configuration: unknown example 'nosuch'; "
+                              "choose from ['chirp', ")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "x.csv").exists()
 
     def test_csv_roundtrip_exact(self, tmp_path):
         out = tmp_path / "x.csv"
@@ -255,6 +265,18 @@ class TestExitCodes:
         assert run(["coherence", "--in", str(p), "--sample-rate", "128",
                     "-o", str(tmp_path / "o.csv")]) == 1
         assert capsys.readouterr().err == f"specdep: malformed input: {p}: {message}\n"
+
+    # the decoder reads ahead, so the bad byte sits past its first buffer
+    @pytest.mark.parametrize("head, message", [
+        ("3,oops\n", "non-numeric value on row 3"),
+        ("3\n4,oops\n", "row 3 has 1 fields, expected 2"),
+        ("3,4\n", "'utf-8' codec can't decode byte 0xff")])
+    def test_first_bad_row_is_reported(self, tmp_path, head, message):
+        p = tmp_path / "in.csv"
+        p.write_bytes(f"a,b\n1,2\n{head}".encode() + b"5,6\n" * 3000 + b"7,\xff8\n")
+        with pytest.raises(cli.MalformedInputError) as exc:
+            cli.read_series_csv(p, 128.0)
+        assert str(exc.value).startswith(f"{p}: {message}")
 
     @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
     @pytest.mark.parametrize("text, message", [
@@ -616,6 +638,35 @@ class TestOtherCommands:
 
 
 class TestConsoleEntry:
+    def test_run_freezes_the_collector_and_main_does_not(self, tmp_path):
+        argv = ["simulate", "--example", "pac", "--T", "256", "--seed", "1",
+                "-o", str(tmp_path / "x.csv")]
+        assert gc.get_freeze_count() == 0
+        assert cli.main(argv) == 0
+        assert gc.get_freeze_count() == 0
+        try:
+            assert cli.run(argv) == 0
+            assert gc.get_freeze_count() > 0
+        finally:
+            gc.unfreeze()
+
+    def test_coherence_runs_only_the_modules_it_uses(self, tmp_path):
+        src, out = tmp_path / "x.csv", tmp_path / "o.csv"
+        np.savetxt(src, np.random.default_rng(0).standard_normal((256, 3)), delimiter=",",
+                   header="a,b,c", comments="")
+        code = ("import sys, types\n"
+                "from specdep import cli\n"
+                f"assert cli.main(['coherence', '--in', {str(src)!r}, '--sample-rate', '128',"
+                f" '-o', {str(out)!r}]) == 0\n"
+                "print(sorted(m for m in sys.modules if m.startswith('specdep.')"
+                " and type(sys.modules[m]) is types.ModuleType))")
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(specdep.__file__)))
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split("\n")[-2] == str(
+            ["specdep.cli", "specdep.coherence", "specdep.core", "specdep.spectrum"])
+
     def test_subprocess_help(self):
         proc = subprocess.run([sys.executable, "-m", "specdep.cli", "--help"],
                               capture_output=True, text=True)

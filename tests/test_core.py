@@ -1,4 +1,3 @@
-import ast
 import importlib
 import inspect
 
@@ -351,11 +350,11 @@ class TestWriteJson:
 
 
 def _package_imports():
-    """{submodule: names} that ``specdep/__init__.py`` imports from it."""
-    with open(specdep.__file__) as fh:
-        tree = ast.parse(fh.read())
-    return {node.module: [a.name for a in node.names] for node in tree.body
-            if isinstance(node, ast.ImportFrom) and node.level == 1}
+    """{submodule: names} that the package serves from it (``specdep._EXPORTS``)."""
+    out = {}
+    for name, module in specdep._EXPORTS.items():
+        out.setdefault(module, []).append(name)
+    return out
 
 
 PACKAGE_IMPORTS = _package_imports()
@@ -369,6 +368,9 @@ def module(request):
 class TestExports:
     def test_nine_submodules_feed_the_package(self):
         assert len(PACKAGE_IMPORTS) == 9
+
+    def test_package_lists_every_export_before_loading_it(self):
+        assert set(specdep.__all__) <= set(dir(specdep))
 
     def test_package_names_exported_by_their_module(self, module):
         imported = PACKAGE_IMPORTS[module.__name__.split(".")[1]]

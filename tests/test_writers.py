@@ -97,10 +97,14 @@ MIRROR_FLOATS = [0.0, -0.0, 1e-300, -1e-300, 5e-324, -5e-324, 1e300, -1e300,
 
 
 @st.composite
-def frequency_tables(draw):
+def frequency_tables(draw, constants=False):
     """(grid, fs, columns, u): value columns whose w < 0 rows are their w > 0
     partners (even), the negated partners (odd), those mirrors with the sign
-    of every zero flipped, or values of their own."""
+    of every zero flipped, or values of their own.  With ``constants``, some
+    cells (p, q) of each column (the diagonal, or cells at random) hold one
+    value at every w >= 0 row, and at every row of an "own" column: an odd
+    column's w < 0 rows then hold its negation, and a flipped zero holds
+    its other sign."""
     n = 2 * draw(st.integers(1, 6))
     P = draw(st.integers(1, 3))
     windows = draw(st.sampled_from([None, 1, 3]))
@@ -117,12 +121,18 @@ def frequency_tables(draw):
         kind = draw(st.sampled_from(["even", "odd", "even, zeros flipped",
                                      "odd, zeros flipped", "own"]))
         half = values(n // 2 + 1)
+        if constants:
+            cells = draw(st.sampled_from([np.eye(P, dtype=bool), rng.random((P, P)) < 0.5]))
+            c = draw(st.sampled_from([0.0, -0.0, 1.0, -2.5]))
+            half[..., cells] = c
         partner = half[..., n // 2 - 1:0:-1, :, :]
         neg = -partner if kind.startswith("odd") else partner
         if kind.endswith("flipped"):
             neg = np.where(neg == 0, -neg, neg)
         if kind == "own":
             neg = values(n // 2 - 1)
+            if constants:
+                neg[..., cells] = c
         columns[f"c{i}"] = np.concatenate([neg, half], axis=-3)
     u = None if windows is None else np.array(MIRROR_FLOATS[:8])[rng.integers(0, 8, windows)]
     return FrequencyGrid(n), fs, columns, u
@@ -140,6 +150,15 @@ def odd_mirrored_table(n, P):
 @given(frequency_tables())
 @example(odd_mirrored_table(2 * TABLE_CHUNK_ROWS, 2))  # blocks span several chunks
 def test_frequency_table_bytes_match_row_writer(tmp_path_factory, table):
+    d = tmp_path_factory.getbasetemp()
+    frequency_table_to_csv(d / "new.csv", *table)
+    reference_frequency_table_to_csv(d / "ref.csv", *table)
+    assert (d / "new.csv").read_bytes() == (d / "ref.csv").read_bytes()
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(frequency_tables(constants=True))
+def test_frequency_table_constant_cells_match_row_writer(tmp_path_factory, table):
     d = tmp_path_factory.getbasetemp()
     frequency_table_to_csv(d / "new.csv", *table)
     reference_frequency_table_to_csv(d / "ref.csv", *table)
