@@ -18,7 +18,8 @@ Each submodule is registered lazily: ``specdep.var`` and
 ``sys.modules["specdep.var"]`` exist from the start, but the module's code is
 compiled and run only when one of its attributes is first read.  A CLI
 process then pays only for the modules its subcommand uses.  The names below
-are read from their submodule on first access (PEP 562) and kept here.
+are read from their submodule at each access (PEP 562) and not kept here, so
+the submodule's attribute stays their one binding.
 """
 
 import importlib.util
@@ -67,9 +68,7 @@ del _name
 def __getattr__(name):
     if name not in _EXPORTS:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    module = importlib.import_module(f".{_EXPORTS[name]}", __name__)
-    value = globals()[name] = getattr(module, name)
-    return value
+    return getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)
 
 
 def __dir__():

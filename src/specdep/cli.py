@@ -28,7 +28,6 @@ import csv as _csv
 import gc
 import math
 import sys
-from itertools import chain
 
 import numpy as np
 
@@ -53,58 +52,36 @@ def write_series_csv(series, path):
 def read_series_csv(path, sample_rate_hz):
     """The series in a CSV file: a header row of channel labels, one row per sample.
 
-    ``csv`` reads every record in one pass over the file (so a pipe is read
-    once), blank records are skipped, and one ``np.fromiter`` runs ``float``
-    on every cell.  A file that cannot be read, that has no header or no
-    data rows, or that ``csv`` refuses or cannot decode is a
-    ``MalformedInputError``, and so is a row that is non-numeric or not as
-    wide as the header, named by its number.  The first of these in the
-    file is the one reported: records read before a decode or ``csv`` error
-    are checked first.
+    ``csv`` parses each row and ``float`` each cell, in one pass over the
+    file.  A file that cannot be read or decoded, that ``csv`` refuses, or
+    that has no header or no data rows is a ``MalformedInputError``, and so
+    is a row that is non-numeric or not as wide as the header, named by its
+    number.
     """
-    header, records, failure = None, [], None
     try:
         with open(path, newline="") as fh:
-            reader = _csv.reader(fh)
-            try:
-                header = next(reader, None)
-                records.extend(reader)  # keeps the records read before an error
-            except (UnicodeDecodeError, _csv.Error) as exc:
-                failure = MalformedInputError(f"{path}: {exc}")
+            rd = _csv.reader(fh)
+            header = next(rd, None)
+            if not header:
+                raise MalformedInputError(f"{path}: empty file")
+            rows = []
+            for i, row in enumerate(rd):
+                if not row:
+                    continue
+                try:
+                    rows.append([float(v) for v in row])
+                except ValueError:
+                    raise MalformedInputError(f"{path}: non-numeric value on row {i + 2}")
+                if len(rows[-1]) != len(header):
+                    raise MalformedInputError(f"{path}: row {i + 2} has "
+                                              f"{len(rows[-1])} fields, expected {len(header)}")
     except OSError as exc:
         raise MalformedInputError(f"cannot read {path}: {exc}")
-    if header is None and failure:
-        raise failure
-    if not header:
-        raise MalformedInputError(f"{path}: empty file")
-    rows = [r for r in records if r]
-    width = len(header)
-    try:
-        if failure or not {width}.issuperset(map(len, rows)):
-            raise ValueError
-        values = np.fromiter(map(float, chain.from_iterable(rows)), float, len(rows) * width)
-    except ValueError:
-        raise _bad_row(path, records, width) or failure from None
+    except (UnicodeDecodeError, _csv.Error) as exc:
+        raise MalformedInputError(f"{path}: {exc}")
     if not rows:
         raise MalformedInputError(f"{path}: no data rows")
-    return MultiChannelSeries(values.reshape(-1, width), sample_rate_hz, header)
-
-
-def _bad_row(path, records, width):
-    """The error for the first data record, in file order, that is non-numeric
-    or not ``width`` fields wide; None when there is none."""
-    for i, row in enumerate(records):
-        if not row:
-            continue
-        try:
-            for v in row:
-                float(v)
-        except ValueError:
-            return MalformedInputError(f"{path}: non-numeric value on row {i + 2}")
-        if len(row) != width:
-            return MalformedInputError(f"{path}: row {i + 2} has {len(row)} fields, "
-                                       f"expected {width}")
-    return None
+    return MultiChannelSeries(np.asarray(rows), sample_rate_hz, header)
 
 
 def parse_band(text):

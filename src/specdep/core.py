@@ -385,14 +385,14 @@ def _mirror_parity(v, h0):
 
 
 def _frequency_blocks(template, values, chunk):
-    """The text of block j, from row j of the 2-D array ``values``, for every j.
+    """The text of block j, from row j of each array in ``values``, for every j.
 
     ``template`` formats one block and ends it with \\x01; one ``%`` on it
     repeated formats each ``chunk`` blocks.
     """
     out = []
-    for s in range(0, len(values), chunk):
-        cells = values[s:s + chunk]
+    for s in range(0, len(values[0]), chunk):
+        cells = np.stack([v[s:s + chunk] for v in values], axis=-1)
         out += (template * len(cells) % tuple(cells.ravel().tolist())).split("\x01")[:-1]
     return out
 
@@ -428,24 +428,16 @@ def frequency_table_to_csv(path, grid, fs, columns, u=None):
     bitwise its partners' mirror: equal (coherence, partial coherence, PDC,
     ``re``), or negated (``im``), whose text then changes sign, since
     ``'%.17g' % -x == '-' + '%.17g' % x`` for every x but NaN.  Otherwise they
-    are formatted from their own values by the same block builder.  A cell
-    (p, q) of a column that holds bitwise one value in every formatted row
-    (the 1.0 diagonal of a coherence, the 0.0 imaginary diagonal of a
-    spectrum) is formatted once, as text of the block template.  The
-    prefixes are formatted at w >= 0 only: the frequencies at w < 0 are
-    bitwise the negated partners, k/n and (k/n)*fs for -k.
+    are formatted from their own values by the same block builder.
     """
     n, h0 = grid.n, grid.n // 2 - 1  # grid rows h0.. are w = 0 .. 1/2
     P = np.shape(next(iter(columns.values())))[-1]
     us = [None] if u is None else np.ravel(u).tolist()
     cols = [np.broadcast_to(np.asarray(c, dtype=float), (len(us), n, P, P))
             for c in columns.values()]
-    # \x00 stands for a line's prefix, \x01 ends a block and \x02 marks a
-    # value whose sign a w < 0 row flips
-    f = grid.frequencies[h0:]
-    rows = (["\x02%.17g,\x02%.17g," % r for r in zip(f.tolist(), (f * fs).tolist())] if fs
-            else ["\x02%.17g,," % r for r in f.tolist()])
-    rows = list(_unfold_texts(rows, h0, -1))
+    f = grid.frequencies.tolist()
+    rows = (["%.17g,%.17g," % r for r in zip(f, (grid.frequencies * fs).tolist())] if fs
+            else ["%.17g,," % r for r in f])
     header = ["freq", "freq_hz", "p", "q", *columns]
     chunk = max(1, TABLE_CHUNK_ROWS // (P * P))
     with open(path, "w", newline="") as fh:
@@ -454,17 +446,16 @@ def frequency_table_to_csv(path, grid, fs, columns, u=None):
             vals = [c[w] for c in cols]
             parity = [_mirror_parity(v, h0) for v in vals]
             mirrored = 0 not in parity
-            # the rows the template formats, one (p, q, column) cell per field
-            cells = np.stack(vals, axis=-1)[h0 if mirrored else 0:].reshape(-1, P * P * len(vals))
-            const = (cells.view(np.int64) == cells[:1].view(np.int64)).all(axis=0)
-            marks = [",\x02" if mirrored and s < 0 else "," for s in parity] * (P * P)
-            fields = iter([m + ("%.17g" % x if c else "%.17g")
-                           for m, x, c in zip(marks, cells[0].tolist(), const.tolist())])
-            template = "".join("\x00%d,%d%s\r\n" % (p, q, "".join(islice(fields, len(vals))))
+            # \x00 stands for a line's prefix, \x01 ends a block and \x02 marks
+            # an odd column's value, whose sign a w < 0 row flips
+            cells = "".join(",\x02%.17g" if mirrored and s < 0 else ",%.17g" for s in parity)
+            template = "".join("\x00%d,%d%s\r\n" % (p, q, cells)
                                for p in range(P) for q in range(P)) + "\x01"
-            texts = _frequency_blocks(template, cells[:, ~const], chunk)
+            half = _frequency_blocks(template, [v[h0:] for v in vals], chunk)
             if mirrored:
-                texts = _unfold_texts(texts, h0, min(parity))
+                texts = _unfold_texts(half, h0, min(parity))
+            else:
+                texts = chain(_frequency_blocks(template, [v[:h0] for v in vals], chunk), half)
             prefix = rows if uw is None else ["%.17g," % uw + r for r in rows]
             lines = map(str.replace, texts, repeat("\x00"), prefix)
             for _ in range(0, n, chunk):
@@ -501,9 +492,9 @@ def _float_array_text(a):
         row = "[" + ", ".join([row] * k) + "]"
     chunk = max(1, TABLE_CHUNK_ROWS // v.shape[1])
     if parity:
-        texts = _unfold_texts(_frequency_blocks(row + "\x01", v[h0:], chunk), h0, parity)
+        texts = _unfold_texts(_frequency_blocks(row + "\x01", [v[h0:]], chunk), h0, parity)
     else:
-        texts = _frequency_blocks(row + "\x01", v, chunk)
+        texts = _frequency_blocks(row + "\x01", [v], chunk)
     text = "[" + ", ".join(texts) + "]"
     if not np.isfinite(v).all():  # no finite repr holds "nan" or "inf"
         text = text.replace("nan", "NaN").replace("inf", "Infinity")

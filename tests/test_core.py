@@ -372,6 +372,15 @@ class TestExports:
     def test_package_lists_every_export_before_loading_it(self):
         assert set(specdep.__all__) <= set(dir(specdep))
 
+    def test_package_name_reads_its_module_attribute(self, monkeypatch):
+        # a wrapper installed on the module and removed again (as perfbench's
+        # tracer does) must not stay behind on the package
+        wrapper = object()
+        monkeypatch.setattr(specdep.core, "demean", wrapper)
+        assert specdep.demean is wrapper
+        monkeypatch.undo()
+        assert specdep.demean is demean
+
     def test_package_names_exported_by_their_module(self, module):
         imported = PACKAGE_IMPORTS[module.__name__.split(".")[1]]
         assert set(imported) <= set(module.__all__)
