@@ -27,8 +27,8 @@ import sys
 
 # package-level name -> the submodule that defines it
 _EXPORTS = {name: module for module, names in {
-    "core": "Band FrequencyGrid MultiChannelSeries band_by_name cross_correlation "
-            "cross_covariance demean max_lag_sq_correlation standard_bands",
+    "core": "Band FrequencyGrid MultiChannelSeries band_by_name cross_covariance demean "
+            "max_lag_sq_correlation standard_bands",
     "filters": "FirFilter apply_filter band_signals design_fir_bandpass frequency_response",
     "spectrum": "CrossSpectralMatrix SmoothingKernel ar2_from_peak fourier_coefficients "
                 "periodogram shrink_spectral_estimate smooth_periodogram var_spectrum",

@@ -217,21 +217,7 @@ def cmd_dualfreq(args):
         centers = range(a, b, step)
     smoothing = (_fields(args.smooth, "--smooth HALF:HOP", (int, int))
                  if args.smooth else None)
-    N = args.window
-    half, hop = smoothing or (8, N // 2)
-    if N >= 2 and N % 2 == 0 and half > 0 and hop > 0:
-        # the scan would name only the smoothing piece that leaves the series,
-        # a centre nobody gave; invalid values keep the scan's own messages
-        reach = half * hop + N // 2
-        for t in centers:
-            if not reach - 1 <= t < series.n_samples - reach:
-                how = (f"--smooth {half}:{hop}" if smoothing else
-                       f"the default smoothing ({half} hops of N/2 = {hop} either side)")
-                raise ConfigError(
-                    f"window {N} at centre t={t} with {how} needs samples "
-                    f"[{t - reach + 1}, {t + reach}], outside [0, {series.n_samples - 1}]")
-    res = df.dualfreq_scan(series, centers, N, pairs, smoothing)
-    res.to_csv(args.out)
+    df.dualfreq_scan(series, centers, args.window, pairs, smoothing).to_csv(args.out)
     return 0
 
 

@@ -1,24 +1,24 @@
-"""Time-series containers, frequency bands, and lag-domain correlation primitives.
+"""Time-series containers, frequency bands, lag-domain covariance, and writers.
 
 The basic data object is :class:`MultiChannelSeries`, a T x P sample matrix
 with a sampling rate.  All dependence measures in the other modules consume
 it.  :class:`FrequencyGrid` orders the frequencies of an n-point spectrum and
-unfolds its w >= 0 half to the whole grid.  Covariance/correlation here use
-the biased 1/T normalization so that the autocovariance sequence is positive
+unfolds its w >= 0 half to the whole grid.  Covariance here uses the biased
+1/T normalization so that the autocovariance sequence is positive
 semi-definite.  Every long-format result table is written by
 :func:`table_to_csv`, except the per-frequency matrices:
-:func:`frequency_table_to_csv` writes those one frequency block at a time,
-formatting the w >= 0 half and reusing its text for a mirrored w < 0 half.
+:func:`frequency_table_to_csv` writes those one frequency block at a time.
 Every JSON document is written by :func:`write_json`, which formats each
-float64 array itself and reuses the text of a mirrored half the same way
-(:func:`_unfold_texts` serves both writers).  Every time-varying estimate
-loops over :func:`sliding_windows`.
+float64 array itself.  All three format floats through one chunked ``%``
+loop (:func:`_format_rows`), and the two per-frequency writers format only
+the w >= 0 half of a mirrored array, reusing its text for the w < 0 half
+(:func:`_grid_texts`).  Every time-varying estimate loops over
+:func:`sliding_windows`.
 """
 
 import json
-import math
 from dataclasses import dataclass
-from itertools import chain, islice, repeat
+from itertools import islice, repeat
 
 import numpy as np
 
@@ -290,15 +290,6 @@ def _lagged_dot(x, y, h):
     return np.dot(x[:T + h], y[-h:])
 
 
-def cross_correlation(series, p, q, h):
-    """Lagged cross-correlation: sigma_pq(h) / sqrt(sigma_pp(0) sigma_qq(0))."""
-    vp = cross_covariance(series, p, p, 0)
-    vq = cross_covariance(series, q, q, 0)
-    if vp <= 0 or vq <= 0:
-        raise ValueError("zero-variance channel")
-    return cross_covariance(series, p, q, h) / np.sqrt(vp * vq)
-
-
 def max_lag_sq_correlation(x, y, max_lag):
     """Maximum squared lagged correlation between two 1-D signals.
 
@@ -348,25 +339,36 @@ def table_to_csv(path, header, columns):
     Float columns are written at 17 significant digits, so a round trip
     through the file is exact; ints and labels are written as they are, a
     label holding a comma or a quote inside quotes.  Labels are formatted
-    once up front; then one ``%`` on a line template made from the column
-    types formats each ``TABLE_CHUNK_ROWS`` rows.
+    once up front; then :func:`_format_rows` formats each ``TABLE_CHUNK_ROWS``
+    rows with a line template made from the column types, all columns cast
+    to ``object`` when their dtypes differ, so that every int stays exact.
     """
     cols = [np.asarray(c) for c in columns]
     shape = np.broadcast_shapes(*(c.shape for c in cols))
-    rows = math.prod(shape)
     line = []
     for i, c in enumerate(cols):
         if c.dtype.kind not in "fiu":
             text = [_csv_field(str(v), len(cols) == 1) for v in c.ravel().tolist()]
             c = np.array(text, dtype=object).reshape(c.shape)
         line.append({"f": "%.17g", "i": "%d", "u": "%d"}.get(c.dtype.kind, "%s"))
-        cols[i] = np.broadcast_to(c, shape)
-    line = ",".join(line) + "\r\n"
+        cols[i] = np.broadcast_to(c, shape).reshape(-1)
+    if len({c.dtype for c in cols}) > 1:
+        cols = [c.astype(object) for c in cols]
     with open(path, "w", newline="") as fh:
         fh.write(",".join(_csv_field(str(h), len(header) == 1) for h in header) + "\r\n")
-        for s in range(0, rows, TABLE_CHUNK_ROWS):
-            cells = [c.flat[s:s + TABLE_CHUNK_ROWS].tolist() for c in cols]
-            fh.write(line * len(cells[0]) % tuple(chain.from_iterable(zip(*cells))))
+        fh.writelines(_format_rows(",".join(line) + "\r\n", cols, TABLE_CHUNK_ROWS))
+
+
+def _format_rows(template, values, chunk):
+    """The text of each ``chunk`` rows along axis 0 of the arrays ``values``.
+
+    ``template`` formats one row, taking its cells from row j of each array
+    in turn; one ``%`` on it repeated formats each ``chunk`` rows, whose
+    cells are stacked first.  This is the one loop that formats floats.
+    """
+    for s in range(0, len(values[0]), chunk):
+        cells = np.stack([v[s:s + chunk] for v in values], axis=-1)
+        yield template * len(cells) % tuple(cells.ravel().tolist())
 
 
 def _mirror_parity(v, h0):
@@ -384,31 +386,28 @@ def _mirror_parity(v, h0):
     return 0
 
 
-def _frequency_blocks(template, values, chunk):
-    """The text of block j, from row j of each array in ``values``, for every j.
+def _grid_texts(values, template, chunk):
+    """The text of each of the n rows along axis 0 of the arrays ``values``.
 
-    ``template`` formats one block and ends it with \\x01; one ``%`` on it
-    repeated formats each ``chunk`` blocks.
+    ``template(signs)`` formats a row from row j of each array, and marks by
+    \\x02 the value of each array whose sign is -1.  When n is even and every
+    array is bitwise a mirror (:func:`_mirror_parity`, the sign of each), only
+    rows h0 = n/2-1.. (w >= 0) are formatted, and row j < h0 reuses the text
+    of its w > 0 partner, row 2*h0 - j, with every marked value negated.
+    That is exact, since ``'%r' % -x == '-' + '%r' % x`` and
+    ``'%.17g' % -x == '-' + '%.17g' % x`` for every x but NaN.  Otherwise
+    every row is formatted from its own values.
     """
-    out = []
-    for s in range(0, len(values[0]), chunk):
-        cells = np.stack([v[s:s + chunk] for v in values], axis=-1)
-        out += (template * len(cells) % tuple(cells.ravel().tolist())).split("\x01")[:-1]
-    return out
-
-
-def _unfold_texts(half, h0, parity):
-    """The texts of all n grid rows from the texts ``half`` of rows h0.. (w >= 0).
-
-    Row j < h0 reuses the text of its w > 0 partner, row 2*h0 - j: as it is
-    when ``parity`` is 1, with every value marked by \\x02 negated when it
-    is -1.  That is exact, since ``'%r' % -x == '-' + '%r' % x`` and
-    ``'%.17g' % -x == '-' + '%.17g' % x`` for every x but NaN.
-    """
-    if parity > 0:
-        return chain(half[h0:0:-1], half)
-    return chain((t.replace("\x02-", "").replace("\x02", "-") for t in half[h0:0:-1]),
-                 (t.replace("\x02", "") for t in half))
+    n, h0 = len(values[0]), len(values[0]) // 2 - 1
+    signs = [_mirror_parity(v, h0) for v in values] if n % 2 == 0 else [0]
+    if 0 in signs:
+        signs, h0 = [1] * len(values), 0
+    half = [t for text in _format_rows(template(signs) + "\x01", [v[h0:] for v in values], chunk)
+            for t in text.split("\x01")[:-1]]
+    if min(signs) > 0:
+        return half[h0:0:-1] + half
+    return ([t.replace("\x02-", "").replace("\x02", "-") for t in half[h0:0:-1]]
+            + [t.replace("\x02", "") for t in half])
 
 
 def frequency_table_to_csv(path, grid, fs, columns, u=None):
@@ -421,42 +420,33 @@ def frequency_table_to_csv(path, grid, fs, columns, u=None):
     every float at 17 significant digits.
 
     The table is written one frequency block (its P*P rows) at a time.  Per
-    window, the ``p,q,value...`` tails of the w >= 0 blocks are formatted once,
-    one ``%`` per ``TABLE_CHUNK_ROWS`` rows, and each grid row's
-    ``[u,]freq,freq_hz,`` prefix is written once into its block.  The w < 0
-    blocks reuse the text of their w > 0 partners when every column is
-    bitwise its partners' mirror: equal (coherence, partial coherence, PDC,
-    ``re``), or negated (``im``), whose text then changes sign, since
-    ``'%.17g' % -x == '-' + '%.17g' % x`` for every x but NaN.  Otherwise they
-    are formatted from their own values by the same block builder.
+    window, the ``p,q,value...`` tails of the blocks are formatted by
+    :func:`_grid_texts`, one ``%`` per ``TABLE_CHUNK_ROWS`` rows, and each
+    grid row's ``[u,]freq,freq_hz,`` prefix is written once into its block.
+    The w < 0 blocks reuse the text of their w > 0 partners when every column
+    is bitwise its partners' mirror: equal (coherence, partial coherence,
+    PDC, ``re``), or negated (``im``), whose text then changes sign.
+    Otherwise they are formatted from their own values.
     """
-    n, h0 = grid.n, grid.n // 2 - 1  # grid rows h0.. are w = 0 .. 1/2
+    n = grid.n
     P = np.shape(next(iter(columns.values())))[-1]
     us = [None] if u is None else np.ravel(u).tolist()
     cols = [np.broadcast_to(np.asarray(c, dtype=float), (len(us), n, P, P))
             for c in columns.values()]
-    f = grid.frequencies.tolist()
-    rows = (["%.17g,%.17g," % r for r in zip(f, (grid.frequencies * fs).tolist())] if fs
-            else ["%.17g,," % r for r in f])
+    f, line = grid.frequencies, "%.17g,%.17g,\x01" if fs else "%.17g,,\x01"
+    rows = next(_format_rows(line, [f, f * fs] if fs else [f], n)).split("\x01")[:-1]
     header = ["freq", "freq_hz", "p", "q", *columns]
     chunk = max(1, TABLE_CHUNK_ROWS // (P * P))
+
+    def template(signs):  # \x00 stands for a line's prefix
+        cells = "".join(",\x02%.17g" if s < 0 else ",%.17g" for s in signs)
+        return "".join("\x00%d,%d%s\r\n" % (p, q, cells) for p in range(P) for q in range(P))
+
     with open(path, "w", newline="") as fh:
         fh.write(",".join(_csv_field(str(h)) for h in ["u"] * (u is not None) + header) + "\r\n")
         for w, uw in enumerate(us):
-            vals = [c[w] for c in cols]
-            parity = [_mirror_parity(v, h0) for v in vals]
-            mirrored = 0 not in parity
-            # \x00 stands for a line's prefix, \x01 ends a block and \x02 marks
-            # an odd column's value, whose sign a w < 0 row flips
-            cells = "".join(",\x02%.17g" if mirrored and s < 0 else ",%.17g" for s in parity)
-            template = "".join("\x00%d,%d%s\r\n" % (p, q, cells)
-                               for p in range(P) for q in range(P)) + "\x01"
-            half = _frequency_blocks(template, [v[h0:] for v in vals], chunk)
-            if mirrored:
-                texts = _unfold_texts(half, h0, min(parity))
-            else:
-                texts = chain(_frequency_blocks(template, [v[:h0] for v in vals], chunk), half)
-            prefix = rows if uw is None else ["%.17g," % uw + r for r in rows]
+            texts = _grid_texts([c[w] for c in cols], template, chunk)
+            prefix = rows if uw is None else list(map(("%.17g," % uw).__add__, rows))
             lines = map(str.replace, texts, repeat("\x00"), prefix)
             for _ in range(0, n, chunk):
                 fh.write("".join(islice(lines, chunk)))
@@ -467,13 +457,6 @@ _ARRAY_MARK = "\x00ndarray\x00"
 _ARRAY_TEXT = '"\\u0000ndarray\\u0000"'
 
 
-def _json_default(obj):
-    """A numpy array as its nested lists; anything else JSON cannot encode raises."""
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
-
-
 def _float_array_text(a):
     """``json.dumps(a.tolist())`` for a non-empty float64 array of 1 or more axes.
 
@@ -481,20 +464,14 @@ def _float_array_text(a):
     ``float.__repr__``, the text ``json`` writes; one ``%`` formats each
     ``TABLE_CHUNK_ROWS`` values.  When the leading axis has even length n and
     its rows [:n/2-1] are bitwise the mirrors of rows n/2-1.. (as for the w < 0
-    half of a spectral array in grid order), only rows n/2-1.. are formatted.
+    half of a spectral array in grid order), only rows n/2-1.. are formatted
+    (:func:`_grid_texts`).
     """
-    n = len(a)
-    v = a.reshape(n, -1)
-    h0 = n // 2 - 1
-    parity = _mirror_parity(v, h0) if n % 2 == 0 else 0
-    row = "\x02%r" if parity < 0 else "%r"
+    v, row = a.reshape(len(a), -1), "%r"
     for k in reversed(a.shape[1:]):
         row = "[" + ", ".join([row] * k) + "]"
-    chunk = max(1, TABLE_CHUNK_ROWS // v.shape[1])
-    if parity:
-        texts = _unfold_texts(_frequency_blocks(row + "\x01", [v[h0:]], chunk), h0, parity)
-    else:
-        texts = _frequency_blocks(row + "\x01", [v], chunk)
+    texts = _grid_texts([v], lambda signs: row.replace("%", "\x02%") if signs[0] < 0 else row,
+                        max(1, TABLE_CHUNK_ROWS // v.shape[1]))
     text = "[" + ", ".join(texts) + "]"
     if not np.isfinite(v).all():  # no finite repr holds "nan" or "inf"
         text = text.replace("nan", "NaN").replace("inf", "Infinity")
@@ -509,21 +486,24 @@ def write_json(path, obj, indent=None):
     float64 array of 1 or more axes, and each mark is replaced by the array's
     own text (:func:`_float_array_text`), which reuses the text of a mirrored
     half.  A document holding a string or key equal to the mark is written
-    from ``tolist()``, as are other arrays and every array of an ``indent``
-    document.  Anything else JSON cannot encode raises ``TypeError``.
+    again with no marks, every array from ``tolist()``, as are other arrays
+    and every array of an ``indent`` document.  Anything else JSON cannot
+    encode raises ``TypeError``.
     """
-    arrays = []
+    arrays, mark = [], indent is None
 
     def default(o):
-        if (indent is None and type(o) is np.ndarray and o.dtype == np.float64
-                and o.size and o.ndim):
+        if not isinstance(o, np.ndarray):
+            raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+        if mark and type(o) is np.ndarray and o.dtype == np.float64 and o.size and o.ndim:
             arrays.append(o)
             return _ARRAY_MARK
-        return _json_default(o)
+        return o.tolist()
 
     parts = json.dumps(obj, indent=indent, default=default).split(_ARRAY_TEXT)
     if len(parts) != len(arrays) + 1:
-        parts, arrays = [json.dumps(obj, indent=indent, default=_json_default)], []
+        mark, arrays = False, []
+        parts = [json.dumps(obj, indent=indent, default=default)]
     with open(path, "w") as fh:
         fh.write(parts[0])
         for a, part in zip(arrays, parts[1:]):

@@ -115,16 +115,20 @@ def dualfreq_scan(data, centers, N, pairs, smoothing=None):
 
     ``pairs`` lists (p, omega_j, q, omega_k), frequencies in cycles per
     sample; ``data`` and ``smoothing`` are as in :func:`dualfreq_coherence`.
-    Each trial is centred once, before its windows are taken.
+    Each trial is centred once, before its windows are taken.  For a single
+    series, a centre whose smoothing windows leave it is a configuration
+    error naming that centre and the smoothing.
     The DualFreqResult's entries form the long-format export table.
     """
     N = _window_length(N)  # before the default hop N // 2 is derived from it
-    if isinstance(data, MultiChannelSeries):
+    single = isinstance(data, MultiChannelSeries)
+    if single:
         trials, (half, hop) = [data], map(int, (8, N // 2) if smoothing is None else smoothing)
     else:
         trials, half, hop = list(data), 0, 1
     if half < 0 or hop < 1:
         raise ConfigError("smoothing must be (half_width >= 0, hop >= 1)")
+    reach = half * hop + N // 2  # a single series' pieces at t span [t - reach + 1, t + reach]
     R, k = len(trials), np.arange(-half, half + 1)  # a piece per trial and smoothing offset
     trial, shift = np.repeat(np.arange(R), k.size), np.tile(k * hop, R)
     weights = np.tile(half + 1.0 - abs(k), R) / (R * (half + 1.0) ** 2)
@@ -139,6 +143,11 @@ def dualfreq_scan(data, centers, N, pairs, smoothing=None):
     x = np.concatenate([demean(tr.samples) for tr in trials])
     vals = np.empty((len(ts), len(p)))
     for i, t in enumerate(ts):
+        if single and not reach - 1 <= t < data.n_samples - reach:
+            how = (f"smoothing ({half}, {hop})" if smoothing is not None else
+                   f"the default smoothing ({half} hops of N/2 = {hop} either side)")
+            raise ConfigError(f"window {N} at centre t={t} with {how} needs samples "
+                              f"[{t - reach + 1}, {t + reach}], outside [0, {data.n_samples - 1}]")
         D = _coefficients(x, start, length, t + shift, N, w)
         dj, dk = D[:, inv[:len(p)], p], D[:, inv[len(p):], q]
         pow_j, pow_k = weights @ abs(dj) ** 2, weights @ abs(dk) ** 2

@@ -425,7 +425,7 @@ class TestBoundaryValidation:
         assert "centre t=4096" in err and "default smoothing (8 hops of N/2" in err
         assert run(argv + ["--smooth", "4:1024"]) == 2
         err = capsys.readouterr().err
-        assert err.count("\n") == 1 and "centre t=4096 with --smooth 4:1024" in err
+        assert err.count("\n") == 1 and "centre t=4096 with smoothing (4, 1024)" in err
         assert run(argv + ["--smooth", "4:512"]) == 0
 
     @pytest.mark.parametrize("method", ["ols", "lasso", "lassle"])

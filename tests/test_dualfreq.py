@@ -37,6 +37,12 @@ def reference_coherence(data, t, N, p, omega_j, q, omega_k, smoothing=None):
         half, hop = (8, N // 2) if smoothing is None else smoothing
         if half < 0 or hop < 1:
             raise ConfigError("smoothing must be (half_width >= 0, hop >= 1)")
+        reach = half * hop + N // 2  # the scan names the centre, not a smoothing piece
+        if not reach - 1 <= t < data.n_samples - reach:
+            how = (f"smoothing ({half}, {hop})" if smoothing is not None else
+                   f"the default smoothing ({half} hops of N/2 = {hop} either side)")
+            raise ConfigError(f"window {N} at centre t={t} with {how} needs samples "
+                              f"[{t - reach + 1}, {t + reach}], outside [0, {data.n_samples - 1}]")
         offsets = np.arange(-half, half + 1)
         weights = (half + 1) - np.abs(offsets)
         data = data.with_samples(demean(data.samples))

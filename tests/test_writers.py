@@ -19,7 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from specdep import cli, spectrum, var
+from specdep import cli, dualfreq, pac, spectrum, var
 from specdep.core import (_ARRAY_MARK, TABLE_CHUNK_ROWS, FrequencyGrid,
                           frequency_table_to_csv, table_to_csv, write_json)
 
@@ -180,6 +180,7 @@ array_docs = st.recursive(
 @example(([""], [np.array([1.0, -0.0])]))
 @example((["x"], [np.array(["", "a"])]))
 @example((["freq", "freq_hz", "p"], [np.array([[0.0], [0.5]]), np.array(""), np.arange(2)]))
+@example((["i", "x"], [np.array([2 ** 63 - 1, -2 ** 63]), np.array([0.5, -0.0])]))  # not as floats
 def test_table_bytes_match_csv_writer(tmp_path_factory, table):
     header, columns = table
     d = tmp_path_factory.getbasetemp()
@@ -281,9 +282,10 @@ def test_json_rejects_what_json_cannot_encode(tmp_path, doc):
 
 def test_cli_outputs_match_reference_writers(tmp_path, monkeypatch):
     """Every JSON output, and the CSV outputs of coherence, pcoh, spectrum, tvcoh
-    --partial, tvpdc, spca --encode, pdc --plot-data and scau, are what the old
-    writers wrote."""
-    for name, example_name in [("net", "pdc_net"), ("mix", "spca_mix")]:
+    --partial, tvpdc, spca --encode, pdc --plot-data, scau, filter, dualfreq
+    and pac, are what the old writers wrote.  The dualfreq and pac tables mix
+    labels, ints and floats."""
+    for name, example_name in [("net", "pdc_net"), ("mix", "spca_mix"), ("pac", "pac")]:
         assert cli.main(["simulate", "--example", example_name, "--T", "1024", "--seed", "5",
                          "-o", str(tmp_path / f"{name}.csv")]) == 0
 
@@ -306,7 +308,14 @@ def test_cli_outputs_match_reference_writers(tmp_path, monkeypatch):
                      ["pdc", "--in", tmp_path / "net.csv", "--order", "2", "--grid-size", "64",
                       "--plot-data", out / "pdc.csv", "-o", out / "pdc.json"],
                      ["scau", "--in", tmp_path / "net.csv", "--bands", "delta,beta",
-                      "--order", "2", "--model-out", out / "scau.json", "-o", out / "scau.csv"]):
+                      "--order", "2", "--model-out", out / "scau.json", "-o", out / "scau.csv"],
+                     ["filter", "--in", tmp_path / "net.csv", "--band", "alpha",
+                      "-o", out / "alpha.csv"],
+                     ["dualfreq", "--in", tmp_path / "net.csv", "--pair", "0:2:1:40",
+                      "--pair", "1:10.5:2:20", "--window", "64", "--centers", "300:700:100",
+                      "-o", out / "df.csv"],
+                     ["pac", "--in", tmp_path / "pac.csv", "--low", "theta,alpha",
+                      "--high", "beta,gamma", "-o", out / "mi.csv"]):
             assert cli.main([str(a) for a in argv] + ["--sample-rate", "128"]) == 0
         return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
 
@@ -314,10 +323,10 @@ def test_cli_outputs_match_reference_writers(tmp_path, monkeypatch):
         reference_write_json(path, listed(obj), indent)
 
     new = outputs("new")
-    for module in (cli, var):
+    for module in (cli, var, pac, dualfreq):
         monkeypatch.setattr(module, "table_to_csv", reference_table_to_csv)
     for module in (cli, spectrum):
         monkeypatch.setattr(module, "frequency_table_to_csv", reference_frequency_table_to_csv)
     monkeypatch.setattr(cli, "write_json", reference_write_listed)
     assert outputs("ref") == new
-    assert len(new) == 13
+    assert len(new) == 16
