@@ -175,16 +175,20 @@ def cmd_spectrum(args):
     return 0
 
 
+def _advised(exc, advice):
+    """``exc`` with partial_coherence's advice to shrink, if it has one, replaced by ``advice``."""
+    where, shrink, _ = str(exc).partition("; shrink")
+    return ValueError(f"{where}; {advice}") if shrink else exc
+
+
 def cmd_coherence(args, partial=False):
     series, f = _spectrum(args)
     try:
         vals = partial_coherence(f) if partial else coherence_matrix(f).values
-    except ValueError as exc:  # its advice would name the --shrink-order that was given
-        where, advice, _ = str(exc).partition("; shrink")
-        if args.shrink_order is None or not advice:
-            raise
-        raise ValueError(f"{where}; the estimate shrunk toward a VAR({args.shrink_order}) "
-                         "spectrum is still ill-conditioned") from None
+    except ValueError as exc:
+        raise _advised(exc, "shrink the estimate toward a VAR spectrum with --shrink-order"
+                       if args.shrink_order is None else "the estimate shrunk toward a "
+                       f"VAR({args.shrink_order}) spectrum is still ill-conditioned") from None
     frequency_table_to_csv(args.out, f.grid, series.sample_rate_hz, {"value": vals})
     return 0
 
@@ -194,7 +198,10 @@ def cmd_tvcoh(args):
     N, step = parse_window(args.window)
     b = args.bandwidth
     kernel = None if b is None else spec.SmoothingKernel("daniell", b)
-    res = (tv_partial_coherence if args.partial else tv_coherence)(series, N, step, kernel)
+    try:
+        res = (tv_partial_coherence if args.partial else tv_coherence)(series, N, step, kernel)
+    except ValueError as exc:
+        raise _advised(exc, "a longer --window or a wider --bandwidth may condition it") from None
     frequency_table_to_csv(args.out, res.grid, series.sample_rate_hz,
                            {"value": res.values}, res.centers)
     return 0

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import filters, var  # read at call time, so importing this module runs neither
-from .core import (ConfigError, TimeVaryingResult, _check_channels, _public, demean,
-                   max_lag_sq_correlation, sliding_windows)
+from .core import (ConfigError, _check_channels, _over_windows, _public, demean,
+                   max_lag_sq_correlation)
 from .spectrum import (SmoothingKernel, default_bandwidth, periodogram,
                        shrink_spectral_estimate, smooth_periodogram,
                        var_spectrum)
@@ -107,11 +107,11 @@ def partial_coherence(f):
     lo, hi = ev[:, 0], ev[:, -1]
     bad = (lo <= 0) | (hi > _COND_CAP * np.maximum(lo, 1e-300))
     if np.any(bad):
-        k = f.grid.n // 2 - 1 + int(np.nonzero(bad)[0][0])
+        k = f.grid.half_rows.start + int(np.nonzero(bad)[0][0])
         raise ValueError(
             f"spectral matrix ill-conditioned at grid index {k} (frequency "
             f"{f.grid.frequencies[k]:.6f}); shrink the estimate toward a VAR "
-            f"spectrum (shrink_spectral_estimate, or --shrink-order on the command line)")
+            f"spectrum (shrink_spectral_estimate)")
     return f.grid.unfold(_normalized(np.linalg.inv(v))[1])
 
 
@@ -170,22 +170,13 @@ def tv_coherence(series, N, step, kernel=None):
     stored.  Window centres are reported in rescaled time u = t/T.  With
     N == T this reduces exactly to the static estimate.
     """
-    return _tv(series, N, step, kernel, partial=False)
+    return _over_windows(series, N, step,
+                         lambda w: coherence_matrix(estimate_spectrum(w, kernel)).values)
 
 
 def tv_partial_coherence(series, N, step, kernel=None):
     """Sliding-window partial coherence; see :func:`tv_coherence`."""
-    return _tv(series, N, step, kernel, partial=True)
-
-
-def _tv(series, N, step, kernel, partial):
-    windows = sliding_windows(series, N, step)
-    out = []
-    for _, win in windows:
-        f = estimate_spectrum(win, kernel)
-        out.append(partial_coherence(f) if partial else coherence_matrix(f).values)
-    return TimeVaryingResult(np.array([u for u, _ in windows]), f.grid, np.stack(out),
-                             "partial_coherence" if partial else "coherence")
+    return _over_windows(series, N, step, lambda w: partial_coherence(estimate_spectrum(w, kernel)))
 
 
 __all__ = _public(globals())  # stays last: it lists the definitions above

@@ -12,8 +12,8 @@ Every JSON document is written by :func:`write_json`, which formats each
 float64 array itself.  All three format floats through one chunked ``%``
 loop (:func:`_format_rows`), and the two per-frequency writers format only
 the w >= 0 half of a mirrored array, reusing its text for the w < 0 half
-(:func:`_grid_texts`).  Every time-varying estimate loops over
-:func:`sliding_windows`.
+(:func:`_grid_texts`).  Every time-varying estimate is one map of
+:func:`_over_windows` over the :func:`sliding_windows`.
 """
 
 import json
@@ -178,8 +178,8 @@ class FrequencyGrid:
 
     Frequencies run over k = -(n/2 - 1) .. n/2, i.e. ascending through
     (-0.5, 0.5] with the Nyquist bin labelled +0.5: a cyclic rotation of the
-    FFT bins 0 .. n-1.  Rows n/2 - 1 on, w = 0 .. 1/2, are the ``rfft`` bins,
-    the half from which ``unfold`` builds the spectrum of a real series.
+    FFT bins 0 .. n-1.  Rows ``half_rows`` (n/2 - 1 on, w = 0 .. 1/2) are the
+    ``rfft`` bins, the half from which ``unfold`` builds a real series' spectrum.
     """
 
     def __init__(self, n):
@@ -187,6 +187,7 @@ class FrequencyGrid:
         if n <= 0 or n % 2 != 0:
             raise ConfigError(f"grid size must be even and positive, got {n}")
         self.n = n
+        self.half_rows = slice(n // 2 - 1, None)
         k = np.arange(-(n // 2 - 1), n // 2 + 1)
         self.frequencies = k / n
         # FFT bin index for each grid frequency: j = k mod n
@@ -203,7 +204,7 @@ class FrequencyGrid:
         of real series are: f(-w) = conj f(w).  A real ``half`` stays real.
         """
         half = np.asarray(half)
-        return np.concatenate([half[self.n // 2 - 1:0:-1].conj(), half])
+        return np.concatenate([half[self.half_rows.start:0:-1].conj(), half])
 
     def index_of(self, freq):
         """Index of the grid frequency nearest ``freq`` in [-0.5, 0.5], distance
@@ -230,7 +231,6 @@ class TimeVaryingResult:
     centers: np.ndarray
     grid: object
     values: np.ndarray            # (n_windows, n, P, P)
-    kind: str = "coherence"
 
 
 def sliding_windows(series, N, step):
@@ -247,6 +247,13 @@ def sliding_windows(series, N, step):
         raise ConfigError("step must be >= 1")
     return [((s + N // 2) / T, series.with_samples(series.samples[s:s + N]))
             for s in range(0, T - N + 1, step)]
+
+
+def _over_windows(series, N, step, estimate):
+    """:class:`TimeVaryingResult` of ``estimate(w)``, an N-point grid array, per window w."""
+    windows = sliding_windows(series, N, step)
+    return TimeVaryingResult(np.array([u for u, _ in windows]), FrequencyGrid(N),
+                             np.stack([estimate(w) for _, w in windows]))
 
 
 def demean(x):

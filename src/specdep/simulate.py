@@ -81,11 +81,7 @@ def mix(sources, mixing, lags, noise_std, seed):
             if c == 0.0:
                 continue
             h = lags[p, k]
-            z = sources.channel(k)
-            if h == 0:
-                out[:, p] += c * z
-            else:
-                out[h:, p] += c * z[:-h]
+            out[h:, p] += c * sources.channel(k)[:T - h]
     out += rng.standard_normal((T, P)) * noise_std
     return MultiChannelSeries(out, sources.sample_rate_hz)
 
@@ -147,8 +143,6 @@ def _two_source_mixture(T, seed, overrides, lagged):
     lags = [[0, o["lag"]], [0, 0]] if lagged else None
     series = mix(sources, [[c, c], [0.0, c]], lags, o["noise_std"], mix_seed)
     truth = {
-        "name": "lagged_mixture" if lagged else "instant_mixture",
-        "sample_rate_hz": o["fs"],
         "low_band_hz": [0.5, 4.0], "high_band_hz": [30.0, 50.0],
         "low_peak_hz": o["low_freq_hz"], "high_peak_hz": o["high_freq_hz"],
         "shared_source": "high",
@@ -170,8 +164,6 @@ def _gamma_net(T, seed, overrides, with_alpha_in_x2):
     A = np.array([[0.0, 1.0, 1.0], [1.0, float(with_alpha_in_x2), 1.0], [0.0, 0.0, 1.0]])
     series = mix(sources, A, None, [o["noise_std"], o["noise_std"], 0.0], mix_seed)
     truth = {
-        "name": "gamma_alpha_net" if with_alpha_in_x2 else "gamma_net",
-        "sample_rate_hz": o["fs"],
         "mixing": A.tolist(),
         "source_peaks_hz": [o["delta_hz"], o["alpha_hz"], o["gamma_hz"]],
         "coherent_pairs": {"gamma": [[0, 1], [0, 2], [1, 2]]},
@@ -194,7 +186,6 @@ def _lead_lag(T, seed, overrides):
     series = mix(sources, [[1.0, 0.0, 0.0], [1.0, 1.0, 1.0]], [[0, 0, 0], [h, h, h]],
                  o["noise_std"], mix_seed)
     truth = {
-        "name": "lead_lag", "sample_rate_hz": o["fs"],
         "lead_channel": 0, "lag_channel": 1, "lag": h,
         "shared_band": "delta", "delta_peak_hz": o["delta_hz"],
     }
@@ -206,8 +197,7 @@ def _pdc_net(T, seed, overrides):
     model = pdc_net_model(o["M"], o["fs"])
     series = var.simulate_var(model, T, seed, sample_rate_hz=o["fs"])
     truth = {
-        "name": "pdc_net", "sample_rate_hz": o["fs"], "order": 2,
-        "root_magnitude": o["M"],
+        "order": 2, "root_magnitude": o["M"],
         "peak_freqs": {"delta": 2 / o["fs"], "beta": 20 / o["fs"],
                        "gamma": 40 / o["fs"]},
         # directed edges (source q -> target p), lag of the nonzero coefficient
@@ -228,7 +218,6 @@ def _pac(T, seed, overrides):
     x2 = 4.0 * z_t + z_t * z_g + eps[:, 1]
     series = MultiChannelSeries(np.column_stack([x1, x2]), o["fs"])
     truth = {
-        "name": "pac", "sample_rate_hz": o["fs"],
         "phase_band": "theta", "amplitude_band": "gamma",
         "theta_peak_hz": o["theta_hz"], "gamma_peak_hz": o["gamma_hz"],
         "coupled_channels": [0, 1], "noise_var": o["noise_var"],
@@ -248,7 +237,7 @@ def _spca_mix(T, seed, overrides):
                   [1.0, 1.0, 0.0]])
     series = mix(sources, A, None, o["noise_std"], mix_seed)
     truth = {
-        "name": "spca_mix", "sample_rate_hz": o["fs"], "mixing": A.tolist(),
+        "mixing": A.tolist(),
         "source_peaks_hz": [o["delta_hz"], o["alpha_hz"], o["gamma_hz"]],
         "band_channels": {"delta": [0, 2, 4], "alpha": [3, 4],
                           "gamma": [0, 1, 2]},
@@ -266,7 +255,6 @@ def _chirp(T, seed, overrides):
     x = x + rng.standard_normal(T) * o["noise_std"]
     series = MultiChannelSeries(x[:, None], fs)
     truth = {
-        "name": "chirp", "sample_rate_hz": fs,
         "f0_hz": o["f0_hz"], "slope_hz_per_s": o["slope_hz_per_s"],
         "instantaneous_freq_hz": "f0 + 2 * slope * t_seconds",
     }
@@ -297,9 +285,10 @@ def example(name, T, seed, overrides=None):
     -------
     (series, truth) : (MultiChannelSeries, dict)
         ``truth`` is a plain-data descriptor of the structure the generator
-        planted (edges, coupled bands, lags).  The "aux" key, when present,
-        carries in-memory arrays (latent sources) and is stripped from file
-        exports.
+        planted (edges, coupled bands, lags), headed by the example's
+        ``name`` and the series' ``sample_rate_hz``.  The "aux" key, when
+        present, carries in-memory arrays (latent sources) and is stripped
+        from file exports.
     """
     if name not in _REGISTRY:
         raise ConfigError(f"unknown example {name!r}; choose from {example_names()}")
@@ -309,9 +298,10 @@ def example(name, T, seed, overrides=None):
         raise ConfigError(f"seed must be non-negative, got {seed}")
     with np.errstate(over="ignore", invalid="ignore"):
         try:
-            return _REGISTRY[name](int(T), seed, overrides)
+            series, truth = _REGISTRY[name](int(T), seed, overrides)
         except MalformedInputError:
             raise ConfigError(f"overrides {overrides} make example {name!r} non-finite") from None
+    return series, {"name": name, "sample_rate_hz": series.sample_rate_hz, **truth}
 
 
 __all__ = _public(globals())  # stays last: it lists the definitions above

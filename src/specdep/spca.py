@@ -149,7 +149,7 @@ def spca_fit(spectral_estimate, Q, lag_truncation=None):
     degenerate = []
     if Q < P:
         gap = ev[:, Q - 1] - ev[:, Q] <= 1e-6 * np.maximum(np.abs(ev[:, Q - 1]), 1e-300)
-        degenerate = f.grid.frequencies[n // 2 - 1:][gap].tolist()
+        degenerate = f.grid.frequencies[f.grid.half_rows][gap].tolist()
 
     # Bin k's vectors v_k are rotated by unit phases u_k = u_{k-1} conj(w_k)/|w_k|,
     # w_k = v_{k-1}^H v_k, which brings each closest to its aligned predecessor.

@@ -69,7 +69,7 @@ class CrossSpectralMatrix:
         floor = -1e-8 * np.maximum(tr, np.max(tr) * 1e-12 if np.max(tr) > 0 else 1.0)
         if np.any(ev[:, 0] < floor):
             worst = int(np.argmin(ev[:, 0] - floor))
-            raise ValueError(f"not PSD at grid index {self.grid.n // 2 - 1 + worst}: "
+            raise ValueError(f"not PSD at grid index {self.grid.half_rows.start + worst}: "
                              f"min eigenvalue {ev[worst, 0]:.3e}")
         return self
 
@@ -148,7 +148,7 @@ def fourier_coefficients(series):
 def periodogram(series):
     """The P x P periodogram matrix I(w_k) = d(w_k) d*(w_k) / T per frequency w_k >= 0."""
     grid, d = fourier_coefficients(series)
-    d = d[grid.n // 2 - 1:]  # w >= 0
+    d = d[grid.half_rows]  # w >= 0
     half = np.einsum("kp,kq->kpq", d, d.conj()) / series.n_samples
     return CrossSpectralMatrix(grid, half, series.sample_rate_hz, series.channel_labels)
 
@@ -190,7 +190,7 @@ def var_spectrum(model, grid, sample_rate_hz=None):
     if not model.is_stable():
         raise ValueError("VAR model is not stable (companion spectral radius >= 1)")
     try:
-        inv = np.linalg.inv(var.transfer_function(model, grid.frequencies[grid.n // 2 - 1:]))
+        inv = np.linalg.inv(var.transfer_function(model, grid.frequencies[grid.half_rows]))
     except np.linalg.LinAlgError as exc:
         raise ValueError(f"singular transfer function (near-unit-root model): {exc}")
     half = inv @ model.noise_cov @ inv.conj().transpose(0, 2, 1)

@@ -14,9 +14,8 @@ from math import copysign
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import (ConfigError, FrequencyGrid, MultiChannelSeries, _public,
-                   TimeVaryingResult, demean, sliding_windows, standard_bands,
-                   table_to_csv)
+from .core import (ConfigError, FrequencyGrid, MultiChannelSeries, _over_windows, _public,
+                   demean, standard_bands, table_to_csv)
 from .filters import band_signals
 
 
@@ -251,26 +250,25 @@ def fit_ols(series, L):
     return model
 
 
-def _column_sds(Z, Y, G):
-    """Column standard deviations of Z and Y, the units of a LASSO problem.
+def _lasso_problem(series, L, lam):
+    """The LASSO problem behind a fit and its KKT check: :func:`_var_problem`'s
+    ``(Z, Y, Z'Z, Z'Y)`` and its units, the column standard deviations of Z and Y.
 
     Z's come from its Gram matrix G = Z'Z: var = diag(G)/n - mean^2.
     """
+    # NaN fails every comparison, so test for the valid range, not against it
+    if not 0 <= lam < np.inf:
+        raise ConfigError(f"lambda must be finite and >= 0, got {lam}")
+    Z, Y, G, C = _var_problem(series, L)
     zsd = np.sqrt(np.maximum(G.diagonal() / Z.shape[0] - Z.mean(axis=0) ** 2, 0.0))
     if np.any(zsd <= 0):
         raise np.linalg.LinAlgError("constant regressor column in LASSO fit")
-    return zsd, Y.std(axis=0)
+    return Z, Y, G, C, zsd, Y.std(axis=0)
 
 
 # an active run stops after the sweep that logs this many updates, which
 # bounds its (updates, m) table of prefix sums
 _LASSO_RUN_UPDATES = 1024
-
-
-def _check_lam(lam):
-    # NaN fails every comparison, so test for the valid range, not against it
-    if not 0 <= lam < np.inf:
-        raise ConfigError(f"lambda must be finite and >= 0, got {lam}")
 
 
 def _cd_lasso(G, c, lam, tol, max_sweeps):
@@ -368,9 +366,7 @@ def fit_lasso(series, L, lam, tol=1e-7, max_sweeps=10000):
     falls below ``tol``; otherwise :class:`LassoConvergenceError` is raised
     with the partial model attached.
     """
-    _check_lam(lam)
-    Z, Y, G, C = _var_problem(series, L)
-    zsd, ysd = _column_sds(Z, Y, G)
+    Z, Y, G, C, zsd, ysd = _lasso_problem(series, L, lam)
     nzsd = Z.shape[0] * zsd
     Gs = G / np.outer(nzsd, zsd)
     B = np.zeros_like(C)
@@ -393,9 +389,7 @@ def lasso_kkt_residual(series, L, lam, model):
     For each equation: |z_j'(y - Zb)/n| <= lam must hold at zero coefficients
     and equal lam sign(b_j) at nonzero ones.  Returns the max violation.
     """
-    _check_lam(lam)
-    Z, Y, G, C = _var_problem(series, L)
-    zsd, ysd = _column_sds(Z, Y, G)
+    Z, Y, G, C, zsd, ysd = _lasso_problem(series, L, lam)
     live = ysd > 0
     B = _rows_from_coeffs(model.coeffs)[:, live]
     # the standardized gradient is the raw one, z_j'(y - Zb), over n zsd_j ysd
@@ -498,12 +492,11 @@ def pdc(model, grid):
     from channel q; each column sums to one.  Phi(-w) = conj Phi(w) for a
     real model, so PDC is evaluated at w >= 0 and mirrored to the grid.
     """
-    h0 = grid.n // 2 - 1
-    num = np.abs(transfer_function(model, grid.frequencies[h0:])) ** 2
+    num = np.abs(transfer_function(model, grid.frequencies[grid.half_rows])) ** 2
     denom = num.sum(axis=1, keepdims=True)
     bad = np.nonzero(denom[:, 0, :] <= 0)
     if bad[0].size:
-        k, q = h0 + bad[0][0], bad[1][0]
+        k, q = grid.half_rows.start + bad[0][0], bad[1][0]
         raise ValueError(
             f"all-zero transfer-function column {q} at grid index {k} "
             f"(frequency {grid.frequencies[k]:.6f})")
@@ -515,14 +508,11 @@ def tv_pdc(series, L, N, step, method="ols", lam=0.05):
 
     Each window of N samples gets its own fit (see :func:`fit_var`) and
     PDC on the N-point grid; the result is a
-    :class:`~specdep.core.TimeVaryingResult` of kind ``"pdc"`` whose values
-    are (n_windows, N, P, P).
+    :class:`~specdep.core.TimeVaryingResult` whose values are
+    (n_windows, N, P, P).
     """
-    windows = sliding_windows(series, N, step)
-    grid = FrequencyGrid(N)
-    values = np.stack([pdc(fit_var(win, L, method, lam), grid).values
-                       for _, win in windows])
-    return TimeVaryingResult(np.array([u for u, _ in windows]), grid, values, "pdc")
+    return _over_windows(series, N, step,
+                         lambda w: pdc(fit_var(w, L, method, lam), FrequencyGrid(N)).values)
 
 
 def granger_edges(model, threshold=0.0):

@@ -80,6 +80,12 @@ class TestSimulateCommand:
              "--set", "lag=3", "-o", str(out)])
         truth = json.loads((tmp_path / "x.truth.json").read_text())
         assert truth["lag"] == 3 and isinstance(truth["lag"], int)
+        # but the header's rate is the series' own, a float
+        run(["simulate", "--example", "chirp", "--T", "256", "--seed", "1",
+             "--set", "fs=256", "-o", str(out)])
+        text = (tmp_path / "x.truth.json").read_text()
+        assert '"sample_rate_hz": 256.0,' in text
+        assert list(json.loads(text))[:2] == ["name", "sample_rate_hz"]
 
 
     @pytest.mark.parametrize("value", ["abc", "nan", "inf", "-128"])
@@ -229,6 +235,18 @@ class TestExitCodes:
                     "--window", "16", "-o", str(tmp_path / "d.csv")]) == 3
         assert capsys.readouterr().err == ("specdep: numerical failure: zero local power "
                                            "at one of the (channel, frequency) pairs\n")
+
+    def test_ill_conditioned_tvcoh_partial_names_only_its_own_flags(self, tmp_path, capsys):
+        # a 32-sample window smoothed over 3 bins gives rank-3 matrices in 4 channels
+        net = tmp_path / "net.csv"
+        assert run(["simulate", "--example", "pdc_net", "--T", "1024", "--seed", "1",
+                    "-o", str(net)]) == 0
+        assert run(["tvcoh", "--in", str(net), "--sample-rate", "128", "--window", "32:16",
+                    "--partial", "-o", str(tmp_path / "o.csv")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("specdep: numerical failure: spectral matrix ill-conditioned")
+        assert "--shrink-order" not in err and "--window" in err and "--bandwidth" in err
+        assert err.count("\n") == 1
 
     def test_shrink_order_keeps_ill_conditioned_pcoh_at_3(self, tmp_path, capsys, dup_csv):
         assert run(["pcoh", "--in", str(dup_csv), "--sample-rate", "128", "--shrink-order", "2",

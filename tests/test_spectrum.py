@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specdep.core import ConfigError, FrequencyGrid, MultiChannelSeries, write_json
 from specdep.simulate import _stationary_var
@@ -302,6 +304,30 @@ class TestShrink:
         other = CrossSpectralMatrix(FrequencyGrid(64), np.zeros((33, 2, 2)))
         with pytest.raises(ConfigError):
             shrink_spectral_estimate(f, other, kern)
+
+
+class TestEstimatorsArePsd:
+    """Every estimator's matrices pass ``validate()`` at any shape: its own
+    tolerance, a smallest eigenvalue of at least -1e-8 times the trace."""
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(P=st.integers(1, 5), half_T=st.integers(4, 192), seed=st.integers(0, 2 ** 16),
+           kind=st.sampled_from(["daniell", "triangular"]), width=st.floats(0, 1),
+           scale=st.integers(-3, 3), radius=st.floats(0, 0.95))
+    def test_validate_passes(self, P, half_T, seed, kind, width, scale, radius):
+        T = 2 * half_T
+        rng = np.random.default_rng(seed)
+        s = series(10.0 ** scale * rng.standard_normal((T, P)))
+        kern = SmoothingKernel(kind, int(width * ((T - 1) // 4)))  # bandwidth < T/4
+        # a VAR(1) of spectral radius ``radius``: a scaled orthogonal matrix
+        A = radius * np.linalg.qr(rng.standard_normal((P, P)))[0]
+        M = rng.standard_normal((P, P))
+        model = VarModel(A[None], M @ M.T + 0.1 * np.eye(P))
+        I = periodogram(s)
+        f = smooth_periodogram(I, kern)
+        h = var_spectrum(model, I.grid, s.sample_rate_hz)
+        for est in (I, f, h, shrink_spectral_estimate(f, h, kern)):
+            est.validate()
 
 
 class TestSerialization:
