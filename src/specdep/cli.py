@@ -176,7 +176,7 @@ def cmd_spectrum(args):
 
 
 def _advised(exc, advice):
-    """``exc`` with partial_coherence's advice to shrink, if it has one, replaced by ``advice``."""
+    """``exc`` with the library's advice to shrink, if it has one, replaced by ``advice``."""
     where, shrink, _ = str(exc).partition("; shrink")
     return ValueError(f"{where}; {advice}") if shrink else exc
 

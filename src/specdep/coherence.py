@@ -33,12 +33,19 @@ class CoherenceResult:
     values: np.ndarray            # (n, P, P) real in [0, 1]
 
 
+def _check_power(f, channels):
+    """Raise unless each of ``channels`` has a positive auto-spectrum at every w >= 0 of f."""
+    zero = np.real(np.einsum("kpp->kp", f.half))[:, channels] <= 0
+    if np.any(zero):
+        j = int(zero.any(axis=0).argmax())
+        raise ValueError(f"zero auto-spectrum of channel {channels[j]} at " + (
+            "every frequency: the channel has no power" if zero[:, j].all() else
+            f"{f.grid.name_half_row(zero[:, j].argmax())}; shrink or smooth the estimate first"))
+
+
 def _normalized(m):
     """m_pq / sqrt(m_pp m_qq) per frequency, and its squared modulus (diagonal 1)."""
     d = np.real(np.einsum("kpp->kp", m))
-    if np.any(d <= 0):
-        raise ValueError("zero auto-spectrum at some frequency; smooth or "
-                         "shrink the spectral estimate first")
     tau = m / np.sqrt(d[:, :, None] * d[:, None, :])
     sq = np.abs(tau) ** 2
     idx = np.arange(m.shape[1])
@@ -49,6 +56,7 @@ def _normalized(m):
 def coherency(f, p, q):
     """Complex coherency tau_pq(w) = f_pq / sqrt(f_pp f_qq) over the grid."""
     pq = _check_channels([p, q], f.n_channels)
+    _check_power(f, pq)
     return f.grid.unfold(_normalized(f.half[:, pq][:, :, pq])[0][:, 0, 1])
 
 
@@ -59,6 +67,7 @@ def coherence(f, p, q):
 
 def coherence_matrix(f):
     """All-pairs coherence as a CoherenceResult (diagonal is exactly 1)."""
+    _check_power(f, range(f.n_channels))
     return CoherenceResult(f.grid, f.grid.unfold(_normalized(f.half)[1]))
 
 
@@ -90,10 +99,10 @@ def partial_coherence(f):
 
     With g = f^{-1} and h = diag(g_rr^{-1/2}), Lambda = -h g h and the
     partial coherence between p and q (given all other channels) is
-    |Lambda_pq|^2.  The diagonal is reported as 1 by convention.  Raises
-    when the spectral matrix condition number exceeds ``_COND_CAP``; shrink
-    the estimate (spectrum.shrink_spectral_estimate, or the CLI's
-    --shrink-order) in that case.
+    |Lambda_pq|^2.  The diagonal is reported as 1 by convention.  Raises on
+    a zero auto-spectrum, as :func:`coherence_matrix` does, then when the
+    condition number exceeds ``_COND_CAP``; shrink the estimate
+    (spectrum.shrink_spectral_estimate, or the CLI's --shrink-order) then.
 
     The matrices at w >= 0 are checked and inverted; the result at -w, the
     same as at w for the conjugate matrix, is unfolded from them.
@@ -102,17 +111,14 @@ def partial_coherence(f):
     -------
     ndarray, shape (n, P, P), real, entries in [0, 1]
     """
-    v = f.half
-    ev = np.linalg.eigvalsh(0.5 * (v + v.conj().transpose(0, 2, 1)))
+    _check_power(f, range(f.n_channels))
+    ev = np.linalg.eigvalsh(f.half)
     lo, hi = ev[:, 0], ev[:, -1]
     bad = (lo <= 0) | (hi > _COND_CAP * np.maximum(lo, 1e-300))
     if np.any(bad):
-        k = f.grid.half_rows.start + int(np.nonzero(bad)[0][0])
-        raise ValueError(
-            f"spectral matrix ill-conditioned at grid index {k} (frequency "
-            f"{f.grid.frequencies[k]:.6f}); shrink the estimate toward a VAR "
-            f"spectrum (shrink_spectral_estimate)")
-    return f.grid.unfold(_normalized(np.linalg.inv(v))[1])
+        raise ValueError(f"spectral matrix ill-conditioned at {f.grid.name_half_row(bad.argmax())}"
+                         "; shrink the estimate toward a VAR spectrum (shrink_spectral_estimate)")
+    return f.grid.unfold(_normalized(np.linalg.inv(f.half))[1])
 
 
 def partial_coherence_residual(series, p, q, c, band, filter_order=None):

@@ -177,9 +177,9 @@ class FrequencyGrid:
     """The n-point grid of fundamental frequencies k/n, in cycles/sample.
 
     Frequencies run over k = -(n/2 - 1) .. n/2, i.e. ascending through
-    (-0.5, 0.5] with the Nyquist bin labelled +0.5: a cyclic rotation of the
-    FFT bins 0 .. n-1.  Rows ``half_rows`` (n/2 - 1 on, w = 0 .. 1/2) are the
-    ``rfft`` bins, the half from which ``unfold`` builds a real series' spectrum.
+    (-0.5, 0.5] with the Nyquist bin labelled +0.5.  Rows ``half_rows``
+    (n/2 - 1 on, w = 0 .. 1/2) are the ``rfft`` bins; ``unfold``, the one route
+    into grid order, builds a real series' whole spectrum from them.
     """
 
     def __init__(self, n):
@@ -188,14 +188,12 @@ class FrequencyGrid:
             raise ConfigError(f"grid size must be even and positive, got {n}")
         self.n = n
         self.half_rows = slice(n // 2 - 1, None)
-        k = np.arange(-(n // 2 - 1), n // 2 + 1)
-        self.frequencies = k / n
-        # FFT bin index for each grid frequency: j = k mod n
-        self._fft_index = np.mod(k, n)
+        self.frequencies = np.arange(-(n // 2 - 1), n // 2 + 1) / n
 
-    def from_fft_order(self, values):
-        """Reorder an array indexed by FFT bin (axis 0) into grid order."""
-        return np.asarray(values)[self._fft_index]
+    def name_half_row(self, i):
+        """``grid index k (frequency w)`` of row i of the w >= 0 half, for error messages."""
+        k = self.half_rows.start + i
+        return f"grid index {k} (frequency {self.frequencies[k]:.6f})"
 
     def unfold(self, half):
         """The n grid-order rows (axis 0) of the n/2 + 1 rows ``half`` at w >= 0.

@@ -63,13 +63,12 @@ class CrossSpectralMatrix:
 
     def validate(self):
         """Check positive semi-definiteness; the constructor checks Hermitian symmetry."""
-        v = self.half
-        ev = np.linalg.eigvalsh(0.5 * (v + v.conj().transpose(0, 2, 1)))
-        tr = np.real(np.trace(v, axis1=1, axis2=2))
+        ev = np.linalg.eigvalsh(self.half)
+        tr = np.real(np.trace(self.half, axis1=1, axis2=2))
         floor = -1e-8 * np.maximum(tr, np.max(tr) * 1e-12 if np.max(tr) > 0 else 1.0)
         if np.any(ev[:, 0] < floor):
             worst = int(np.argmin(ev[:, 0] - floor))
-            raise ValueError(f"not PSD at grid index {self.grid.half_rows.start + worst}: "
+            raise ValueError(f"not PSD at {self.grid.name_half_row(worst)}: "
                              f"min eigenvalue {ev[worst, 0]:.3e}")
         return self
 
@@ -128,6 +127,7 @@ def fourier_coefficients(series):
 
     Computed at the fundamental frequencies w_k = k/T (T even) and returned
     in grid order, shape (T, P).  The series is demeaned first, so d(0) = 0.
+    A real FFT gives those at w >= 0; ``grid.unfold`` adds d(-w) = conj d(w).
 
     Returns
     -------
@@ -136,13 +136,10 @@ def fourier_coefficients(series):
     T = series.n_samples
     if T % 2 != 0:
         raise ConfigError(f"series length must be even, got {T}")
-    x = demean(series.samples)
     grid = FrequencyGrid(T)
-    F = np.fft.fft(x, axis=0)
-    # FFT sums over t = 0..T-1; the definition indexes time from 1.
-    k = np.arange(T)
-    F *= np.exp(-2j * np.pi * k / T)[:, None]
-    return grid, grid.from_fft_order(F)
+    # rfft sums over t = 0..T-1; the definition indexes time from 1.
+    phase = np.exp(-2j * np.pi * np.arange(T // 2 + 1) / T)
+    return grid, grid.unfold(np.fft.rfft(demean(series.samples), axis=0) * phase[:, None])
 
 
 def periodogram(series):

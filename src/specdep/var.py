@@ -496,10 +496,8 @@ def pdc(model, grid):
     denom = num.sum(axis=1, keepdims=True)
     bad = np.nonzero(denom[:, 0, :] <= 0)
     if bad[0].size:
-        k, q = grid.half_rows.start + bad[0][0], bad[1][0]
-        raise ValueError(
-            f"all-zero transfer-function column {q} at grid index {k} "
-            f"(frequency {grid.frequencies[k]:.6f})")
+        raise ValueError(f"all-zero transfer-function column {bad[1][0]} at "
+                         f"{grid.name_half_row(bad[0][0])}")
     return PdcResult(grid, grid.unfold(num / denom))
 
 

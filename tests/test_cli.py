@@ -248,6 +248,20 @@ class TestExitCodes:
         assert "--shrink-order" not in err and "--window" in err and "--bandwidth" in err
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("op", [["coherence"], ["pcoh"], ["tvcoh", "--window", "128:64"],
+                                    ["tvcoh", "--window", "128:64", "--partial"]])
+    def test_channel_without_power_is_named_without_a_remedy(self, tmp_path, capsys, op):
+        # no smoothing, shrinking or window length gives a constant channel power
+        x = np.random.default_rng(8).standard_normal((512, 3))
+        x[:, 1] = 0.25
+        p = tmp_path / "const.csv"
+        cli.write_series_csv(MultiChannelSeries(x, 128.0, ["a", "b", "c"]), p)
+        assert run([op[0], "--in", str(p), "--sample-rate", "128", *op[1:],
+                    "-o", str(tmp_path / "o.csv")]) == 3
+        assert capsys.readouterr().err == ("specdep: numerical failure: zero auto-spectrum of "
+                                           "channel 1 at every frequency: the channel has no "
+                                           "power\n")
+
     def test_shrink_order_keeps_ill_conditioned_pcoh_at_3(self, tmp_path, capsys, dup_csv):
         assert run(["pcoh", "--in", str(dup_csv), "--sample-rate", "128", "--shrink-order", "2",
                     "-o", str(tmp_path / "o.csv")]) == 3

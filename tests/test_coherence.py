@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import example as example_of
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -49,8 +50,20 @@ class TestCoherency:
         grid = FrequencyGrid(8)
         vals = np.zeros((5, 2, 2), dtype=complex)
         f = CrossSpectralMatrix(grid, vals)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"of channel 0 at every frequency: the channel "
+                                             r"has no power$"):
             coherency(f, 0, 1)
+
+    def test_zero_autospectrum_names_channel_and_row(self):
+        # channel 1 has no power at w = 1/4 only, row 2 of the half
+        vals = np.tile(np.eye(2, dtype=complex), (5, 1, 1))
+        vals[2, 1, 1] = 0.0
+        f = CrossSpectralMatrix(FrequencyGrid(8), vals)
+        for estimate in (lambda: coherency(f, 0, 1), lambda: coherence_matrix(f),
+                         lambda: partial_coherence(f)):
+            with pytest.raises(ValueError, match=r"^zero auto-spectrum of channel 1 at "
+                                                 r"grid index 5 \(frequency 0\.250000\); shrink"):
+                estimate()
 
     def test_checks_only_its_own_pair(self):
         # a silent third channel stops the matrix, not the (0, 1) coherency
@@ -180,13 +193,16 @@ class TestPartialCoherence:
         assert np.max(np.abs(coherence_matrix(f).values - coh)[:, off]) <= 1e-10
         assert np.max(np.abs(partial_coherence(f) - pcoh)[:, off]) <= 1e-10
 
-    def test_bivariate_equals_coherence(self):
-        for seed in range(20):
-            s = white(256, 2, 100 + seed)
-            f = smoothed(s, 8)
-            pc = partial_coherence(f)
-            c = coherence_matrix(f).values
-            assert np.max(np.abs(pc[:, 0, 1] - c[:, 0, 1])) < 1e-10
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(T=st.integers(4, 256).map(lambda m: 2 * m), seed=st.integers(0, 2 ** 16),
+           width=st.floats(0, 1))
+    @example_of(T=256, seed=100, width=7 / 62)
+    def test_bivariate_equals_coherence(self, T, seed, width):
+        # criterion 8 at every length and bandwidth 1 .. T/4 - 1: within 1e-10
+        f = smoothed(white(T, 2, seed), 1 + int(width * (T // 4 - 2)))
+        pc = partial_coherence(f)
+        c = coherence_matrix(f).values
+        assert np.max(np.abs(pc[:, 0, 1] - c[:, 0, 1])) < 1e-10
 
     def test_block_diagonal_zero_across(self):
         rng = np.random.default_rng(9)

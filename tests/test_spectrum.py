@@ -2,11 +2,16 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example as example_of
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specdep.core import ConfigError, FrequencyGrid, MultiChannelSeries, write_json
-from specdep.simulate import _stationary_var
+from specdep import spectrum
+from specdep.coherence import (coherence_matrix, estimate_spectrum, partial_coherence,
+                               tv_coherence, tv_partial_coherence)
+from specdep.core import ConfigError, FrequencyGrid, MultiChannelSeries, demean, write_json
+from specdep.simulate import _stationary_var, example
+from specdep.spca import spca_encode, spca_fit
 from specdep.spectrum import (CrossSpectralMatrix, SmoothingKernel, ar2_from_peak,
                               csm_to_json, default_bandwidth, fourier_coefficients,
                               periodogram, shrink_spectral_estimate,
@@ -53,7 +58,20 @@ class TestFourierCoefficients:
         for k in (3, 17, 40):
             ip = grid.index_of(k / 128)
             im = grid.index_of(-k / 128)
-            assert np.allclose(d[im], d[ip].conj(), atol=1e-9)
+            assert np.array_equal(d[im], d[ip].conj())
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(P=st.integers(1, 5), T=st.integers(4, 256).map(lambda m: 2 * m),
+           seed=st.integers(0, 2 ** 16))
+    def test_equals_direct_sum(self, P, T, seed):
+        # sum_{t=1..T} x(t) e^{-i2pi k t / T} of the demeaned series at every grid
+        # frequency k/T, within 1e-12 of the largest |d|; k t is reduced mod T first
+        x = np.random.default_rng(seed).standard_normal((T, P))
+        grid, d = fourier_coefficients(series(x))
+        k = np.rint(grid.frequencies * T).astype(int)
+        direct = np.exp(-2j * np.pi * (np.outer(k, np.arange(1, T + 1)) % T) / T) @ demean(x)
+        assert d.shape == (T, P)
+        assert np.max(np.abs(d - direct)) <= 1e-12 * np.max(np.abs(d))
 
     def test_odd_length_rejected(self):
         s = series(np.random.default_rng(2).standard_normal((255, 1)))
@@ -80,15 +98,22 @@ class TestPeriodogram:
         assert np.allclose(d.imag, 0.0, atol=1e-12)
         assert np.all(d.real >= -1e-15)
 
-    def test_parseval(self):
-        rng = np.random.default_rng(4)
-        s = series(rng.standard_normal((1024, 2)) * [1.0, 3.5])
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(P=st.integers(1, 5), T=st.integers(4, 256).map(lambda m: 2 * m),
+           seed=st.integers(0, 2 ** 16),
+           scales=st.lists(st.floats(1e-3, 1e3), min_size=5, max_size=5))
+    @example_of(P=2, T=1024, seed=4, scales=[1.0, 3.5, 1.0, 1.0, 1.0])
+    def test_parseval(self, P, T, seed, scales):
+        # criterion 12's form: the mean of each auto-periodogram over the grid is
+        # the channel's variance, within 1e-8 relative
+        rng = np.random.default_rng(seed)
+        s = series(rng.standard_normal((T, P)) * scales[:P])
         f = periodogram(s)
         x = s.samples - s.samples.mean(axis=0)
-        for p in range(2):
-            var = np.dot(x[:, p], x[:, p]) / 1024
+        for p in range(P):
+            var = np.dot(x[:, p], x[:, p]) / T
             mean_diag = np.mean(f.values[:, p, p].real)
-            assert mean_diag == pytest.approx(var, rel=1e-8)
+            assert abs(mean_diag - var) <= 1e-8 * var
 
     def test_validates_hermitian_psd(self):
         rng = np.random.default_rng(5)
@@ -450,3 +475,47 @@ class TestConjugateSymmetry:
         with pytest.raises(ValueError, match="read-only"):
             f.values[3] += np.eye(3)
         assert np.array_equal(f.values, periodogram(self._series(0)).values)
+
+
+def full_fft_coefficients(s):
+    """d(w) from a complex FFT over all T bins, each bin phased, rotated into grid order."""
+    T = s.n_samples
+    F = np.fft.fft(demean(s.samples), axis=0) * np.exp(-2j * np.pi * np.arange(T) / T)[:, None]
+    return FrequencyGrid(T), np.roll(F, T // 2 - 1, axis=0)
+
+
+class TestFullFftRoute:
+    """Outputs on seed-1 T=8192 inputs from the real-FFT coefficients against those
+    from a complex FFT of all T bins: they differ by rounding only."""
+
+    @pytest.fixture(scope="class")
+    def outputs(self):
+        net, _ = example("pdc_net", 8192, 1)
+        mix, _ = example("spca_mix", 8192, 1)
+
+        def run():
+            f = estimate_spectrum(net)
+            sol = spca_fit(estimate_spectrum(mix), 2)
+            return {"spectrum": f.values,
+                    "coherence": coherence_matrix(f).values,
+                    "pcoh": partial_coherence(f),
+                    "pcoh_shrunk": partial_coherence(estimate_spectrum(net, shrink_order=2)),
+                    "tvcoh": tv_coherence(net, 1024, 512).values,
+                    "tvcoh_partial": tv_partial_coherence(net, 1024, 512).values,
+                    "spca_loadings": sol.loadings,
+                    "spca_encode": spca_encode(mix, sol).samples}
+
+        got = run()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(spectrum, "fourier_coefficients", full_fft_coefficients)
+            want = run()
+        return got, want
+
+    @pytest.mark.parametrize("name, bound, relative", [
+        ("spectrum", 1e-13, True), ("coherence", 1e-11, False), ("pcoh", 1e-11, False),
+        ("pcoh_shrunk", 1e-11, False), ("tvcoh", 1e-10, False), ("tvcoh_partial", 1e-10, False),
+        ("spca_loadings", 1e-11, True), ("spca_encode", 1e-11, True)])
+    def test_within_bound(self, outputs, name, bound, relative):
+        got, want = outputs[0][name], outputs[1][name]
+        scale = np.max(np.abs(want)) if relative else 1.0
+        assert np.max(np.abs(got - want)) <= bound * scale
